@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .broadcast import EntangledInput, local_state, nonlocal_state
+from .broadcast import STATE_TOL, EntangledInput, local_state, nonlocal_state
 from .cloner import ClonerParameter
 from .linalg import (
     PAULIS,
@@ -91,133 +91,50 @@ class WernerDecomposition:
     psi: np.ndarray  # the pure 4-vector
 
 
+_PAULI_PAIRS = np.array([[kron(si, sj) for sj in PAULIS] for si in PAULIS])
+
+
 def _require_state(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 two-qubit density operator")
-    if not is_density_operator(rho, trace_tol=1e-9, psd_tol=1e-9):
+    if not is_density_operator(rho, trace_tol=STATE_TOL, psd_tol=STATE_TOL):
         raise ValueError("input is not a valid density operator")
     return rho
 
 
-def ppt_test(rho, tol=PPT_TOL):
-    """Peres-Horodecki test; exact separability criterion for two qubits."""
-    rho = _require_state(rho)
-    pt = partial_transpose(rho, [2, 2], subsystem=1)
-    lam = hermitian_eigenvalues(pt)[0]
-    return PptResult(separable=bool(lam >= -tol), min_pt_eigenvalue=float(lam))
+# One implementation per measure, trusting its input: broadcast validates the
+# states it builds, and the public functions check a matrix from outside first.
+
+def _min_pt_eigenvalue(rho):
+    return float(hermitian_eigenvalues(partial_transpose(rho, [2, 2], subsystem=1))[0])
 
 
-def nonlocal_inseparability_range(p: ClonerParameter) -> Interval:
-    """Closed alpha^2 interval on which the cross-site pair is inseparable."""
-    xi, eta = p.xi, p.eta
-    radicand = 0.25 - (xi * (1.0 - xi)) ** 2 / eta**4
-    if radicand < 0.0:
-        raise RangeUndefinedError(
-            f"nonlocal range undefined at xi={xi} (above {XI_NONLOCAL_MAX})"
-        )
-    r = math.sqrt(radicand)
-    return Interval(0.5 - r, 0.5 + r)
+def _correlation(rho):
+    """t_ij = Tr(rho sigma_i x sigma_j) before the real part is taken."""
+    return np.einsum("ijkl,lk->ij", _PAULI_PAIRS, rho)
 
 
-def local_separability_range(p: ClonerParameter) -> Interval:
-    """Closed alpha^2 interval on which the same-site pair is separable."""
-    xi, eta = p.xi, p.eta
-    radicand = 0.25 - (xi / eta) ** 2
-    if radicand < 0.0:
-        raise RangeUndefinedError(
-            f"local range undefined at xi={xi} (above {XI_LOCAL_MAX})"
-        )
-    s = math.sqrt(radicand)
-    return Interval(0.5 - s, 0.5 + s)
-
-
-_PAULI_PAIRS = np.array([[kron(si, sj) for sj in PAULIS] for si in PAULIS])
-
-
-def correlation_tensor(rho):
-    """Real 3x3 matrix t_ij = Tr(rho sigma_i x sigma_j)."""
-    rho = _require_state(rho)
-    t = np.einsum("ijkl,lk->ij", _PAULI_PAIRS, rho)
-    if np.max(np.abs(t.imag)) > 1e-12:
-        raise ValueError("correlation tensor has non-negligible imaginary part")
-    return t.real
-
-
-def _bell_m_unchecked(rho):
-    t = np.einsum("ijkl,lk->ij", _PAULI_PAIRS, rho).real
+def _bell_m(t):
+    """Sum of the two largest eigenvalues of T^T T for a real tensor t."""
     ev = np.linalg.eigvalsh(t.T @ t)
     return float(ev[-1] + ev[-2])
 
 
-def bell_quantity_m(rho):
-    """Sum of the two largest eigenvalues of T^T T; CHSH violated iff > 1."""
-    t = correlation_tensor(rho)
-    ev = np.linalg.eigvalsh(t.T @ t)
-    return float(ev[-1] + ev[-2])
+def _fidelity(t):
+    return 0.5 * (1.0 + np.sum(singular_values(t)) / 3.0)
 
 
-def bell_violation_range(p: ClonerParameter) -> Optional[Interval]:
-    """Closed-form alpha^2 interval of Bell violation, or None when empty.
-
-    Empty for every xi the cloning machine actually admits; the radicand is
-    non-negative only below xi = 1/2 - 2^(-5/4) ~ 0.07955.
-    """
-    if p.eta**4 <= 0.0:
-        return None  # eta = 0: correlations vanish, no violation possible
-    radicand = 0.5 - 1.0 / (4.0 * p.eta**4)
-    if radicand < 0.0:
-        return None
-    q = math.sqrt(radicand)
-    return Interval(0.5 - q, 0.5 + q)
-
-
-def gisin_filter(rho, f: FilterParams):
-    """(M x P) rho (M x P)^dagger / N with diagonal M, P; N the new trace."""
-    rho = _require_state(rho)
-    mp = np.diag([f.m1 * f.p1, f.m1 * f.p2, f.m2 * f.p1, f.m2 * f.p2]).astype(complex)
-    rho_p = mp @ rho @ mp
-    n = float(np.real(np.trace(rho_p)))
+def _filter(rho, scale):
+    """rho_ij s_i s_j / N, the diagonal local filter with diagonal ``scale``."""
+    rho_f = rho * np.outer(scale, scale)
+    n = np.trace(rho_f).real
     if n <= 1e-300:
         raise DegenerateFilterError(f"filter trace underflow N={n}")
-    return rho_p / n
+    return rho_f / n
 
 
-def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
-    """Maximize M over a deterministic log grid of filter ratios.
-
-    Only the ratios m1/m2 and p1/p2 matter (overall scales cancel in the
-    normalization), so the grid covers (m1/m2, p1/p2) in [1e-3, 1e3]^2 with
-    ``budget`` points per axis. Ties break toward the earliest grid point.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rho = nonlocal_state(inp, p)
-    if budget == 1:
-        ratios = np.array([1.0])
-    else:
-        ratios = np.logspace(-3.0, 3.0, budget)
-    best_m, best_f = -np.inf, None
-    for rm in ratios:
-        for rp in ratios:
-            scale = np.array([rm * rp, rm, rp, 1.0])
-            rho_f = rho * np.outer(scale, scale)
-            rho_f /= np.trace(rho_f).real
-            m = _bell_m_unchecked(rho_f)
-            if m > best_m + 1e-15:
-                best_m = m
-                best_f = FilterParams(m1=rm, m2=1.0, p1=rp, p2=1.0)
-    return {"max_m": best_m, "argmax": best_f}
-
-
-def werner_decompose(rho, tol=1e-8) -> Optional[WernerDecomposition]:
-    """Try to write rho as ((1-x)/4) I + x |psi><psi| with psi maximally entangled.
-
-    psi is taken from the top eigenvector; x from its eigenvalue. Returns
-    None unless psi's reduced states are both I/2 within tol and the
-    reconstruction matches rho entrywise within tol.
-    """
-    rho = _require_state(rho)
+def _werner(rho, tol):
     w, v = np.linalg.eigh(rho)
     lam_max = w[-1]
     x = (4.0 * lam_max - 1.0) / 3.0
@@ -240,10 +157,109 @@ def werner_decompose(rho, tol=1e-8) -> Optional[WernerDecomposition]:
     return WernerDecomposition(x=float(x), psi=psi)
 
 
+def ppt_test(rho, tol=PPT_TOL):
+    """Peres-Horodecki test; exact separability criterion for two qubits."""
+    lam = _min_pt_eigenvalue(_require_state(rho))
+    return PptResult(separable=lam >= -tol, min_pt_eigenvalue=lam)
+
+
+def nonlocal_inseparability_range(p: ClonerParameter) -> Interval:
+    """Closed alpha^2 interval on which the cross-site pair is inseparable."""
+    xi, eta = p.xi, p.eta
+    # eta -> 0 (xi -> 1/2) sends the radicand to -inf
+    radicand = 0.25 - (xi * (1.0 - xi)) ** 2 / eta**4 if eta != 0.0 else -math.inf
+    if radicand < 0.0:
+        raise RangeUndefinedError(
+            f"nonlocal range undefined at xi={xi} (above {XI_NONLOCAL_MAX})"
+        )
+    r = math.sqrt(radicand)
+    return Interval(0.5 - r, 0.5 + r)
+
+
+def local_separability_range(p: ClonerParameter) -> Interval:
+    """Closed alpha^2 interval on which the same-site pair is separable."""
+    xi, eta = p.xi, p.eta
+    radicand = 0.25 - (xi / eta) ** 2 if eta != 0.0 else -math.inf
+    if radicand < 0.0:
+        raise RangeUndefinedError(
+            f"local range undefined at xi={xi} (above {XI_LOCAL_MAX})"
+        )
+    s = math.sqrt(radicand)
+    return Interval(0.5 - s, 0.5 + s)
+
+
+def correlation_tensor(rho):
+    """Real 3x3 matrix t_ij = Tr(rho sigma_i x sigma_j)."""
+    t = _correlation(_require_state(rho))
+    if np.max(np.abs(t.imag)) > 1e-12:
+        raise ValueError("correlation tensor has non-negligible imaginary part")
+    return t.real
+
+
+def bell_quantity_m(rho):
+    """Sum of the two largest eigenvalues of T^T T; CHSH violated iff > 1."""
+    return _bell_m(correlation_tensor(rho))
+
+
+def bell_violation_range(p: ClonerParameter) -> Optional[Interval]:
+    """Closed-form alpha^2 interval of Bell violation, or None when empty.
+
+    Empty for every xi the cloning machine actually admits; the radicand is
+    non-negative only below xi = 1/2 - 2^(-5/4) ~ 0.07955.
+    """
+    if p.eta**4 <= 0.0:
+        return None  # eta = 0: correlations vanish, no violation possible
+    radicand = 0.5 - 1.0 / (4.0 * p.eta**4)
+    if radicand < 0.0:
+        return None
+    q = math.sqrt(radicand)
+    return Interval(0.5 - q, 0.5 + q)
+
+
+def gisin_filter(rho, f: FilterParams):
+    """(M x P) rho (M x P)^dagger / N with diagonal M, P; N the new trace."""
+    scale = np.array([f.m1 * f.p1, f.m1 * f.p2, f.m2 * f.p1, f.m2 * f.p2])
+    return _filter(_require_state(rho), scale)
+
+
+def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
+    """Maximize M over a deterministic log grid of filter ratios.
+
+    Only the ratios m1/m2 and p1/p2 matter (overall scales cancel in the
+    normalization), so the grid covers (m1/m2, p1/p2) in [1e-3, 1e3]^2 with
+    ``budget`` points per axis. Ties break toward the earliest grid point.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    rho = nonlocal_state(inp, p)
+    if budget == 1:
+        ratios = np.array([1.0])
+    else:
+        ratios = np.logspace(-3.0, 3.0, budget)
+    best_m, best_f = -np.inf, None
+    for rm in ratios:
+        for rp in ratios:
+            rho_f = _filter(rho, np.array([rm * rp, rm, rp, 1.0]))
+            m = _bell_m(_correlation(rho_f).real)
+            if m > best_m + 1e-15:
+                best_m = m
+                best_f = FilterParams(m1=rm, m2=1.0, p1=rp, p2=1.0)
+    return {"max_m": best_m, "argmax": best_f}
+
+
+def werner_decompose(rho, tol=1e-8) -> Optional[WernerDecomposition]:
+    """Try to write rho as ((1-x)/4) I + x |psi><psi| with psi maximally entangled.
+
+    psi is taken from the top eigenvector; x from its eigenvalue. Returns
+    None unless psi's reduced states are both I/2 within tol and the
+    reconstruction matches rho entrywise within tol.
+    """
+    return _werner(_require_state(rho), tol)
+
+
 def teleportation_fidelity(rho):
     """Best standard-scheme average fidelity: (1/2)(1 + Tr sqrt(T^T T) / 3)."""
-    t = correlation_tensor(rho)
-    return 0.5 * (1.0 + np.sum(singular_values(t)) / 3.0)
+    return _fidelity(correlation_tensor(rho))
 
 
 def boundary_bisect(p: ClonerParameter, predicate, side, tol=1e-10):
@@ -266,6 +282,8 @@ def boundary_bisect(p: ClonerParameter, predicate, side, tol=1e-10):
     lo, hi = out_pt, in_pt  # lo outside, hi inside
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # lo and hi are adjacent floats: no smaller bracket exists
         if predicate(mid):
             hi = mid
         else:
@@ -280,7 +298,7 @@ def nonlocal_inseparable_predicate(p: ClonerParameter):
         rho = nonlocal_state(EntangledInput.from_alpha_sq(alpha_sq), p)
         # raw eigenvalue sign: bisection needs the exact zero crossing, not
         # the -1e-10 classification threshold
-        return ppt_test(rho).min_pt_eigenvalue < 0.0
+        return _min_pt_eigenvalue(rho) < 0.0
 
     return pred
 
@@ -290,6 +308,6 @@ def local_separable_predicate(p: ClonerParameter):
 
     def pred(alpha_sq):
         rho = local_state(EntangledInput.from_alpha_sq(alpha_sq), p)
-        return ppt_test(rho).min_pt_eigenvalue >= 0.0
+        return _min_pt_eigenvalue(rho) >= 0.0
 
     return pred

@@ -6,6 +6,9 @@ state-vector oracle that builds the global 256-dimensional pure state
 (two clones and a 4-dimensional machine per site) and obtains the same
 matrices by partial tracing. The oracle requires the abstract machine, so
 it is only defined for xi >= 1/6.
+
+Both constructors validate what they build from the closed-form smallest
+eigenvalue of an X-state, so no later query needs to check it again.
 """
 
 import math
@@ -13,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import ClonerParameter, MachineKind, machine_isometry
+from .cloner import ClonerParameter, MachineKind, OutOfRangeError, machine_isometry
 from .linalg import partial_trace
+
+STATE_TOL = 1e-9  # least eigenvalue and trace deviation a density operator may show
 
 
 @dataclass(frozen=True)
@@ -57,23 +62,35 @@ def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
     """Cross-site pair state: X-form with diagonal (A, C, C, B), coherence D.
 
     A = alpha^2 (1-2xi) + xi^2, B = beta^2 (1-2xi) + xi^2, C = xi(1-xi),
-    D = alpha beta (1-2xi)^2 between |00> and |11>.
+    D = alpha beta (1-2xi)^2 between |00> and |11>. Raises OutOfRangeError
+    when this is not a density operator (xi outside [0, 1]).
     """
     a, b = inp.alpha, inp.beta
     xi, eta = p.xi, p.eta
+    big_a, big_b = a * a * eta + xi * xi, b * b * eta + xi * xi
+    c, d = xi * (1.0 - xi), a * b * eta * eta
+    # eigenvalues: C twice, and (A + B)/2 +- hypot((A - B)/2, D)
+    if min(c, 0.5 * (big_a + big_b) - math.hypot(0.5 * (big_a - big_b), d)) < -STATE_TOL:
+        raise OutOfRangeError(xi, 0.0, 1.0)
     rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = a * a * eta + xi * xi
-    rho[3, 3] = b * b * eta + xi * xi
-    rho[1, 1] = rho[2, 2] = xi * (1.0 - xi)
-    d = a * b * eta * eta
+    rho[0, 0] = big_a
+    rho[3, 3] = big_b
+    rho[1, 1] = rho[2, 2] = c
     rho[0, 3] = rho[3, 0] = d
     return rho
 
 
 def local_state(inp: EntangledInput, p: ClonerParameter):
-    """Same-site clone pair: (1-2xi)(a^2 |00><00| + b^2 |11><11|) + 2xi |+><+|."""
+    """Same-site clone pair: (1-2xi)(a^2 |00><00| + b^2 |11><11|) + 2xi |+><+|.
+
+    Raises OutOfRangeError when this is not a density operator (xi outside
+    [0, 1/2]).
+    """
     a, b = inp.alpha, inp.beta
     xi, eta = p.xi, p.eta
+    # eigenvalues: a^2 eta, b^2 eta, 2 xi, and 0 on (|01> - |10>)/sqrt(2)
+    if min(a * a * eta, b * b * eta, 2.0 * xi) < -STATE_TOL:
+        raise OutOfRangeError(xi, 0.0, 0.5)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = a * a * eta
     rho[3, 3] = b * b * eta

@@ -13,18 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, broadcast, cloner
+from . import analysis, cloner
 from .analysis import (
-    Interval,
     RangeUndefinedError,
+    _bell_m,
+    _correlation,
+    _fidelity,
+    _werner,
     bell_violation_range,
     boundary_bisect,
     filter_search_max_m,
-    local_separability_range,
     nonlocal_inseparability_range,
     nonlocal_inseparable_predicate,
-    teleportation_fidelity,
-    werner_decompose,
 )
 from .broadcast import EntangledInput, local_state, nonlocal_state, oracle_broadcast
 from .cloner import (
@@ -125,7 +125,7 @@ def verify_claims(filter_budget=101):
     # Bell threshold in xi (analysis-only; below the machine's range)
     claims.append(_equal("bell.threshold_xi",
                          "largest xi admitting any CHSH-violating alpha^2",
-                         0.5 - 2.0 ** (-1.25), _bell_threshold_bisect(1e-9), 1e-9))
+                         analysis.XI_BELL_MAX, _bell_threshold_bisect(1e-9), 1e-9))
     in_range_empty = all(
         bell_violation_range(analysis_parameter(xi)) is None
         for xi in np.linspace(cloner.XI_LOWER, cloner.XI_UPPER, 20)
@@ -136,8 +136,8 @@ def verify_claims(filter_budget=101):
 
     # unfiltered M never exceeds 1/2 over the admissible machines
     max_m = max(
-        analysis.bell_quantity_m(
-            nonlocal_state(EntangledInput.from_alpha_sq(a2), make_cloner_parameter(xi)))
+        _bell_m(_correlation(nonlocal_state(EntangledInput.from_alpha_sq(a2),
+                                            make_cloner_parameter(xi))).real)
         for xi in np.linspace(cloner.XI_LOWER, cloner.XI_UPPER - 1e-12, 20)
         for a2 in np.linspace(0.0, 1.0, 50)
     )
@@ -161,19 +161,19 @@ def verify_claims(filter_budget=101):
             ("widest", XI_BOUNDARY, 0.5, 0.75)):
         p = make_cloner_parameter(xi)
         rho = nonlocal_state(half, p)
-        dec = werner_decompose(rho, tol=1e-8)
+        dec = _werner(rho, 1e-8)
         claims.append(_equal(f"werner.x.{cid}",
                              f"Werner weight of the cross-site state at xi={xi:.8f}",
                              x_expect, dec.x if dec else float("nan"), 1e-12))
         claims.append(_equal(f"fidelity.{cid}",
                              f"teleportation fidelity of the cross-site state at xi={xi:.8f}",
-                             f_expect, teleportation_fidelity(rho), 1e-12))
+                             f_expect, _fidelity(_correlation(rho).real), 1e-12))
     claims.append(_bool("werner.only_maximally_entangled",
                         "Werner form unattainable off alpha^2 = 1/2",
-                        all(werner_decompose(
+                        all(_werner(
                             nonlocal_state(EntangledInput.from_alpha_sq(a2),
                                            make_cloner_parameter(XI_OPTIMAL)),
-                            tol=1e-8) is None
+                            1e-8) is None
                             for a2 in (0.3, 0.45, 0.55))))
 
     # brute-force oracle agrees with the closed forms wherever it exists

@@ -1,10 +1,11 @@
-"""Command-line front end: sweeps, boundary tables, cloner audits, claims report.
+"""Command-line front end: sweeps, boundaries, cloner audits, claims report, study tables.
 
 Exit codes: 0 success (all claim verdicts PASS or DISCREPANCY), 1 any FAIL
 verdict, 2 usage or configuration error.
 """
 
 import argparse
+import pathlib
 import sys
 
 from . import analysis, claims as claims_mod
@@ -14,6 +15,7 @@ from .analysis import (
     nonlocal_inseparable_predicate,
 )
 from .cloner import (
+    GramNotPSDError,
     MachineKind,
     OutOfRangeError,
     analysis_parameter,
@@ -21,7 +23,14 @@ from .cloner import (
     universality_report,
 )
 from .report import CLAIM_FIELDS, SWEEP_FIELDS, claims_to_rows, emit_rows
-from .sweep import QUANTITIES, ConfigError, SweepConfig, parse_grid, run_sweep
+from .sweep import (
+    QUANTITIES,
+    ConfigError,
+    SweepConfig,
+    parse_grid,
+    run_sweep,
+    study_tables,
+)
 
 
 def _build_parser():
@@ -66,7 +75,18 @@ def _build_parser():
                     default=MachineKind.LITERAL_2D.value)
     cp.add_argument("--samples", type=int, default=64)
     add_common(cp)
+
+    tp = sub.add_parser("study", help="write the four summary tables as CSV files")
+    tp.add_argument("--out-dir", default="study_out")
+    tp.add_argument("--xi-points", type=int, default=25)
+    tp.add_argument("--filter-budget", type=int, default=41)
+    tp.add_argument("--samples", type=int, default=64)
     return ap
+
+
+def _require_at_least(flag, value, least):
+    if value < least:
+        raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
 def _param(xi, analysis_only):
@@ -84,7 +104,6 @@ def _cmd_sweep(args):
         xi_grid=xi_grid,
         alpha_sq_grid=a2_grid,
         quantities=tuple(args.quantity or ()),
-        output_format=args.format,
         analysis_only=args.analysis_only,
         werner_tol=args.tol,
     )
@@ -94,6 +113,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
+    _require_at_least("--filter-budget", args.filter_budget, 1)
     results = claims_mod.verify_claims(filter_budget=args.filter_budget)
     for c in results:
         print(f"[{c.verdict}] {c.claim_id}: expected {c.expected:.12g}, "
@@ -109,6 +129,8 @@ def _cmd_verify(args):
 
 
 def _cmd_boundary(args):
+    if not args.tol > 0.0:
+        raise ConfigError(f"--tol must be positive, got {args.tol}")
     p = _param(args.xi, args.analysis_only)
     if args.target == "nonlocal":
         pred = nonlocal_inseparable_predicate(p)
@@ -125,6 +147,7 @@ def _cmd_boundary(args):
 
 
 def _cmd_clone_audit(args):
+    _require_at_least("--samples", args.samples, 2)
     p = _param(args.xi, args.analysis_only)
     rep = universality_report(p, MachineKind(args.kind), args.samples)
     rows = [{"xi": args.xi, "kind": args.kind, "samples": args.samples,
@@ -135,11 +158,25 @@ def _cmd_clone_audit(args):
     return 0
 
 
+def _cmd_study(args):
+    _require_at_least("--xi-points", args.xi_points, 1)
+    _require_at_least("--filter-budget", args.filter_budget, 1)
+    _require_at_least("--samples", args.samples, 2)
+    out = pathlib.Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    tables = study_tables(args.xi_points, args.filter_budget, args.samples)
+    for name, rows in tables.items():
+        emit_rows(rows, list(rows[0]), "csv", str(out / name))
+    print(f"wrote {len(tables)} tables to {out}/")
+    return 0
+
+
 _COMMANDS = {
     "sweep": _cmd_sweep,
     "verify": _cmd_verify,
     "boundary": _cmd_boundary,
     "clone-audit": _cmd_clone_audit,
+    "study": _cmd_study,
 }
 
 
@@ -147,8 +184,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, OutOfRangeError, analysis.RangeUndefinedError,
-            analysis.NoCrossingError) as e:
+    except (ConfigError, OutOfRangeError, GramNotPSDError, analysis.RangeUndefinedError,
+            analysis.NoCrossingError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

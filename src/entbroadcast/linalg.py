@@ -38,14 +38,6 @@ def kron(a, b):
     return np.kron(_as_matrix(a), _as_matrix(b))
 
 
-def kron_all(*factors):
-    """Kronecker product of an arbitrary number of factors, left to right."""
-    out = _as_matrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, _as_matrix(f))
-    return out
-
-
 def _check_layout(m, dims):
     d = int(np.prod(dims))
     if m.shape != (d, d):

@@ -56,6 +56,20 @@ class TestPpt:
             ppt_test(np.eye(4))  # trace 4
 
 
+@pytest.mark.parametrize("measure", [
+    ppt_test, correlation_tensor, bell_quantity_m, teleportation_fidelity,
+    werner_decompose, lambda rho: gisin_filter(rho, FilterParams(1, 1, 1, 1)),
+])
+@pytest.mark.parametrize("rho", [
+    np.eye(4),  # trace 4
+    np.diag([1.5, -0.5, 0.0, 0.0]),  # negative eigenvalue
+    np.eye(2) / 2,  # wrong shape
+])
+def test_public_measures_reject_outside_matrices(measure, rho):
+    with pytest.raises(ValueError):
+        measure(rho)
+
+
 class TestRanges:
     def test_nonlocal_range_at_optimal(self):
         rng = nonlocal_inseparability_range(OPTIMAL)
@@ -74,6 +88,14 @@ class TestRanges:
     def test_nonlocal_range_undefined_above_bound(self):
         with pytest.raises(RangeUndefinedError):
             nonlocal_inseparability_range(make_cloner_parameter(XI_NONLOCAL_MAX + 1e-6))
+
+    def test_ranges_undefined_at_half(self):
+        # eta = 0: the radicands tend to -inf, not a division by zero
+        p = make_cloner_parameter(0.5)
+        with pytest.raises(RangeUndefinedError):
+            nonlocal_inseparability_range(p)
+        with pytest.raises(RangeUndefinedError):
+            local_separability_range(p)
 
     def test_local_range_at_optimal(self):
         rng = local_separability_range(OPTIMAL)

@@ -16,10 +16,11 @@ from entbroadcast.broadcast import (
 from entbroadcast.cloner import (
     XI_LOWER,
     GramNotPSDError,
+    OutOfRangeError,
     analysis_parameter,
     make_cloner_parameter,
 )
-from entbroadcast.linalg import SIGMA_X, hermitian_eigenvalues, kron
+from entbroadcast.linalg import SIGMA_X, hermitian_eigenvalues, is_density_operator, kron
 
 
 class TestEntangledInput:
@@ -99,6 +100,58 @@ class TestClosedForms:
                 p = analysis_parameter(float(xi))
                 for rho in (local_state(inp, p), nonlocal_state(inp, p)):
                     assert hermitian_eigenvalues(rho)[0] >= -1e-10
+
+
+def _x_states(xi, alpha_sq):
+    """Cross-site and same-site states written out entry by entry."""
+    eta, a2, b2 = 1 - 2 * xi, alpha_sq, 1 - alpha_sq
+    cross = np.diag([a2 * eta + xi**2, xi * (1 - xi), xi * (1 - xi), b2 * eta + xi**2])
+    cross[0, 3] = cross[3, 0] = math.sqrt(a2 * b2) * eta**2
+    same = np.diag([a2 * eta, xi, xi, b2 * eta])
+    same[1, 2] = same[2, 1] = xi
+    return cross, same
+
+
+def _raises_out_of_range(build, inp, p):
+    try:
+        build(inp, p)
+    except OutOfRangeError:
+        return True
+    return False
+
+
+# xi in [-0.2, 1.2], kept 1e-7 away from the domain edges 0, 1/2 and 1, where
+# the smallest eigenvalue crosses zero; points just beside each edge included
+_EDGES = (0.0, 0.5, 1.0)
+_CHECK_XIS = sorted(
+    {float(x) for x in np.linspace(-0.2, 1.2, 281) if min(abs(x - e) for e in _EDGES) > 1e-7}
+    | {e + d for e in _EDGES for d in (-1e-6, -2e-7, 2e-7, 1e-6)})
+
+
+class TestConstructionCheck:
+    def test_raises_exactly_when_not_a_density_operator(self):
+        for xi in _CHECK_XIS:
+            p = analysis_parameter(xi)
+            for a2 in np.linspace(0, 1, 21):
+                inp = EntangledInput.from_alpha_sq(float(a2))
+                cross, same = _x_states(xi, float(a2))
+                for build, rho in ((nonlocal_state, cross), (local_state, same)):
+                    rejected = not is_density_operator(rho, 1e-9, 1e-9)
+                    assert _raises_out_of_range(build, inp, p) == rejected, (
+                        build.__name__, xi, a2)
+
+    def test_domains(self):
+        inp = EntangledInput.from_alpha_sq(0.3)
+        for xi in (-1e-6, 1 + 1e-6):
+            with pytest.raises(OutOfRangeError):
+                nonlocal_state(inp, analysis_parameter(xi))
+        for xi in (-1e-6, 0.5 + 1e-6):
+            with pytest.raises(OutOfRangeError):
+                local_state(inp, analysis_parameter(xi))
+        for xi in (0.0, 0.5):
+            local_state(inp, analysis_parameter(xi))
+            nonlocal_state(inp, analysis_parameter(xi))
+        nonlocal_state(inp, analysis_parameter(1.0))
 
 
 class TestOracle:

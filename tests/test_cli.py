@@ -6,7 +6,7 @@ import pytest
 
 from entbroadcast.cli import main
 from entbroadcast.report import rows_to_csv, rows_to_json
-from entbroadcast.sweep import ConfigError, SweepConfig, parse_grid, run_sweep
+from entbroadcast.sweep import QUANTITIES, ConfigError, SweepConfig, parse_grid, run_sweep
 
 
 class TestSweepConfig:
@@ -143,6 +143,40 @@ class TestCli:
             main(["sweep", "--xi-grid", "0.2:0.4:5", "--alpha-grid", "0.1:0.9:7",
                   "--quantity", "fidelity", "--out", str(p)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["clone-audit", "--xi", "0.15", "--kind", "AbstractBH"], 2),
+    (["clone-audit", "--xi", "0.2", "--out", "/nonexistent/x.csv"], 2),
+    (["clone-audit", "--xi", "0.2", "--samples", "1"], 2),
+    (["verify", "--filter-budget", "0"], 2),
+    (["boundary", "--xi", "0.2", "--tol", "0"], 2),
+    (["boundary", "--xi", "0.2", "--tol", "-1"], 2),
+    (["boundary", "--xi", "0.2", "--tol", "nan"], 2),
+    (["boundary", "--xi", "0.2", "--tol", "1e-300"], 0),
+    (["study", "--xi-points", "0"], 2),
+    (["study", "--samples", "1"], 2),
+    (["study", "--filter-budget", "0"], 2),
+    *[(["sweep", "--analysis-only", "--xi=-0.01", "--alpha-sq", "0.3",
+        "--quantity", q], 2) for q in QUANTITIES],
+    (["sweep", "--analysis-only", "--xi", "0.7", "--alpha-sq", "0.3",
+      "--quantity", "bellM"], 0),
+    (["sweep", "--analysis-only", "--xi", "0.7", "--alpha-sq", "0.3",
+      "--quantity", "pptLocal"], 2),
+])
+def test_exit_codes_without_traceback(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_study_out_dir_is_a_file(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["study", "--out-dir", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerifyCommand:

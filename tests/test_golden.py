@@ -6,7 +6,6 @@ writes with the stored file: numbers within GOLDEN_ABS_TOL, every other field
 """
 
 import csv
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -16,7 +15,6 @@ import pytest
 from entbroadcast.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-ROOT = Path(__file__).resolve().parent.parent
 
 # Fixed when the golden files were added. Never widen it: a change that needs
 # a looser tolerance changes the program's results.
@@ -84,14 +82,7 @@ def test_cli_output_matches_golden(name, tmp_path):
     _assert_same(_load(out), _load(GOLDEN / name), name)
 
 
-def _run_study(out_dir):
-    spec = importlib.util.spec_from_file_location("run_study", ROOT / "scripts" / "run_study.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.main(["--out-dir", str(out_dir)])
-
-
 def test_study_tables_match_golden(tmp_path):
-    assert _run_study(tmp_path) == 0
+    assert main(["study", "--out-dir", str(tmp_path)]) == 0
     for name in STUDY_TABLES:
         _assert_same(_load(tmp_path / name), _load(GOLDEN / "study" / name), name)
