@@ -105,56 +105,73 @@ def _require_state(rho):
 
 # One implementation per measure, trusting its input: broadcast validates the
 # states it builds, and the public functions check a matrix from outside first.
+# Each takes one state, shape (4, 4), or a stack of them, shape (..., 4, 4),
+# and acts on every state of a stack exactly as it would on that state alone.
+
+def _value(x):
+    """A float for one state, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
 
 def _min_pt_eigenvalue(rho):
-    return float(hermitian_eigenvalues(partial_transpose(rho, [2, 2], subsystem=1))[0])
+    ev = hermitian_eigenvalues(partial_transpose(rho, [2, 2], subsystem=1))
+    return _value(ev[..., 0])
 
 
 def _correlation(rho):
     """t_ij = Tr(rho sigma_i x sigma_j) before the real part is taken."""
-    return np.einsum("ijkl,lk->ij", _PAULI_PAIRS, rho)
+    return np.einsum("ijkl,...lk->...ij", _PAULI_PAIRS, rho)
 
 
 def _bell_m(t):
     """Sum of the two largest eigenvalues of T^T T for a real tensor t."""
-    ev = np.linalg.eigvalsh(t.T @ t)
-    return float(ev[-1] + ev[-2])
+    ev = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)
+    return _value(ev[..., -1] + ev[..., -2])
 
 
 def _fidelity(t):
-    return 0.5 * (1.0 + np.sum(singular_values(t)) / 3.0)
+    return _value(0.5 * (1.0 + np.sum(singular_values(t), axis=-1) / 3.0))
 
 
 def _filter(rho, scale):
-    """rho_ij s_i s_j / N, the diagonal local filter with diagonal ``scale``."""
-    rho_f = rho * np.outer(scale, scale)
-    n = np.trace(rho_f).real
-    if n <= 1e-300:
-        raise DegenerateFilterError(f"filter trace underflow N={n}")
-    return rho_f / n
+    """rho_ij s_i s_j / N, the diagonal local filter with diagonal ``scale``.
+
+    ``scale`` has shape (..., 4): a stack of scales filters ``rho`` once each.
+    """
+    rho_f = rho * (scale[..., :, None] * scale[..., None, :])
+    n = np.trace(rho_f, axis1=-2, axis2=-1).real
+    if np.any(n <= 1e-300):
+        raise DegenerateFilterError(f"filter trace underflow N={np.min(n)}")
+    return rho_f / n[..., None, None]
+
+
+_BELL_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+
+def _max_dev(a, b):
+    """max |a - b| over the last two axes."""
+    return np.max(np.abs(a - b), axis=(-2, -1))
 
 
 def _werner(rho, tol):
+    """Werner weight x and pure part psi; x is nan where rho has no Werner form."""
     w, v = np.linalg.eigh(rho)
-    lam_max = w[-1]
-    x = (4.0 * lam_max - 1.0) / 3.0
-    if x < tol:
-        # maximally mixed: the pure part carries no weight, any psi works
-        psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        recon = np.eye(4) / 4.0
-        if np.max(np.abs(rho - recon)) <= tol:
-            return WernerDecomposition(x=max(x, 0.0), psi=psi)
-        return None
-    psi = v[:, -1]
+    x = (4.0 * w[..., -1] - 1.0) / 3.0
+    psi = v[..., :, -1]
     # maximal entanglement of the pure part
-    m = psi.reshape(2, 2)
-    for red in (m @ m.conj().T, m.conj().T @ m):
-        if np.max(np.abs(red - np.eye(2) / 2.0)) > tol:
-            return None
-    recon = ((1.0 - x) / 4.0) * np.eye(4) + x * np.outer(psi, psi.conj())
-    if np.max(np.abs(rho - recon)) > tol:
-        return None
-    return WernerDecomposition(x=float(x), psi=psi)
+    m = psi.reshape(psi.shape[:-1] + (2, 2))
+    m_dag = np.swapaxes(m, -1, -2).conj()
+    half = np.eye(2) / 2.0
+    ok = (_max_dev(m @ m_dag, half) <= tol) & (_max_dev(m_dag @ m, half) <= tol)
+    xs = x[..., None, None]
+    recon = ((1.0 - xs) / 4.0) * np.eye(4) + xs * (psi[..., :, None] * psi[..., None, :].conj())
+    ok &= _max_dev(rho, recon) <= tol
+    # maximally mixed: the pure part carries no weight, any psi works
+    mixed = x < tol
+    ok = np.where(mixed, _max_dev(rho, np.eye(4) / 4.0) <= tol, ok)
+    psi = np.where(mixed[..., None], _BELL_PHI, psi)
+    x = np.where(ok, np.where(mixed, np.maximum(x, 0.0), x), math.nan)
+    return _value(x), psi
 
 
 def ppt_test(rho, tol=PPT_TOL):
@@ -227,7 +244,10 @@ def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
 
     Only the ratios m1/m2 and p1/p2 matter (overall scales cancel in the
     normalization), so the grid covers (m1/m2, p1/p2) in [1e-3, 1e3]^2 with
-    ``budget`` points per axis. Ties break toward the earliest grid point.
+    ``budget`` points per axis. Each grid row, one m1/m2 against every
+    p1/p2, is filtered and evaluated as one stack of states. ``argmax`` is
+    the earliest grid point (m1/m2 major, then p1/p2) at which M attains
+    ``max_m``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -236,14 +256,15 @@ def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
         ratios = np.array([1.0])
     else:
         ratios = np.logspace(-3.0, 3.0, budget)
+    ones = np.ones_like(ratios)
     best_m, best_f = -np.inf, None
-    for rm in ratios:
-        for rp in ratios:
-            rho_f = _filter(rho, np.array([rm * rp, rm, rp, 1.0]))
-            m = _bell_m(_correlation(rho_f).real)
-            if m > best_m + 1e-15:
-                best_m = m
-                best_f = FilterParams(m1=rm, m2=1.0, p1=rp, p2=1.0)
+    for rm in ratios.tolist():
+        scale = np.stack([rm * ratios, rm * ones, ratios, ones], axis=-1)
+        m = _bell_m(_correlation(_filter(rho, scale)).real)
+        j = int(np.argmax(m))
+        if m[j] > best_m:
+            best_m = float(m[j])
+            best_f = FilterParams(m1=rm, m2=1.0, p1=float(ratios[j]), p2=1.0)
     return {"max_m": best_m, "argmax": best_f}
 
 
@@ -254,7 +275,8 @@ def werner_decompose(rho, tol=1e-8) -> Optional[WernerDecomposition]:
     None unless psi's reduced states are both I/2 within tol and the
     reconstruction matches rho entrywise within tol.
     """
-    return _werner(_require_state(rho), tol)
+    x, psi = _werner(_require_state(rho), tol)
+    return None if math.isnan(x) else WernerDecomposition(x=x, psi=psi)
 
 
 def teleportation_fidelity(rho):

@@ -16,7 +16,6 @@ import numpy as np
 from . import analysis, cloner
 from .analysis import (
     RangeUndefinedError,
-    _bell_m,
     _correlation,
     _fidelity,
     _werner,
@@ -33,6 +32,7 @@ from .cloner import (
     make_cloner_parameter,
     universality_report,
 )
+from .sweep import _evaluate, _outer_grid
 
 PASS, FAIL, DISCREPANCY = "PASS", "FAIL", "DISCREPANCY"
 
@@ -135,12 +135,9 @@ def verify_claims(filter_budget=101):
                         in_range_empty))
 
     # unfiltered M never exceeds 1/2 over the admissible machines
-    max_m = max(
-        _bell_m(_correlation(nonlocal_state(EntangledInput.from_alpha_sq(a2),
-                                            make_cloner_parameter(xi))).real)
-        for xi in np.linspace(cloner.XI_LOWER, cloner.XI_UPPER - 1e-12, 20)
-        for a2 in np.linspace(0.0, 1.0, 50)
-    )
+    xi, a2 = _outer_grid(np.linspace(cloner.XI_LOWER, cloner.XI_UPPER - 1e-12, 20),
+                         np.linspace(0.0, 1.0, 50))
+    max_m = float(np.max(_evaluate({"bellM"}, xi, a2, 1e-8)["bellM"]))
     claims.append(_upper_bound("bell.unfiltered_max",
                                "grid maximum of the Horodecki quantity M (no filter)",
                                0.5, max_m, 1e-9))
@@ -161,19 +158,18 @@ def verify_claims(filter_budget=101):
             ("widest", XI_BOUNDARY, 0.5, 0.75)):
         p = make_cloner_parameter(xi)
         rho = nonlocal_state(half, p)
-        dec = _werner(rho, 1e-8)
         claims.append(_equal(f"werner.x.{cid}",
                              f"Werner weight of the cross-site state at xi={xi:.8f}",
-                             x_expect, dec.x if dec else float("nan"), 1e-12))
+                             x_expect, _werner(rho, 1e-8)[0], 1e-12))
         claims.append(_equal(f"fidelity.{cid}",
                              f"teleportation fidelity of the cross-site state at xi={xi:.8f}",
                              f_expect, _fidelity(_correlation(rho).real), 1e-12))
     claims.append(_bool("werner.only_maximally_entangled",
                         "Werner form unattainable off alpha^2 = 1/2",
-                        all(_werner(
+                        all(math.isnan(_werner(
                             nonlocal_state(EntangledInput.from_alpha_sq(a2),
                                            make_cloner_parameter(XI_OPTIMAL)),
-                            1e-8) is None
+                            1e-8)[0])
                             for a2 in (0.3, 0.45, 0.55))))
 
     # brute-force oracle agrees with the closed forms wherever it exists

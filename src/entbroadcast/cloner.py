@@ -103,9 +103,14 @@ def literal_isometry(p):
     Column k is the image of basis input |k>:
     |0> -> sqrt(1-2xi)|00>|up> + sqrt(2xi)|+>|down>
     |1> -> sqrt(1-2xi)|11>|down> + sqrt(2xi)|+>|up>
+
+    Raises OutOfRangeError for xi outside [0, 1/2] (beyond XI_SLACK), where
+    these columns are not orthonormal.
     """
     eta, xi = p.eta, p.xi
-    s_eta, s_2xi = math.sqrt(max(eta, 0.0)), math.sqrt(2.0 * xi)
+    if not (-XI_SLACK <= xi <= XI_UPPER + XI_SLACK):
+        raise OutOfRangeError(xi, 0.0, XI_UPPER)
+    s_eta, s_2xi = math.sqrt(max(eta, 0.0)), math.sqrt(max(2.0 * xi, 0.0))
     up, down = _E2[:, 0], _E2[:, 1]
     e00 = np.zeros(4, dtype=complex)
     e00[0] = 1.0
@@ -169,15 +174,24 @@ def machine_isometry(p, kind):
     raise ValueError(f"unknown machine kind {kind!r}")
 
 
+def _clone_pair(rho_in, v):
+    """4x4 two-clone state of machine isometry ``v`` after tracing the machine out."""
+    out = v @ rho_in @ dag(v)
+    return partial_trace(out, [2, 2, v.shape[0] // 4], keep=[0, 1])
+
+
+def _fidelity_under(psi, v):
+    """<psi| rho_a |psi> for the machine isometry ``v``, psi normalized."""
+    rho_a = partial_trace(_clone_pair(outer(psi), v), [2, 2], keep=[0])
+    return float(np.real(psi.conj() @ rho_a @ psi))
+
+
 def clone_density(rho_in, p, kind):
     """4x4 two-clone state after applying the machine and tracing it out."""
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (2, 2):
         raise ValueError("input must be a 2x2 density operator")
-    v = machine_isometry(p, kind)
-    machine_dim = v.shape[0] // 4
-    out = v @ rho_in @ dag(v)
-    return partial_trace(out, [2, 2, machine_dim], keep=[0, 1])
+    return _clone_pair(rho_in, machine_isometry(p, kind))
 
 
 def single_clone_density(rho_in, p, kind):
@@ -194,8 +208,7 @@ def clone_fidelity(psi, p, kind):
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"input not normalized (norm {nrm})")
-    rho_a = single_clone_density(outer(psi), p, kind)
-    return float(np.real(psi.conj() @ rho_a @ psi))
+    return _fidelity_under(psi, machine_isometry(p, kind))
 
 
 def bloch_sample_states(count):
@@ -230,9 +243,13 @@ class UniversalityReport:
 
 
 def universality_report(p, kind, sample_count=64):
-    """Clone-fidelity spread over a deterministic Bloch-sphere sweep."""
+    """Clone-fidelity spread over a deterministic Bloch-sphere sweep.
+
+    The machine isometry is built once and applied to every sample state.
+    """
     if sample_count < 2:
         raise ValueError("sample_count must be >= 2")
-    fids = [clone_fidelity(psi, p, kind) for psi in bloch_sample_states(sample_count)]
+    v = machine_isometry(p, kind)
+    fids = [_fidelity_under(psi, v) for psi in bloch_sample_states(sample_count)]
     lo, hi = min(fids), max(fids)
     return UniversalityReport(min_fidelity=lo, max_fidelity=hi, spread=hi - lo)

@@ -3,6 +3,11 @@
 Everything here operates on plain numpy arrays (dtype complex128). Matrices
 are small (dimension <= 256), so dense routines are always appropriate.
 Basis ordering is lexicographic throughout: |00>, |01>, |10>, |11>.
+
+``partial_transpose``, ``hermitian_eigenvalues`` and ``singular_values`` also
+take a stack of matrices, shape (..., d, d), and act on each matrix of it;
+numpy's batched LAPACK then decomposes the whole stack in one call, and every
+matrix of it comes out exactly as it would alone.
 """
 
 import numpy as np
@@ -24,12 +29,19 @@ class NotHermitianError(ValueError):
     """Input matrix fails the Hermiticity tolerance."""
 
 
-def _as_matrix(m):
+def _as_stack(m):
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got shape {a.shape}")
+    if a.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix contains non-finite entries")
+    return a
+
+
+def _as_matrix(m):
+    a = _as_stack(m)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got shape {a.shape}")
     return a
 
 
@@ -40,7 +52,7 @@ def kron(a, b):
 
 def _check_layout(m, dims):
     d = int(np.prod(dims))
-    if m.shape != (d, d):
+    if m.shape[-2:] != (d, d):
         raise DimensionError(
             f"layout {list(dims)} implies dimension {d}, matrix is {m.shape}"
         )
@@ -76,8 +88,12 @@ def partial_trace(m, dims, keep):
 
 
 def partial_transpose(m, dims, subsystem):
-    """Transpose one factor of a two-factor tensor product matrix."""
-    m = _as_matrix(m)
+    """Transpose one factor of a two-factor tensor product matrix.
+
+    ``m`` is one matrix or a stack of them, shape (..., d, d); every matrix
+    of a stack is transposed the same way.
+    """
+    m = _as_stack(m)
     dims = list(dims)
     if len(dims) != 2:
         raise DimensionError("partial transpose supports exactly two factors")
@@ -85,29 +101,35 @@ def partial_transpose(m, dims, subsystem):
     if subsystem not in (0, 1):
         raise DimensionError("subsystem must be 0 or 1")
     d0, d1 = dims
-    t = m.reshape(d0, d1, d0, d1)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + (d0, d1, d0, d1))
+    k = len(lead)
     if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
+        t = t.transpose(*range(k), k + 2, k + 1, k, k + 3)
     else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(d0 * d1, d0 * d1)
+        t = t.transpose(*range(k), k, k + 3, k + 2, k + 1)
+    return t.reshape(lead + (d0 * d1, d0 * d1))
 
 
 def hermitian_eigenvalues(m):
-    """Ascending real eigenvalues of a Hermitian matrix.
+    """Ascending real eigenvalues of a Hermitian matrix, or of each matrix of a stack.
 
-    Raises NotHermitianError if max |m - m^dagger| exceeds 1e-12.
+    ``m`` has shape (..., d, d); the result has shape (..., d). Raises
+    NotHermitianError if max |m - m^dagger| over the whole stack exceeds 1e-12.
     """
-    m = _as_matrix(m)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    m = _as_stack(m)
+    dev = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) if m.size else 0.0
     if dev > HERMITICITY_TOL:
         raise NotHermitianError(f"Hermiticity deviation {dev:.3e} > {HERMITICITY_TOL}")
     return np.linalg.eigvalsh(m)
 
 
 def singular_values(m):
-    """Descending singular values of an arbitrary matrix."""
-    return np.linalg.svd(_as_matrix(m), compute_uv=False)
+    """Descending singular values of a matrix, or of each matrix of a stack.
+
+    ``m`` has shape (..., r, c); the result has shape (..., min(r, c)).
+    """
+    return np.linalg.svd(_as_stack(m), compute_uv=False)
 
 
 def dag(m):

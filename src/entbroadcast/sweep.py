@@ -16,7 +16,7 @@ from .analysis import (
     local_separability_range,
     nonlocal_inseparability_range,
 )
-from .broadcast import EntangledInput, local_state, nonlocal_state
+from .broadcast import EntangledInput, local_states, nonlocal_states
 from .cloner import (
     XI_LOWER,
     GramNotPSDError,
@@ -54,15 +54,24 @@ class SweepConfig:
         for a2 in self.alpha_sq_grid:
             if not (0.0 <= a2 <= 1.0):
                 raise ConfigError(f"alpha^2={a2} outside [0, 1]")
+        if not (self.werner_tol > 0.0 and math.isfinite(self.werner_tol)):
+            raise ConfigError(f"Werner tolerance must be positive and finite, "
+                              f"got {self.werner_tol}")
 
 
-def _evaluate(wanted, inp, p, werner_tol):
-    """Quantities in the set ``wanted`` at one point, building only the states they need."""
+def _evaluate(wanted, xi, alpha_sq, werner_tol):
+    """Quantities in the set ``wanted`` at the points (xi[k], alpha_sq[k]), one
+    array each, building only the states they need, each as one stack.
+
+    Raises OutOfRangeError at the first point, in order, where a needed state
+    is not a density operator. The same-site state is checked first: wherever
+    the cross-site state fails, it fails too.
+    """
     values = {}
     if "pptLocal" in wanted:
-        values["pptLocal"] = _min_pt_eigenvalue(local_state(inp, p))
+        values["pptLocal"] = _min_pt_eigenvalue(local_states(alpha_sq, xi))
     if wanted - {"pptLocal"}:
-        rho = nonlocal_state(inp, p)
+        rho = nonlocal_states(alpha_sq, xi)
         if "pptNonlocal" in wanted:
             values["pptNonlocal"] = _min_pt_eigenvalue(rho)
         if wanted & {"bellM", "fidelity"}:
@@ -72,28 +81,29 @@ def _evaluate(wanted, inp, p, werner_tol):
             if "fidelity" in wanted:
                 values["fidelity"] = _fidelity(t)
         if "wernerX" in wanted:
-            dec = _werner(rho, werner_tol)
-            values["wernerX"] = dec.x if dec is not None else math.nan
+            values["wernerX"] = _werner(rho, werner_tol)[0]
     return values
+
+
+def _outer_grid(xis, alpha_sqs):
+    """Paired (xi, alpha^2) arrays of the outer-product grid, xi-major."""
+    xi, a2 = np.meshgrid(np.asarray(xis, dtype=float), np.asarray(alpha_sqs, dtype=float),
+                         indexing="ij")
+    return xi.ravel(), a2.ravel()
 
 
 def run_sweep(cfg: SweepConfig):
     """One row per (xi, alpha^2, quantity), xi-major then alpha^2 then quantity."""
     make = analysis_parameter if cfg.analysis_only else make_cloner_parameter
-    wanted = set(cfg.quantities)
-    rows = []
     for xi in cfg.xi_grid:
-        p = make(float(xi))
-        for a2 in cfg.alpha_sq_grid:
-            values = _evaluate(wanted, EntangledInput.from_alpha_sq(float(a2)), p,
-                               cfg.werner_tol)
-            for q in cfg.quantities:
-                rows.append({
-                    "xi": float(xi),
-                    "alpha_sq": float(a2),
-                    "quantity": q,
-                    "value": float(values[q]),
-                })
+        make(float(xi))  # the machine's range, or finiteness when analysis-only
+    xi, a2 = _outer_grid(cfg.xi_grid, cfg.alpha_sq_grid)
+    values = _evaluate(set(cfg.quantities), xi, a2, cfg.werner_tol)
+    columns = [values[q].tolist() for q in cfg.quantities]
+    rows = []
+    for x, a, *point in zip(xi.tolist(), a2.tolist(), *columns):
+        for q, v in zip(cfg.quantities, point):
+            rows.append({"xi": x, "alpha_sq": a, "quantity": q, "value": v})
     return rows
 
 
@@ -118,9 +128,11 @@ def parse_grid(spec):
 def study_tables(xi_points, filter_budget, samples):
     """The four study tables, keyed by CSV file name, over ``xi_points``
     admissible machines; nan marks a quantity that does not exist there."""
-    half = EntangledInput.from_alpha_sq(0.5)
+    xis = np.linspace(XI_LOWER, 0.5, xi_points)
+    at_half = _evaluate({"bellM", "fidelity", "wernerX"}, xis, np.full_like(xis, 0.5), 1e-8)
     ranges, quality, cloners = [], [], []
-    for xi in np.linspace(XI_LOWER, 0.5, xi_points).tolist():
+    for xi, bell_m, fidelity, werner_x in zip(
+            xis.tolist(), *(at_half[q].tolist() for q in ("bellM", "fidelity", "wernerX"))):
         p = make_cloner_parameter(xi)
         row = {"xi": xi}
         for pair, closed_form in (("nonlocal", nonlocal_inseparability_range),
@@ -131,9 +143,8 @@ def study_tables(xi_points, filter_budget, samples):
             except RangeUndefinedError:
                 row[f"{pair}_lo"] = row[f"{pair}_hi"] = math.nan
         ranges.append(row)
-        v = _evaluate({"bellM", "fidelity", "wernerX"}, half, p, 1e-8)
-        quality.append({"xi": xi, "bell_m": v["bellM"], "fidelity": v["fidelity"],
-                        "werner_x": v["wernerX"]})
+        quality.append({"xi": xi, "bell_m": bell_m, "fidelity": fidelity,
+                        "werner_x": werner_x})
         literal = universality_report(p, MachineKind.LITERAL_2D, samples).spread
         try:
             abstract = universality_report(p, MachineKind.ABSTRACT_BH, samples).spread

@@ -163,6 +163,10 @@ class TestCli:
       "--quantity", "bellM"], 0),
     (["sweep", "--analysis-only", "--xi", "0.7", "--alpha-sq", "0.3",
       "--quantity", "pptLocal"], 2),
+    *[(["sweep", "--xi", "0.2", "--alpha-sq", "0.3", "--quantity", "wernerX",
+        "--tol", tol], 2) for tol in ("0", "-1", "nan", "inf")],
+    (["clone-audit", "--analysis-only", "--xi=-0.1"], 2),
+    (["clone-audit", "--analysis-only", "--xi", "0.7"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, capsys):
     assert main(argv) == code
@@ -194,6 +198,14 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "[PASS]" in err
         assert "warning: documented discrepancies" in err
+
+    def test_verify_at_filter_budget_401(self, tmp_path):
+        dest = tmp_path / "claims.json"
+        assert main(["verify", "--filter-budget", "401", "--format", "json",
+                     "--out", str(dest)]) == 0
+        verdicts = {c["claim_id"]: c["verdict"] for c in json.loads(dest.read_text())}
+        assert verdicts.pop("universality.literal_below_one_sixth") == "DISCREPANCY"
+        assert set(verdicts.values()) == {"PASS"}
 
     def test_verify_csv_json_round_trip(self, tmp_path):
         a, b = tmp_path / "c.csv", tmp_path / "c.json"

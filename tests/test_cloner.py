@@ -208,3 +208,17 @@ class TestUniversalityReport:
         with pytest.raises(ValueError):
             universality_report(make_cloner_parameter(1 / 6),
                                 MachineKind.LITERAL_2D, 1)
+
+    @pytest.mark.parametrize("kind, xi", [(MachineKind.LITERAL_2D, 0.2),
+                                          (MachineKind.ABSTRACT_BH, 0.3)])
+    def test_spread_is_that_of_clone_fidelity(self, kind, xi):
+        p = make_cloner_parameter(xi)
+        fids = [clone_fidelity(psi, p, kind) for psi in bloch_sample_states(16)]
+        rep = universality_report(p, kind, 16)
+        assert (rep.min_fidelity, rep.max_fidelity) == (min(fids), max(fids))
+
+
+@pytest.mark.parametrize("xi", [-0.1, -1e-9, 0.5 + 1e-9, 0.7])
+def test_literal_isometry_rejects_xi_outside_unit_half(xi):
+    with pytest.raises(OutOfRangeError):
+        literal_isometry(analysis_parameter(xi))
