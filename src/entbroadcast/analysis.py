@@ -2,8 +2,9 @@
 
 PPT separability (numeric and closed-form alpha^2 ranges), the Horodecki
 Bell quantity M with and without local diagonal filtering, Werner-form
-decomposition, teleportation fidelity, and numeric boundary location by
-bisection.
+decomposition, teleportation fidelity, numeric boundary location by
+bisection, and ``evaluate``, which computes the sweep quantities at many
+(xi, alpha^2) points at once.
 """
 
 import math
@@ -12,16 +13,16 @@ from typing import Optional
 
 import numpy as np
 
-from .broadcast import STATE_TOL, EntangledInput, local_state, nonlocal_state
-from .cloner import ClonerParameter
-from .linalg import (
-    PAULIS,
-    hermitian_eigenvalues,
-    is_density_operator,
-    kron,
-    partial_transpose,
-    singular_values,
+from .broadcast import (
+    STATE_TOL,
+    EntangledInput,
+    local_state,
+    local_states,
+    nonlocal_state,
+    nonlocal_states,
 )
+from .cloner import ClonerParameter
+from .linalg import PAULIS, is_density_operator, kron
 
 PPT_TOL = 1e-10
 
@@ -114,8 +115,11 @@ def _value(x):
 
 
 def _min_pt_eigenvalue(rho):
-    ev = hermitian_eigenvalues(partial_transpose(rho, [2, 2], subsystem=1))
-    return _value(ev[..., 0])
+    """Least eigenvalue of the partial transpose on the second qubit."""
+    lead = rho.shape[:-2]
+    # rows (i0, i1), columns (j0, j1): swap i1 with j1
+    pt = np.swapaxes(rho.reshape(lead + (2, 2, 2, 2)), -1, -3).reshape(lead + (4, 4))
+    return _value(np.linalg.eigvalsh(pt)[..., 0])
 
 
 def _correlation(rho):
@@ -130,7 +134,7 @@ def _bell_m(t):
 
 
 def _fidelity(t):
-    return _value(0.5 * (1.0 + np.sum(singular_values(t), axis=-1) / 3.0))
+    return _value(0.5 * (1.0 + np.sum(np.linalg.svd(t, compute_uv=False), axis=-1) / 3.0))
 
 
 def _filter(rho, scale):
@@ -172,6 +176,42 @@ def _werner(rho, tol):
     psi = np.where(mixed[..., None], _BELL_PHI, psi)
     x = np.where(ok, np.where(mixed, np.maximum(x, 0.0), x), math.nan)
     return _value(x), psi
+
+
+QUANTITIES = ("pptNonlocal", "pptLocal", "bellM", "fidelity", "wernerX")
+
+
+def evaluate(quantities, xi, alpha_sq, werner_tol=1e-8):
+    """The named quantities at the points (xi, alpha_sq), as {name: values}.
+
+    ``xi`` and ``alpha_sq`` are floats or arrays that broadcast together; each
+    value has their broadcast shape, and is a float when both are floats.
+    Only the states the quantities need are built, each as one stack; ``xi``
+    is not held to the machine's range here. Raises ValueError for a name not
+    in QUANTITIES, and OutOfRangeError at the first point, in order, where a
+    needed state is not a density operator. The same-site state is checked
+    first: wherever the cross-site state fails, it fails too.
+    """
+    wanted = set(quantities)
+    if not wanted <= set(QUANTITIES):
+        raise ValueError(f"unknown quantities {sorted(wanted - set(QUANTITIES))}; "
+                         f"choose from {QUANTITIES}")
+    values = {}
+    if "pptLocal" in wanted:
+        values["pptLocal"] = _min_pt_eigenvalue(local_states(alpha_sq, xi))
+    if wanted - {"pptLocal"}:
+        rho = nonlocal_states(alpha_sq, xi)
+        if "pptNonlocal" in wanted:
+            values["pptNonlocal"] = _min_pt_eigenvalue(rho)
+        if wanted & {"bellM", "fidelity"}:
+            t = _correlation(rho).real
+            if "bellM" in wanted:
+                values["bellM"] = _bell_m(t)
+            if "fidelity" in wanted:
+                values["fidelity"] = _fidelity(t)
+        if "wernerX" in wanted:
+            values["wernerX"] = _werner(rho, werner_tol)[0]
+    return values
 
 
 def ppt_test(rho, tol=PPT_TOL):
@@ -301,7 +341,17 @@ def boundary_bisect(p: ClonerParameter, predicate, side, tol=1e-10):
         raise NoCrossingError(f"predicate false at alpha^2=0.5 for xi={p.xi}")
     if predicate(out_pt):
         raise NoCrossingError(f"predicate true at alpha^2={out_pt} for xi={p.xi}")
-    lo, hi = out_pt, in_pt  # lo outside, hi inside
+    return bisect(predicate, in_pt, out_pt, tol)
+
+
+def bisect(predicate, inside, outside, tol):
+    """Midpoint of the last bracket of a bisection between ``inside``, where
+    ``predicate`` holds, and ``outside``, where it does not.
+
+    The bracket is halved until it is no wider than ``tol`` or its ends are
+    adjacent floats. The predicate is not evaluated at the two ends.
+    """
+    lo, hi = outside, inside
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

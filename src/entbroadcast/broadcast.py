@@ -58,11 +58,27 @@ class BroadcastOutputs:
     nonlocal_state: np.ndarray  # rho of a cross-site pair
 
 
-def _cross_site(a, b, xi):
-    """Entries A, B, C, D of the cross-site pair and whether it is a density operator.
+def _x_stack(physical, xi, hi, entries):
+    """The states with these entries, shape physical.shape + (4, 4).
 
-    Plain arithmetic, so ``a``, ``b`` and ``xi`` may be floats or arrays alike.
+    Raises OutOfRangeError at the first point, in order, that ``physical``
+    marks as not a density operator.
     """
+    physical = np.asarray(physical)
+    if not physical.all():
+        xi = np.broadcast_to(xi, physical.shape).flat[np.argmin(physical)]
+        raise OutOfRangeError(float(xi), 0.0, hi)
+    rho = np.zeros(physical.shape + (4, 4), dtype=complex)
+    for (i, j), v in entries.items():
+        rho[..., i, j] = v
+    return rho
+
+
+# One builder per state. Plain arithmetic, so ``a``, ``b`` and ``xi`` may be
+# floats, for one state of shape (4, 4), or arrays of one shape (...), for a
+# stack of shape (..., 4, 4).
+
+def _cross_site(a, b, xi):
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta + xi * xi, b * b * eta + xi * xi
     c, d = xi * (1.0 - xi), a * b * eta * eta
@@ -70,17 +86,18 @@ def _cross_site(a, b, xi):
     h = 0.5 * (big_a - big_b)
     physical = ((c >= -STATE_TOL)
                 & (0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL))
-    return big_a, big_b, c, d, physical
+    return _x_stack(physical, xi, 1.0, {(0, 0): big_a, (3, 3): big_b, (1, 1): c, (2, 2): c,
+                                        (0, 3): d, (3, 0): d})
 
 
 def _same_site(a, b, xi):
-    """Diagonal entries a^2 eta, b^2 eta of the same-site pair and whether it is
-    a density operator; floats or arrays alike."""
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta, b * b * eta
     # eigenvalues: a^2 eta, b^2 eta, 2 xi, and 0 on (|01> - |10>)/sqrt(2)
     physical = (big_a >= -STATE_TOL) & (big_b >= -STATE_TOL) & (2.0 * xi >= -STATE_TOL)
-    return big_a, big_b, physical
+    # 2 xi |+><+| spread over |01>, |10>
+    return _x_stack(physical, xi, 0.5, {(0, 0): big_a, (3, 3): big_b, (1, 1): xi, (2, 2): xi,
+                                        (1, 2): xi, (2, 1): xi})
 
 
 def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
@@ -90,15 +107,7 @@ def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
     D = alpha beta (1-2xi)^2 between |00> and |11>. Raises OutOfRangeError
     when this is not a density operator (xi outside [0, 1]).
     """
-    big_a, big_b, c, d, physical = _cross_site(inp.alpha, inp.beta, p.xi)
-    if not physical:
-        raise OutOfRangeError(p.xi, 0.0, 1.0)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = big_a
-    rho[3, 3] = big_b
-    rho[1, 1] = rho[2, 2] = c
-    rho[0, 3] = rho[3, 0] = d
-    return rho
+    return _cross_site(inp.alpha, inp.beta, p.xi)
 
 
 def local_state(inp: EntangledInput, p: ClonerParameter):
@@ -107,68 +116,34 @@ def local_state(inp: EntangledInput, p: ClonerParameter):
     Raises OutOfRangeError when this is not a density operator (xi outside
     [0, 1/2]).
     """
-    xi = p.xi
-    big_a, big_b, physical = _same_site(inp.alpha, inp.beta, xi)
-    if not physical:
-        raise OutOfRangeError(xi, 0.0, 0.5)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = big_a
-    rho[3, 3] = big_b
-    rho[1, 1] = rho[2, 2] = xi  # 2 xi |+><+| spread over |01>, |10>
-    rho[1, 2] = rho[2, 1] = xi
-    return rho
+    return _same_site(inp.alpha, inp.beta, p.xi)
 
-
-# The stacked constructors below build what ``nonlocal_state`` and
-# ``local_state`` build, for many points at once, from the same entries.
 
 def _stack_inputs(alpha_sq, xi):
-    alpha_sq, xi = np.broadcast_arrays(np.asarray(alpha_sq, dtype=float),
-                                       np.asarray(xi, dtype=float))
-    if not np.all((alpha_sq >= 0.0) & (alpha_sq <= 1.0)):
+    alpha_sq = np.asarray(alpha_sq, dtype=float)
+    if not ((alpha_sq >= 0.0) & (alpha_sq <= 1.0)).all():
         raise ValueError("alpha^2 outside [0, 1]")
     a = np.sqrt(alpha_sq)
-    return a, np.sqrt(np.maximum(0.0, 1.0 - a * a)), xi
-
-
-def _require_physical(physical, xi, hi):
-    """OutOfRangeError at the first point, in order, that is not a density operator."""
-    if not np.all(physical):
-        raise OutOfRangeError(float(xi.flat[np.argmin(physical)]), 0.0, hi)
-
-
-def _x_stack(shape, entries):
-    rho = np.zeros(shape + (4, 4), dtype=complex)
-    for (i, j), v in entries.items():
-        rho[..., i, j] = v
-    return rho
+    return a, np.sqrt(np.maximum(0.0, 1.0 - a * a)), np.asarray(xi, dtype=float)
 
 
 def nonlocal_states(alpha_sq, xi):
     """Stack of cross-site states at the points (alpha_sq[k], xi[k]).
 
-    Shape (..., 4, 4) for arrays of shape (...); entry k equals
+    Shape (..., 4, 4) for arrays that broadcast to shape (...); entry k equals
     ``nonlocal_state`` at that point. ``xi`` is not held to the machine's
     range here (``make_cloner_parameter`` does that); raises OutOfRangeError
     at the first point where the state is not a density operator.
     """
-    a, b, xi = _stack_inputs(alpha_sq, xi)
     with np.errstate(over="ignore", invalid="ignore"):  # huge xi fails the check
-        big_a, big_b, c, d, physical = _cross_site(a, b, xi)
-    _require_physical(physical, xi, 1.0)
-    return _x_stack(xi.shape, {(0, 0): big_a, (3, 3): big_b, (1, 1): c, (2, 2): c,
-                               (0, 3): d, (3, 0): d})
+        return _cross_site(*_stack_inputs(alpha_sq, xi))
 
 
 def local_states(alpha_sq, xi):
     """Stack of same-site states at the points (alpha_sq[k], xi[k]); as
     ``nonlocal_states``, with entry k equal to ``local_state`` there."""
-    a, b, xi = _stack_inputs(alpha_sq, xi)
     with np.errstate(over="ignore", invalid="ignore"):
-        big_a, big_b, physical = _same_site(a, b, xi)
-    _require_physical(physical, xi, 0.5)
-    return _x_stack(xi.shape, {(0, 0): big_a, (3, 3): big_b, (1, 1): xi, (2, 2): xi,
-                               (1, 2): xi, (2, 1): xi})
+        return _same_site(*_stack_inputs(alpha_sq, xi))
 
 
 def global_broadcast_vector(inp: EntangledInput, p: ClonerParameter):

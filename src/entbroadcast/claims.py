@@ -16,11 +16,10 @@ import numpy as np
 from . import analysis, cloner
 from .analysis import (
     RangeUndefinedError,
-    _correlation,
-    _fidelity,
-    _werner,
     bell_violation_range,
+    bisect,
     boundary_bisect,
+    evaluate,
     filter_search_max_m,
     nonlocal_inseparability_range,
     nonlocal_inseparable_predicate,
@@ -32,7 +31,6 @@ from .cloner import (
     make_cloner_parameter,
     universality_report,
 )
-from .sweep import _evaluate, _outer_grid
 
 PASS, FAIL, DISCREPANCY = "PASS", "FAIL", "DISCREPANCY"
 
@@ -85,16 +83,13 @@ def _range_claims(tag, xi, lo_expect, hi_expect):
     ]
 
 
-def _bell_threshold_bisect(tol=1e-9):
-    """Largest xi for which a Bell-violation interval exists, by bisection."""
-    lo, hi = 0.0, 0.2  # violation exists at 0, not at 0.2
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if bell_violation_range(analysis_parameter(mid)) is not None:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_BELL_ALPHA_SQ = np.linspace(0.0, 1.0, 11)  # holds 1/2 exactly
+
+
+def _bell_violated(xi):
+    """True when the numeric M of the cross-site state at xi, which is not held
+    to the machine's range, exceeds 1 somewhere on the alpha^2 grid."""
+    return bool(np.max(evaluate({"bellM"}, xi, _BELL_ALPHA_SQ)["bellM"]) > 1.0)
 
 
 def verify_claims(filter_budget=101):
@@ -122,10 +117,11 @@ def verify_claims(filter_budget=101):
                                "nonlocal range degenerates to a point at the bound",
                                0.0, rng.width, 1e-6))
 
-    # Bell threshold in xi (analysis-only; below the machine's range)
+    # Bell threshold in xi (analysis-only; below the machine's range), bisected
+    # between xi = 0, where M exceeds 1, and 0.2, where it does not
     claims.append(_equal("bell.threshold_xi",
                          "largest xi admitting any CHSH-violating alpha^2",
-                         analysis.XI_BELL_MAX, _bell_threshold_bisect(1e-9), 1e-9))
+                         analysis.XI_BELL_MAX, bisect(_bell_violated, 0.0, 0.2, 1e-9), 1e-9))
     in_range_empty = all(
         bell_violation_range(analysis_parameter(xi)) is None
         for xi in np.linspace(cloner.XI_LOWER, cloner.XI_UPPER, 20)
@@ -135,9 +131,8 @@ def verify_claims(filter_budget=101):
                         in_range_empty))
 
     # unfiltered M never exceeds 1/2 over the admissible machines
-    xi, a2 = _outer_grid(np.linspace(cloner.XI_LOWER, cloner.XI_UPPER - 1e-12, 20),
-                         np.linspace(0.0, 1.0, 50))
-    max_m = float(np.max(_evaluate({"bellM"}, xi, a2, 1e-8)["bellM"]))
+    xi = np.linspace(cloner.XI_LOWER, cloner.XI_UPPER - 1e-12, 20)[:, None]
+    max_m = float(np.max(evaluate({"bellM"}, xi, np.linspace(0.0, 1.0, 50))["bellM"]))
     claims.append(_upper_bound("bell.unfiltered_max",
                                "grid maximum of the Horodecki quantity M (no filter)",
                                0.5, max_m, 1e-9))
@@ -152,25 +147,20 @@ def verify_claims(filter_budget=101):
             1.0, res["max_m"], 0.0))
 
     # Werner weights and teleportation fidelities at alpha = 1/sqrt(2)
-    half = EntangledInput.from_alpha_sq(0.5)
-    for cid, xi, x_expect, f_expect in (
+    half = evaluate({"wernerX", "fidelity"}, np.array([XI_OPTIMAL, XI_BOUNDARY]), 0.5)
+    for k, (cid, xi, x_expect, f_expect) in enumerate((
             ("optimal", XI_OPTIMAL, 4.0 / 9.0, 13.0 / 18.0),
-            ("widest", XI_BOUNDARY, 0.5, 0.75)):
-        p = make_cloner_parameter(xi)
-        rho = nonlocal_state(half, p)
+            ("widest", XI_BOUNDARY, 0.5, 0.75))):
         claims.append(_equal(f"werner.x.{cid}",
                              f"Werner weight of the cross-site state at xi={xi:.8f}",
-                             x_expect, _werner(rho, 1e-8)[0], 1e-12))
+                             x_expect, half["wernerX"][k], 1e-12))
         claims.append(_equal(f"fidelity.{cid}",
                              f"teleportation fidelity of the cross-site state at xi={xi:.8f}",
-                             f_expect, _fidelity(_correlation(rho).real), 1e-12))
+                             f_expect, half["fidelity"][k], 1e-12))
+    off_half = evaluate({"wernerX"}, XI_OPTIMAL, np.array([0.3, 0.45, 0.55]))
     claims.append(_bool("werner.only_maximally_entangled",
                         "Werner form unattainable off alpha^2 = 1/2",
-                        all(math.isnan(_werner(
-                            nonlocal_state(EntangledInput.from_alpha_sq(a2),
-                                           make_cloner_parameter(XI_OPTIMAL)),
-                            1e-8)[0])
-                            for a2 in (0.3, 0.45, 0.55))))
+                        bool(np.all(np.isnan(off_half["wernerX"])))))
 
     # brute-force oracle agrees with the closed forms wherever it exists
     dev = 0.0

@@ -5,6 +5,7 @@ verdict, 2 usage or configuration error.
 """
 
 import argparse
+import math
 import pathlib
 import sys
 
@@ -15,16 +16,14 @@ from .analysis import (
     nonlocal_inseparable_predicate,
 )
 from .cloner import (
+    ClonerParameter,
     GramNotPSDError,
     MachineKind,
     OutOfRangeError,
-    analysis_parameter,
-    make_cloner_parameter,
     universality_report,
 )
 from .report import CLAIM_FIELDS, SWEEP_FIELDS, claims_to_rows, emit_rows
 from .sweep import (
-    QUANTITIES,
     ConfigError,
     SweepConfig,
     parse_grid,
@@ -51,7 +50,7 @@ def _build_parser():
     sp.add_argument("--xi-grid", help="lo:hi:n")
     sp.add_argument("--alpha-sq", type=float, action="append", default=None)
     sp.add_argument("--alpha-grid", help="alpha^2 grid, lo:hi:n")
-    sp.add_argument("--quantity", action="append", choices=list(QUANTITIES),
+    sp.add_argument("--quantity", action="append", choices=list(analysis.QUANTITIES),
                     help="repeatable; at least one required")
     sp.add_argument("--tol", type=float, default=1e-8,
                     help="Werner reconstruction tolerance")
@@ -87,10 +86,6 @@ def _build_parser():
 def _require_at_least(flag, value, least):
     if value < least:
         raise ConfigError(f"{flag} must be >= {least}, got {value}")
-
-
-def _param(xi, analysis_only):
-    return analysis_parameter(xi) if analysis_only else make_cloner_parameter(xi)
 
 
 def _cmd_sweep(args):
@@ -129,9 +124,9 @@ def _cmd_verify(args):
 
 
 def _cmd_boundary(args):
-    if not args.tol > 0.0:
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
-    p = _param(args.xi, args.analysis_only)
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    p = ClonerParameter(args.xi, analysis_only=args.analysis_only)
     if args.target == "nonlocal":
         pred = nonlocal_inseparable_predicate(p)
     else:
@@ -148,7 +143,7 @@ def _cmd_boundary(args):
 
 def _cmd_clone_audit(args):
     _require_at_least("--samples", args.samples, 2)
-    p = _param(args.xi, args.analysis_only)
+    p = ClonerParameter(args.xi, analysis_only=args.analysis_only)
     rep = universality_report(p, MachineKind(args.kind), args.samples)
     rows = [{"xi": args.xi, "kind": args.kind, "samples": args.samples,
              "min_fidelity": rep.min_fidelity, "max_fidelity": rep.max_fidelity,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dag, kron, outer, partial_trace
+from .linalg import dag, outer, partial_trace
 
 XI_LOWER = 0.5 - 0.5 / math.sqrt(2.0)  # ~0.146447
 XI_UPPER = 0.5

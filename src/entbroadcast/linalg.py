@@ -4,10 +4,11 @@ Everything here operates on plain numpy arrays (dtype complex128). Matrices
 are small (dimension <= 256), so dense routines are always appropriate.
 Basis ordering is lexicographic throughout: |00>, |01>, |10>, |11>.
 
-``partial_transpose``, ``hermitian_eigenvalues`` and ``singular_values`` also
-take a stack of matrices, shape (..., d, d), and act on each matrix of it;
-numpy's batched LAPACK then decomposes the whole stack in one call, and every
-matrix of it comes out exactly as it would alone.
+``hermitian_eigenvalues`` also takes a stack of matrices, shape (..., d, d),
+and acts on each matrix of it; numpy's batched LAPACK then decomposes the
+whole stack in one call, and every matrix of it comes out exactly as it would
+alone. The functions here check what they are given; the analysis measures,
+which only ever see validated states, call numpy directly.
 """
 
 import numpy as np
@@ -87,30 +88,6 @@ def partial_trace(m, dims, keep):
     return t.reshape(d_keep, d_keep)
 
 
-def partial_transpose(m, dims, subsystem):
-    """Transpose one factor of a two-factor tensor product matrix.
-
-    ``m`` is one matrix or a stack of them, shape (..., d, d); every matrix
-    of a stack is transposed the same way.
-    """
-    m = _as_stack(m)
-    dims = list(dims)
-    if len(dims) != 2:
-        raise DimensionError("partial transpose supports exactly two factors")
-    _check_layout(m, dims)
-    if subsystem not in (0, 1):
-        raise DimensionError("subsystem must be 0 or 1")
-    d0, d1 = dims
-    lead = m.shape[:-2]
-    t = m.reshape(lead + (d0, d1, d0, d1))
-    k = len(lead)
-    if subsystem == 0:
-        t = t.transpose(*range(k), k + 2, k + 1, k, k + 3)
-    else:
-        t = t.transpose(*range(k), k, k + 3, k + 2, k + 1)
-    return t.reshape(lead + (d0 * d1, d0 * d1))
-
-
 def hermitian_eigenvalues(m):
     """Ascending real eigenvalues of a Hermitian matrix, or of each matrix of a stack.
 
@@ -122,14 +99,6 @@ def hermitian_eigenvalues(m):
     if dev > HERMITICITY_TOL:
         raise NotHermitianError(f"Hermiticity deviation {dev:.3e} > {HERMITICITY_TOL}")
     return np.linalg.eigvalsh(m)
-
-
-def singular_values(m):
-    """Descending singular values of a matrix, or of each matrix of a stack.
-
-    ``m`` has shape (..., r, c); the result has shape (..., min(r, c)).
-    """
-    return np.linalg.svd(_as_stack(m), compute_uv=False)
 
 
 def dag(m):

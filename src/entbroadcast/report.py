@@ -14,8 +14,6 @@ from dataclasses import asdict
 
 def _fmt(v):
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
         return format(v, ".17g")
     return str(v)
 
@@ -23,9 +21,6 @@ def _fmt(v):
 def _jsonable(v):
     if isinstance(v, float) and math.isnan(v):
         return None
-    if isinstance(v, float):
-        # normalize through the 17-digit form so CSV and JSON agree exactly
-        return float(format(v, ".17g"))
     return v
 
 

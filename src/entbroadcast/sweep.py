@@ -6,27 +6,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    QUANTITIES,
     RangeUndefinedError,
-    _bell_m,
-    _correlation,
-    _fidelity,
-    _min_pt_eigenvalue,
-    _werner,
+    evaluate,
     filter_search_max_m,
     local_separability_range,
     nonlocal_inseparability_range,
 )
-from .broadcast import EntangledInput, local_states, nonlocal_states
+from .broadcast import EntangledInput
 from .cloner import (
     XI_LOWER,
+    ClonerParameter,
     GramNotPSDError,
     MachineKind,
-    analysis_parameter,
     make_cloner_parameter,
     universality_report,
 )
-
-QUANTITIES = ("pptNonlocal", "pptLocal", "bellM", "fidelity", "wernerX")
 
 
 class ConfigError(ValueError):
@@ -59,49 +54,17 @@ class SweepConfig:
                               f"got {self.werner_tol}")
 
 
-def _evaluate(wanted, xi, alpha_sq, werner_tol):
-    """Quantities in the set ``wanted`` at the points (xi[k], alpha_sq[k]), one
-    array each, building only the states they need, each as one stack.
-
-    Raises OutOfRangeError at the first point, in order, where a needed state
-    is not a density operator. The same-site state is checked first: wherever
-    the cross-site state fails, it fails too.
-    """
-    values = {}
-    if "pptLocal" in wanted:
-        values["pptLocal"] = _min_pt_eigenvalue(local_states(alpha_sq, xi))
-    if wanted - {"pptLocal"}:
-        rho = nonlocal_states(alpha_sq, xi)
-        if "pptNonlocal" in wanted:
-            values["pptNonlocal"] = _min_pt_eigenvalue(rho)
-        if wanted & {"bellM", "fidelity"}:
-            t = _correlation(rho).real
-            if "bellM" in wanted:
-                values["bellM"] = _bell_m(t)
-            if "fidelity" in wanted:
-                values["fidelity"] = _fidelity(t)
-        if "wernerX" in wanted:
-            values["wernerX"] = _werner(rho, werner_tol)[0]
-    return values
-
-
-def _outer_grid(xis, alpha_sqs):
-    """Paired (xi, alpha^2) arrays of the outer-product grid, xi-major."""
-    xi, a2 = np.meshgrid(np.asarray(xis, dtype=float), np.asarray(alpha_sqs, dtype=float),
-                         indexing="ij")
-    return xi.ravel(), a2.ravel()
-
-
 def run_sweep(cfg: SweepConfig):
     """One row per (xi, alpha^2, quantity), xi-major then alpha^2 then quantity."""
-    make = analysis_parameter if cfg.analysis_only else make_cloner_parameter
     for xi in cfg.xi_grid:
-        make(float(xi))  # the machine's range, or finiteness when analysis-only
-    xi, a2 = _outer_grid(cfg.xi_grid, cfg.alpha_sq_grid)
-    values = _evaluate(set(cfg.quantities), xi, a2, cfg.werner_tol)
-    columns = [values[q].tolist() for q in cfg.quantities]
+        # the machine's range, or finiteness when analysis-only
+        ClonerParameter(float(xi), analysis_only=cfg.analysis_only)
+    xi, a2 = np.broadcast_arrays(np.asarray(cfg.xi_grid, dtype=float)[:, None],
+                                 np.asarray(cfg.alpha_sq_grid, dtype=float)[None, :])
+    values = evaluate(cfg.quantities, xi, a2, cfg.werner_tol)
+    columns = [values[q].ravel().tolist() for q in cfg.quantities]
     rows = []
-    for x, a, *point in zip(xi.tolist(), a2.tolist(), *columns):
+    for x, a, *point in zip(xi.ravel().tolist(), a2.ravel().tolist(), *columns):
         for q, v in zip(cfg.quantities, point):
             rows.append({"xi": x, "alpha_sq": a, "quantity": q, "value": v})
     return rows
@@ -129,7 +92,7 @@ def study_tables(xi_points, filter_budget, samples):
     """The four study tables, keyed by CSV file name, over ``xi_points``
     admissible machines; nan marks a quantity that does not exist there."""
     xis = np.linspace(XI_LOWER, 0.5, xi_points)
-    at_half = _evaluate({"bellM", "fidelity", "wernerX"}, xis, np.full_like(xis, 0.5), 1e-8)
+    at_half = evaluate({"bellM", "fidelity", "wernerX"}, xis, 0.5)
     ranges, quality, cloners = [], [], []
     for xi, bell_m, fidelity, werner_x in zip(
             xis.tolist(), *(at_half[q].tolist() for q in ("bellM", "fidelity", "wernerX"))):

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entbroadcast.analysis import (
+    QUANTITIES,
+    XI_BELL_MAX,
+    XI_LOCAL_MAX,
     XI_NONLOCAL_MAX,
     FilterParams,
     Interval,
@@ -13,6 +18,7 @@ from entbroadcast.analysis import (
     bell_violation_range,
     boundary_bisect,
     correlation_tensor,
+    evaluate,
     filter_search_max_m,
     gisin_filter,
     local_separability_range,
@@ -23,6 +29,7 @@ from entbroadcast.analysis import (
     teleportation_fidelity,
     werner_decompose,
 )
+from entbroadcast.analysis import _bell_m, _fidelity, _min_pt_eigenvalue
 from entbroadcast.broadcast import EntangledInput, local_state, nonlocal_state
 from entbroadcast.cloner import XI_LOWER, analysis_parameter, make_cloner_parameter
 
@@ -54,6 +61,23 @@ class TestPpt:
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError):
             ppt_test(np.eye(4))  # trace 4
+
+    def test_diagonal_state_is_its_own_partial_transpose(self):
+        rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+        assert _min_pt_eigenvalue(rho) == 0.0
+        assert ppt_test(rho).separable
+
+    def test_bell_state_min_pt_eigenvalue(self):
+        assert np.isclose(_min_pt_eigenvalue(BELL_RHO.astype(complex)), -0.5)
+
+    def test_x_state_min_pt_eigenvalue(self):
+        # X-state partial-transpose spectrum is {A, B, C +- D}
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = rho[3, 3] = 13 / 36
+        rho[1, 1] = rho[2, 2] = 5 / 36
+        rho[0, 3] = rho[3, 0] = 2 / 9
+        assert np.isclose(_min_pt_eigenvalue(rho), 5 / 36 - 8 / 36)
+        assert np.isclose(ppt_test(rho).min_pt_eigenvalue, 5 / 36 - 8 / 36)
 
 
 @pytest.mark.parametrize("measure", [
@@ -260,6 +284,18 @@ class TestTeleportationFidelity:
     def test_maximally_mixed_classical(self):
         assert abs(teleportation_fidelity(MIXED) - 0.5) <= 1e-12
 
+    def test_singular_values_through_fidelity(self):
+        # f = (1 + sum of the singular values of T / 3) / 2
+        assert np.isclose(_fidelity(np.eye(3)), 1.0)  # singular values 1, 1, 1
+        assert np.isclose(_fidelity(np.diag([2.0, -3.0, 0.0])), 0.5 * (1 + 5 / 3))  # 3, 2, 0
+
+    def test_singular_values_of_broadcast_correlation_matrix(self):
+        # diag(2D, -2D, eta^2) at xi=1/6, alpha=1/sqrt 2: all three equal 4/9,
+        # and their squares are the eigenvalues of T^T T that M sums
+        t = np.diag([4 / 9, -4 / 9, 4 / 9])
+        assert abs(_fidelity(t) - 13 / 18) <= 1e-12
+        assert abs(_bell_m(t) - 2 * (4 / 9) ** 2) <= 1e-12
+
     def test_closed_form_grid(self):
         for xi in np.linspace(XI_LOWER, 0.5, 20):
             p = make_cloner_parameter(float(xi))
@@ -324,3 +360,68 @@ class TestInterval:
     def test_contains(self):
         assert Interval(0.2, 0.8).contains(0.5)
         assert not Interval(0.2, 0.8).contains(0.9)
+
+
+class TestEvaluate:
+    def test_rejects_unknown_quantity(self):
+        with pytest.raises(ValueError, match="unknown quantities"):
+            evaluate({"bellM", "concurrence"}, 0.2, 0.5)
+
+    def test_one_point_gives_floats(self):
+        values = evaluate(QUANTITIES, 1 / 6, 0.5)
+        assert all(type(v) is float for v in values.values())
+        assert abs(values["fidelity"] - 13 / 18) <= 1e-12
+
+
+def _in_range(closed_form, p, alpha_sq):
+    """Whether alpha_sq lies in the closed-form range at p, or None within 1e-9
+    of one of its endpoints. A range that is undefined, or None, is empty."""
+    try:
+        rng = closed_form(p)
+    except RangeUndefinedError:
+        rng = None
+    if rng is None:
+        return False
+    if min(abs(alpha_sq - rng.lo), abs(alpha_sq - rng.hi)) <= 1e-9:
+        return None
+    return rng.contains(alpha_sq)
+
+
+def _check_range(closed_form, quantity, in_range, xi, alpha_sqs, degenerate):
+    # Where a range shrinks to a point, the measure is flat in alpha^2 at its
+    # endpoints, and 1e-9 in alpha^2 moves it by less than rounding; so xi
+    # keeps 1e-6 from the xi at which the range degenerates.
+    assume(abs(xi - degenerate) > 1e-6)
+    p = analysis_parameter(xi)
+    values = evaluate({quantity}, xi, np.array(alpha_sqs))[quantity]
+    for alpha_sq, v in zip(alpha_sqs, values.tolist()):
+        inside = _in_range(closed_form, p, alpha_sq)
+        if inside is not None:
+            assert inside == in_range(v), (xi, alpha_sq, v)
+
+
+_alpha_sqs = st.lists(st.one_of(st.just(0.5), st.floats(0.0, 1.0)), min_size=1, max_size=16)
+
+
+class TestClosedFormsAgainstNumeric:
+    """Each closed-form alpha^2 range against the numeric measure it describes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.0, 0.5), _alpha_sqs)
+    def test_nonlocal_inseparability_range(self, xi, alpha_sqs):
+        _check_range(nonlocal_inseparability_range, "pptNonlocal", lambda v: v < 0.0,
+                     xi, alpha_sqs, XI_NONLOCAL_MAX)
+
+    # from xi = 1e-6: the same-site partial transpose has the eigenvalue xi at
+    # every alpha^2, and below about 1e-16 its sign is lost to rounding
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(1e-6, XI_LOCAL_MAX, exclude_max=True), _alpha_sqs)
+    def test_local_separability_range(self, xi, alpha_sqs):
+        _check_range(local_separability_range, "pptLocal", lambda v: v >= 0.0,
+                     xi, alpha_sqs, XI_LOCAL_MAX)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.0, 0.2), _alpha_sqs)
+    def test_bell_violation_range(self, xi, alpha_sqs):
+        _check_range(bell_violation_range, "bellM", lambda v: v > 1.0,
+                     xi, alpha_sqs, XI_BELL_MAX)

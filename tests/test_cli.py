@@ -167,6 +167,7 @@ class TestCli:
         "--tol", tol], 2) for tol in ("0", "-1", "nan", "inf")],
     (["clone-audit", "--analysis-only", "--xi=-0.1"], 2),
     (["clone-audit", "--analysis-only", "--xi", "0.7"], 2),
+    (["boundary", "--xi", "0.2", "--tol", "inf"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, capsys):
     assert main(argv) == code

@@ -13,8 +13,6 @@ from entbroadcast.linalg import (
     hermitian_eigenvalues,
     kron,
     partial_trace,
-    partial_transpose,
-    singular_values,
 )
 
 I2 = np.eye(2)
@@ -96,33 +94,6 @@ def test_partial_trace_layout_mismatch():
         partial_trace(np.eye(4), [2, 4], keep=[0])
 
 
-def test_partial_transpose_diagonal_invariant():
-    rho = np.diag([1.0, 0, 0, 0]).astype(complex)
-    assert np.array_equal(partial_transpose(rho, [2, 2], 1), rho)
-
-
-def test_partial_transpose_bell_min_eigenvalue():
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    pt = partial_transpose(rho, [2, 2], 1)
-    assert np.isclose(hermitian_eigenvalues(pt)[0], -0.5)
-
-
-def test_partial_transpose_x_state():
-    # X-state partial-transpose spectrum is {A, B, C +- D}
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = 13 / 36
-    rho[1, 1] = rho[2, 2] = 5 / 36
-    rho[0, 3] = rho[3, 0] = 2 / 9
-    pt = partial_transpose(rho, [2, 2], 1)
-    assert np.isclose(hermitian_eigenvalues(pt)[0], 5 / 36 - 8 / 36)
-
-
-def test_partial_transpose_involution():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.array_equal(partial_transpose(partial_transpose(m, [2, 2], 0), [2, 2], 0), m)
-
-
 def test_hermitian_eigenvalues_basic():
     assert np.allclose(hermitian_eigenvalues(SIGMA_Z.astype(complex)), [-1, 1])
     assert np.allclose(hermitian_eigenvalues(np.eye(4) / 4), [0.25] * 4)
@@ -158,16 +129,3 @@ def test_tensor_product_spectrum_is_pairwise_products():
     ev = hermitian_eigenvalues(kron(r1, r2))
     prods = np.sort(np.outer(hermitian_eigenvalues(r1), hermitian_eigenvalues(r2)).ravel())
     assert np.max(np.abs(ev - prods)) <= 1e-11
-
-
-def test_singular_values():
-    assert np.allclose(singular_values(np.eye(3)), [1, 1, 1])
-    assert np.allclose(singular_values(np.diag([2.0, -3.0, 0.0])), [3, 2, 0])
-
-
-def test_singular_values_of_broadcast_correlation_matrix():
-    # diag(2D, -2D, eta^2) at xi=1/6, alpha=1/sqrt 2: all three equal 4/9
-    t = np.diag([4 / 9, -4 / 9, 4 / 9])
-    assert np.allclose(singular_values(t), [4 / 9] * 3)
-    sq = np.sort(singular_values(t)) ** 2
-    assert np.max(np.abs(sq - np.sort(hermitian_eigenvalues(t.conj().T @ t)))) <= 1e-12
