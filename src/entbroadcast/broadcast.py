@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import ClonerParameter, MachineKind, OutOfRangeError, machine_isometry
-from .linalg import partial_trace
 
 STATE_TOL = 1e-9  # least eigenvalue and trace deviation a density operator may show
 
@@ -154,6 +153,19 @@ def global_broadcast_vector(inp: EntangledInput, p: ClonerParameter):
 
 
 ORACLE_DIMS = [2, 2, 4, 2, 2, 4]
+_ORACLE_FACTORS = "abmcdn"  # (a1, b1, m1, a2, b2, m2), one letter per factor
+
+
+def _pair_reduction(psi, pair):
+    """Reduced state of |psi><psi| on two qubit factors, named by their letters.
+
+    The result reads in the order of ``pair``: "cb" gives (a2, b1). One einsum
+    contracts psi with its conjugate over every other factor.
+    """
+    bra = "".join(f.upper() if f in pair else f for f in _ORACLE_FACTORS)
+    t = psi.reshape(ORACLE_DIMS)
+    rho = np.einsum(f"{_ORACLE_FACTORS},{bra}->{pair}{pair.upper()}", t, t.conj())
+    return rho.reshape(4, 4)
 
 
 def oracle_broadcast(inp: EntangledInput, p: ClonerParameter):
@@ -162,24 +174,12 @@ def oracle_broadcast(inp: EntangledInput, p: ClonerParameter):
     Independent of the closed forms above; agreement with them is the test.
     """
     psi = global_broadcast_vector(inp, p)
-    rho = np.outer(psi, psi.conj())
-    local = partial_trace(rho, ORACLE_DIMS, keep=[0, 1])  # (a1, b1)
-    nonlocal_ = partial_trace(rho, ORACLE_DIMS, keep=[0, 4])  # (a1, b2)
-    return BroadcastOutputs(local_state=local, nonlocal_state=nonlocal_)
+    return BroadcastOutputs(local_state=_pair_reduction(psi, "ab"),  # (a1, b1)
+                            nonlocal_state=_pair_reduction(psi, "ad"))  # (a1, b2)
 
 
 def oracle_all_pairs(inp: EntangledInput, p: ClonerParameter):
     """All four pair reductions, keyed by factor names, for symmetry checks."""
     psi = global_broadcast_vector(inp, p)
-    rho = np.outer(psi, psi.conj())
-    # partial_trace keeps factors in ascending index order; the a2b1 pair
-    # comes out as (b1, a2) and needs a qubit swap to read as (a2, b1).
-    swap = np.zeros((4, 4))
-    swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    b1a2 = partial_trace(rho, ORACLE_DIMS, keep=[1, 3])
-    return {
-        "a1b1": partial_trace(rho, ORACLE_DIMS, keep=[0, 1]),
-        "a2b2": partial_trace(rho, ORACLE_DIMS, keep=[3, 4]),
-        "a1b2": partial_trace(rho, ORACLE_DIMS, keep=[0, 4]),
-        "a2b1": swap @ b1a2 @ swap,
-    }
+    return {name: _pair_reduction(psi, pair)
+            for name, pair in (("a1b1", "ab"), ("a2b2", "cd"), ("a1b2", "ad"), ("a2b1", "cb"))}

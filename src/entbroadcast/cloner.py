@@ -140,6 +140,8 @@ def abstract_machine_vectors(p):
     matrix has an eigenvalue below -1e-10 (no physical machine exists).
     """
     g = gram_matrix(p)
+    if not np.isfinite(g).all():  # 2 xi overflowed: eta = -inf on the diagonal
+        raise GramNotPSDError(p.xi, -math.inf)
     w, v = np.linalg.eigh(g)
     if w[0] < -GRAM_PSD_TOL:
         raise GramNotPSDError(p.xi, w[0])

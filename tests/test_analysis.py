@@ -16,6 +16,7 @@ from entbroadcast.analysis import (
     RangeUndefinedError,
     bell_quantity_m,
     bell_violation_range,
+    bisect,
     boundary_bisect,
     correlation_tensor,
     evaluate,
@@ -343,6 +344,16 @@ class TestBoundaryBisect:
     def test_no_crossing(self):
         with pytest.raises(NoCrossingError):
             boundary_bisect(OPTIMAL, lambda a2: True, "lower")
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_tolerance_not_positive_and_finite(self, tol):
+        # an infinite or nan tol used to end the loop at once, returning the
+        # first bracket's midpoint 0.25 for an edge at 0.2709
+        p = make_cloner_parameter(0.2)
+        with pytest.raises(ValueError, match="tolerance"):
+            boundary_bisect(p, nonlocal_inseparable_predicate(p), "lower", tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            bisect(lambda x: x > 0.5, 1.0, 0.0, tol)
 
     def test_matches_closed_form_over_xi_sweep(self):
         for xi in np.linspace(XI_LOWER, XI_NONLOCAL_MAX - 1e-6, 20):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbroadcast.broadcast import (
+    ORACLE_DIMS,
     EntangledInput,
     global_broadcast_vector,
     local_state,
@@ -20,7 +21,14 @@ from entbroadcast.cloner import (
     analysis_parameter,
     make_cloner_parameter,
 )
-from entbroadcast.linalg import SIGMA_X, hermitian_eigenvalues, is_density_operator, kron
+from entbroadcast.linalg import (
+    SIGMA_X,
+    hermitian_eigenvalues,
+    is_density_operator,
+    kron,
+    outer,
+    partial_trace,
+)
 
 
 class TestEntangledInput:
@@ -184,8 +192,26 @@ class TestOracle:
         assert np.max(np.abs(pairs["a1b1"] - pairs["a2b2"])) <= 1e-13
         assert np.max(np.abs(pairs["a1b2"] - pairs["a2b1"])) <= 1e-13
 
+    @pytest.mark.parametrize("alpha_sq, xi", [(0.3, 0.2), (0.5, 1 / 6), (0.0, 0.25),
+                                              (0.9, 0.5)])
+    def test_reductions_match_partial_trace_of_global_density(self, alpha_sq, xi):
+        inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
+        rho = outer(global_broadcast_vector(inp, p))
+        swap = np.eye(4)[[0, 2, 1, 3]]  # partial_trace keeps (b1, a2); read as (a2, b1)
+        expected = {
+            "a1b1": partial_trace(rho, ORACLE_DIMS, keep=[0, 1]),
+            "a2b2": partial_trace(rho, ORACLE_DIMS, keep=[3, 4]),
+            "a1b2": partial_trace(rho, ORACLE_DIMS, keep=[0, 4]),
+            "a2b1": swap @ partial_trace(rho, ORACLE_DIMS, keep=[1, 3]) @ swap,
+        }
+        pairs = oracle_all_pairs(inp, p)
+        for name, want in expected.items():
+            assert np.max(np.abs(pairs[name] - want)) <= 1e-15, name
+        out = oracle_broadcast(inp, p)
+        assert np.array_equal(out.local_state, pairs["a1b1"])
+        assert np.array_equal(out.nonlocal_state, pairs["a1b2"])
+
     def test_single_qubit_reduction_is_shrunk_input(self):
-        from entbroadcast.linalg import partial_trace
         inp = EntangledInput.from_alpha_sq(0.3)
         p = make_cloner_parameter(0.2)
         out = oracle_broadcast(inp, p)

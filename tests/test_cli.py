@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from entbroadcast.cli import main
 from entbroadcast.report import rows_to_csv, rows_to_json
@@ -167,6 +169,7 @@ class TestCli:
         "--tol", tol], 2) for tol in ("0", "-1", "nan", "inf")],
     (["clone-audit", "--analysis-only", "--xi=-0.1"], 2),
     (["clone-audit", "--analysis-only", "--xi", "0.7"], 2),
+    (["clone-audit", "--analysis-only", "--xi", "1e308", "--kind", "AbstractBH"], 2),
     (["boundary", "--xi", "0.2", "--tol", "inf"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, capsys):
@@ -175,6 +178,88 @@ def test_exit_codes_without_traceback(argv, code, capsys):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_signed_zero_alpha_sq_keeps_its_sign(capsys):
+    assert main(["sweep", "--xi", "0.2", "--alpha-sq", "-0.0", "--alpha-sq", "0.0",
+                 "--quantity", "pptNonlocal"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["-0", "0"]
+
+
+# -- fuzz over argument vectors ------------------------------------------------
+# "TMP" in a token stands for the test's temporary directory, so that no run
+# writes outside it.
+
+FLOATS = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e-300", "0.1", "0.15", "0.2",
+          "0.25", "0.3", "0.5", "0.7", "1", "1.5", "1e308", "x"]
+GRIDS = ["0:1:3", "0.2:0.3:2", "0.5:0.5:1", "1:0:2", "nan:1:2", "0:inf:2", "-1:0.5:2",
+         "0:1:0", "0:1:-1", "0:1", "0:1:2.5", "a:b:c"]
+COUNTS = ["-1", "0", "1", "2", "3", "1.5", "nan", "x"]  # small: keeps every run fast
+OUTS = ["-", "TMP/out.csv", "TMP", "TMP/missing/out.csv", "TMP/blocker/out.csv"]
+OUT_DIRS = ["TMP/study", "TMP/blocker/sub", "TMP/blocker"]
+CHOICES = ["nonlocal", "local", "lower", "upper", "both", "csv", "json", "Literal2D",
+           "AbstractBH", *QUANTITIES, "bogus"]
+COMMON = {"--format": ["csv", "json"], "--out": OUTS, "--analysis-only": None}
+FLAGS = {
+    "sweep": {"--xi": FLOATS, "--xi-grid": GRIDS, "--alpha-sq": FLOATS,
+              "--alpha-grid": GRIDS, "--quantity": list(QUANTITIES), "--tol": FLOATS,
+              **COMMON},
+    "verify": {"--filter-budget": COUNTS, **COMMON},
+    "boundary": {"--xi": FLOATS, "--target": ["nonlocal", "local"],
+                 "--side": ["lower", "upper", "both"], "--tol": FLOATS, **COMMON},
+    "clone-audit": {"--xi": FLOATS, "--kind": ["Literal2D", "AbstractBH"],
+                    "--samples": COUNTS, **COMMON},
+    "study": {"--out-dir": OUT_DIRS, "--xi-points": COUNTS, "--filter-budget": COUNTS,
+              "--samples": COUNTS},
+}
+# Valid arguments to start from, so that most vectors get past argparse; a
+# later flag of the same name overrides them. verify and study always start
+# from them, since their default budgets take a large share of a second.
+START = {"sweep": ["--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM"],
+         "verify": ["--filter-budget", "3"],
+         "boundary": ["--xi", "0.2"],
+         "clone-audit": ["--xi", "0.2", "--samples", "3"],
+         "study": ["--xi-points", "2", "--filter-budget", "3", "--samples", "2",
+                   "--out-dir", "TMP/study"]}
+ALL_FLAGS = sorted({f for flags in FLAGS.values() for f in flags})
+ALL_VALUES = sorted(set(FLOATS + GRIDS + COUNTS + CHOICES))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command in ("verify", "study") or draw(st.booleans()):
+        argv += START[command]
+    for _ in range(draw(st.integers(0, 5))):
+        # one flag or value in four from outside the command's own vocabulary
+        foreign = draw(st.integers(0, 3)) == 3
+        flag = draw(st.sampled_from(ALL_FLAGS if foreign else sorted(FLAGS[command])))
+        argv.append(flag)
+        own = FLAGS[command].get(flag, COMMON.get(flag, FLOATS))
+        if flag in ("--out", "--out-dir"):
+            # paths stay inside TMP; argparse takes study's --out for --out-dir
+            argv.append(draw(st.sampled_from(OUT_DIRS if command == "study" else OUTS)))
+        elif own is not None:
+            foreign = draw(st.integers(0, 3)) == 3
+            argv.append(draw(st.sampled_from(ALL_VALUES if foreign else own)))
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv, tmp_path, capsys):
+    (tmp_path / "blocker").write_text("")
+    argv = [token.replace("TMP", str(tmp_path)) for token in argv]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects a usage error with status 2
+        code = e.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def test_study_out_dir_is_a_file(tmp_path, capsys):
