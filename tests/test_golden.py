@@ -24,10 +24,13 @@ _QUANTITIES = []
 for _q in ("pptNonlocal", "pptLocal", "bellM", "fidelity", "wernerX"):
     _QUANTITIES += ["--quantity", _q]
 
+_SWEEP = ["sweep", "--xi-grid", "0.15:0.5:8", "--alpha-grid", "0:1:5", *_QUANTITIES]
+
 CASES = {
     "verify.csv": ["verify"],
-    "sweep.csv": ["sweep", "--xi-grid", "0.15:0.5:8", "--alpha-grid", "0:1:5",
-                  *_QUANTITIES],
+    "verify.json": ["verify", "--format", "json"],
+    "sweep.csv": _SWEEP,
+    "sweep.json": [*_SWEEP, "--format", "json"],  # nan wernerX is written as null
     "boundary_nonlocal.json": ["boundary", "--xi", "0.1666666666666667",
                                "--target", "nonlocal", "--format", "json"],
     "boundary_local.json": ["boundary", "--xi", "0.2", "--target", "local",
