@@ -22,7 +22,7 @@ from .broadcast import (
     nonlocal_states,
 )
 from .cloner import ClonerParameter
-from .linalg import PAULIS, is_density_operator, kron
+from .linalg import PAULIS, is_density_operator
 
 PPT_TOL = 1e-10
 
@@ -92,7 +92,7 @@ class WernerDecomposition:
     psi: np.ndarray  # the pure 4-vector
 
 
-_PAULI_PAIRS = np.array([[kron(si, sj) for sj in PAULIS] for si in PAULIS])
+_PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
 
 
 def _require_state(rho):

@@ -8,6 +8,7 @@ import argparse
 import math
 import pathlib
 import sys
+from dataclasses import fields
 
 from . import analysis, claims as claims_mod
 from .analysis import (
@@ -22,7 +23,7 @@ from .cloner import (
     OutOfRangeError,
     universality_report,
 )
-from .report import CLAIM_FIELDS, SWEEP_FIELDS, claims_to_rows, emit_rows
+from .report import emit_rows
 from .sweep import (
     ConfigError,
     SweepConfig,
@@ -36,8 +37,14 @@ def _build_parser():
     ap = argparse.ArgumentParser(
         prog="entbroadcast",
         description="Numerical laboratory for entanglement broadcasting with "
-                    "tunable universal cloners.")
+                    "tunable universal cloners.",
+        allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def add_command(name, help):
+        # allow_abbrev=False: an option is spelled in full, so "study --out"
+        # is an error and not "--out-dir"
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def add_common(p):
         p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -45,7 +52,7 @@ def _build_parser():
         p.add_argument("--analysis-only", action="store_true",
                        help="permit xi outside the machine's admissible range")
 
-    sp = sub.add_parser("sweep", help="evaluate quantities over an (xi, alpha^2) grid")
+    sp = add_command("sweep", "evaluate quantities over an (xi, alpha^2) grid")
     sp.add_argument("--xi", type=float, action="append", default=None)
     sp.add_argument("--xi-grid", help="lo:hi:n")
     sp.add_argument("--alpha-sq", type=float, action="append", default=None)
@@ -56,26 +63,26 @@ def _build_parser():
                     help="Werner reconstruction tolerance")
     add_common(sp)
 
-    vp = sub.add_parser("verify", help="recompute and check every headline claim")
+    vp = add_command("verify", "recompute and check every headline claim")
     vp.add_argument("--filter-budget", type=int, default=101,
                     help="grid points per filter-ratio axis")
     add_common(vp)
 
-    bp = sub.add_parser("boundary", help="bisect a PPT boundary in alpha^2")
+    bp = add_command("boundary", "bisect a PPT boundary in alpha^2")
     bp.add_argument("--xi", type=float, required=True)
     bp.add_argument("--target", choices=["nonlocal", "local"], default="nonlocal")
     bp.add_argument("--side", choices=["lower", "upper", "both"], default="both")
     bp.add_argument("--tol", type=float, default=1e-10)
     add_common(bp)
 
-    cp = sub.add_parser("clone-audit", help="clone-fidelity universality report")
+    cp = add_command("clone-audit", "clone-fidelity universality report")
     cp.add_argument("--xi", type=float, required=True)
     cp.add_argument("--kind", choices=[k.value for k in MachineKind],
                     default=MachineKind.LITERAL_2D.value)
     cp.add_argument("--samples", type=int, default=64)
     add_common(cp)
 
-    tp = sub.add_parser("study", help="write the four summary tables as CSV files")
+    tp = add_command("study", "write the four summary tables as CSV files")
     tp.add_argument("--out-dir", default="study_out")
     tp.add_argument("--xi-points", type=int, default=25)
     tp.add_argument("--filter-budget", type=int, default=41)
@@ -102,8 +109,7 @@ def _cmd_sweep(args):
         analysis_only=args.analysis_only,
         werner_tol=args.tol,
     )
-    rows = run_sweep(cfg)
-    emit_rows(rows, SWEEP_FIELDS, args.format, args.out)
+    emit_rows(run_sweep(cfg), args.format, args.out)
     return 0
 
 
@@ -119,7 +125,9 @@ def _cmd_verify(args):
               file=sys.stderr)
         for c in discrepancies:
             print(f"  {c.claim_id}: {c.description}", file=sys.stderr)
-    emit_rows(claims_to_rows(results), CLAIM_FIELDS, args.format, args.out)
+    table = {f.name: [getattr(c, f.name) for c in results]
+             for f in fields(claims_mod.ClaimResult)}
+    emit_rows(table, args.format, args.out)
     return 1 if claims_mod.has_failures(results) else 0
 
 
@@ -132,12 +140,10 @@ def _cmd_boundary(args):
     else:
         pred = local_separable_predicate(p)
     sides = ["lower", "upper"] if args.side == "both" else [args.side]
-    rows = []
-    for side in sides:
-        a2 = boundary_bisect(p, pred, side, tol=args.tol)
-        rows.append({"xi": args.xi, "target": args.target, "side": side,
-                     "alpha_sq": a2})
-    emit_rows(rows, ["xi", "target", "side", "alpha_sq"], args.format, args.out)
+    table = {"xi": [args.xi] * len(sides), "target": [args.target] * len(sides),
+             "side": sides,
+             "alpha_sq": [boundary_bisect(p, pred, side, tol=args.tol) for side in sides]}
+    emit_rows(table, args.format, args.out)
     return 0
 
 
@@ -145,11 +151,10 @@ def _cmd_clone_audit(args):
     _require_at_least("--samples", args.samples, 2)
     p = ClonerParameter(args.xi, analysis_only=args.analysis_only)
     rep = universality_report(p, MachineKind(args.kind), args.samples)
-    rows = [{"xi": args.xi, "kind": args.kind, "samples": args.samples,
-             "min_fidelity": rep.min_fidelity, "max_fidelity": rep.max_fidelity,
-             "spread": rep.spread}]
-    emit_rows(rows, ["xi", "kind", "samples", "min_fidelity", "max_fidelity",
-                     "spread"], args.format, args.out)
+    table = {"xi": [args.xi], "kind": [args.kind], "samples": [args.samples],
+             "min_fidelity": [rep.min_fidelity], "max_fidelity": [rep.max_fidelity],
+             "spread": [rep.spread]}
+    emit_rows(table, args.format, args.out)
     return 0
 
 
@@ -160,8 +165,8 @@ def _cmd_study(args):
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = study_tables(args.xi_points, args.filter_budget, args.samples)
-    for name, rows in tables.items():
-        emit_rows(rows, list(rows[0]), "csv", str(out / name))
+    for name, table in tables.items():
+        emit_rows(table, "csv", str(out / name))
     print(f"wrote {len(tables)} tables to {out}/")
     return 0
 

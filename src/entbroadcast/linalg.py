@@ -2,13 +2,9 @@
 
 Everything here operates on plain numpy arrays (dtype complex128). Matrices
 are small (dimension <= 256), so dense routines are always appropriate.
-Basis ordering is lexicographic throughout: |00>, |01>, |10>, |11>.
-
-``hermitian_eigenvalues`` also takes a stack of matrices, shape (..., d, d),
-and acts on each matrix of it; numpy's batched LAPACK then decomposes the
-whole stack in one call, and every matrix of it comes out exactly as it would
-alone. The functions here check what they are given; the analysis measures,
-which only ever see validated states, call numpy directly.
+Basis ordering is lexicographic throughout: |00>, |01>, |10>, |11>, the
+order ``np.kron`` builds. The functions here check what they are given; the
+analysis measures, which only ever see validated states, call numpy directly.
 """
 
 import numpy as np
@@ -26,29 +22,13 @@ class DimensionError(ValueError):
     """Matrix shape is inconsistent with the requested tensor layout."""
 
 
-class NotHermitianError(ValueError):
-    """Input matrix fails the Hermiticity tolerance."""
-
-
-def _as_stack(m):
+def _as_matrix(m):
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2:
-        raise DimensionError(f"expected a matrix or a stack of them, got shape {a.shape}")
+    if a.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def _as_matrix(m):
-    a = _as_stack(m)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d array, got shape {a.shape}")
-    return a
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
 
 
 def _check_layout(m, dims):
@@ -88,19 +68,6 @@ def partial_trace(m, dims, keep):
     return t.reshape(d_keep, d_keep)
 
 
-def hermitian_eigenvalues(m):
-    """Ascending real eigenvalues of a Hermitian matrix, or of each matrix of a stack.
-
-    ``m`` has shape (..., d, d); the result has shape (..., d). Raises
-    NotHermitianError if max |m - m^dagger| over the whole stack exceeds 1e-12.
-    """
-    m = _as_stack(m)
-    dev = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())) if m.size else 0.0
-    if dev > HERMITICITY_TOL:
-        raise NotHermitianError(f"Hermiticity deviation {dev:.3e} > {HERMITICITY_TOL}")
-    return np.linalg.eigvalsh(m)
-
-
 def dag(m):
     return np.asarray(m).conj().T
 
@@ -112,12 +79,14 @@ def outer(psi):
 
 
 def is_density_operator(rho, trace_tol=1e-12, psd_tol=1e-10):
-    """True when rho is Hermitian, unit trace and PSD within tolerances."""
+    """True when rho is Hermitian (max |rho - rho^dagger| <= 1e-12), unit trace
+    and PSD within tolerances.
+
+    Raises DimensionError unless rho is 2-d, and ValueError for a non-finite entry.
+    """
     rho = _as_matrix(rho)
     if abs(np.trace(rho) - 1.0) > trace_tol:
         return False
-    try:
-        ev = hermitian_eigenvalues(rho)
-    except NotHermitianError:
+    if np.max(np.abs(rho - dag(rho))) > HERMITICITY_TOL:
         return False
-    return bool(ev[0] >= -psd_tol)
+    return bool(np.linalg.eigvalsh(rho)[0] >= -psd_tol)

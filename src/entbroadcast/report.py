@@ -1,14 +1,15 @@
-"""Deterministic CSV/JSON emission of sweep tables and claim reports.
+"""Deterministic CSV/JSON emission of tables.
 
-Numbers are written with 17 significant digits so files round-trip to the
-exact float64 values; output is fully deterministic (no timestamps).
+A table is a dict that maps each column name to a list of cells, every column
+of the same length; its keys, in order, are the header. Numbers are written
+with 17 significant digits so files round-trip to the exact float64 values;
+output is fully deterministic (no timestamps).
 """
 
 import csv
 import json
 import math
 import sys
-from dataclasses import asdict
 from itertools import repeat
 from types import SimpleNamespace
 
@@ -57,30 +58,37 @@ def _csv_column(cells, sole_field):
     return [quoted[t] for t in texts]
 
 
-def rows_to_csv(rows, fieldnames):
-    """CSV text of ``rows`` (mappings) under a header of ``fieldnames``.
+def table_to_csv(table):
+    """CSV text of ``table``: the header, then a line per row.
 
     Built a column at a time and joined into lines once. The text equals what
     the csv module's writer (``lineterminator="\\n"``) makes of the header and
-    then of ``_fmt`` of each cell, row by row.
+    then of ``_fmt`` of each cell, row by row. Raises ValueError when the
+    columns differ in length.
     """
-    sole_field = len(fieldnames) == 1
-    columns = [_csv_column([r[k] for r in rows], sole_field) for k in fieldnames]
-    lines = [",".join(_csv_fields(fieldnames, sole_field)), *map(",".join, zip(*columns))]
+    sole_field = len(table) == 1
+    columns = [_csv_column(cells, sole_field) for cells in table.values()]
+    lines = [",".join(_csv_fields(table, sole_field)),
+             *map(",".join, zip(*columns, strict=True))]
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows, fieldnames):
-    data = [{k: _jsonable(r[k]) for k in fieldnames} for r in rows]
+def table_to_json(table):
+    """JSON text of ``table``: a list of one object per row, nan as null.
+
+    Raises ValueError when the columns differ in length.
+    """
+    data = [dict(zip(table, map(_jsonable, row)))
+            for row in zip(*table.values(), strict=True)]
     return json.dumps(data, indent=2) + "\n"
 
 
-def emit_rows(rows, fieldnames, fmt, destination):
-    """Write rows as CSV or JSON to a path, or stdout when destination is '-'."""
+def emit_rows(table, fmt, destination):
+    """Write a table as CSV or JSON to a path, or stdout when destination is '-'."""
     if fmt == "csv":
-        text = rows_to_csv(rows, fieldnames)
+        text = table_to_csv(table)
     elif fmt == "json":
-        text = rows_to_json(rows, fieldnames)
+        text = table_to_json(table)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if destination == "-":
@@ -91,11 +99,3 @@ def emit_rows(rows, fieldnames, fmt, destination):
             fh.write(text)
     except OSError as e:
         raise OSError(f"cannot write report to {destination}: {e}") from e
-
-
-def claims_to_rows(claims):
-    return [asdict(c) for c in claims]
-
-
-CLAIM_FIELDS = ["claim_id", "description", "expected", "computed", "tolerance", "verdict"]
-SWEEP_FIELDS = ["xi", "alpha_sq", "quantity", "value"]

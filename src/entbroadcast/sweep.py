@@ -55,19 +55,21 @@ class SweepConfig:
 
 
 def run_sweep(cfg: SweepConfig):
-    """One row per (xi, alpha^2, quantity), xi-major then alpha^2 then quantity."""
+    """The sweep table: a row per (xi, alpha^2, quantity), xi-major, then
+    alpha^2, then quantity."""
     for xi in cfg.xi_grid:
         # the machine's range, or finiteness when analysis-only
         ClonerParameter(float(xi), analysis_only=cfg.analysis_only)
-    xi, a2 = np.broadcast_arrays(np.asarray(cfg.xi_grid, dtype=float)[:, None],
-                                 np.asarray(cfg.alpha_sq_grid, dtype=float)[None, :])
-    values = evaluate(cfg.quantities, xi, a2, cfg.werner_tol)
-    columns = [values[q].ravel().tolist() for q in cfg.quantities]
-    rows = []
-    for x, a, *point in zip(xi.ravel().tolist(), a2.ravel().tolist(), *columns):
-        for q, v in zip(cfg.quantities, point):
-            rows.append({"xi": x, "alpha_sq": a, "quantity": q, "value": v})
-    return rows
+    xi = np.asarray(cfg.xi_grid, dtype=float)
+    a2 = np.asarray(cfg.alpha_sq_grid, dtype=float)
+    values = evaluate(cfg.quantities, xi[:, None], a2[None, :], cfg.werner_tol)
+    per_point = len(cfg.quantities)
+    return {
+        "xi": np.repeat(xi, a2.size * per_point).tolist(),
+        "alpha_sq": np.tile(np.repeat(a2, per_point), xi.size).tolist(),
+        "quantity": list(cfg.quantities) * (xi.size * a2.size),
+        "value": np.stack([values[q] for q in cfg.quantities], axis=-1).ravel().tolist(),
+    }
 
 
 def parse_grid(spec):
@@ -88,36 +90,45 @@ def parse_grid(spec):
 
 # -- study tables --------------------------------------------------------------
 
+def _range_ends(closed_form, p):
+    try:
+        r = closed_form(p)
+    except RangeUndefinedError:
+        return math.nan, math.nan
+    return r.lo, r.hi
+
+
+def _abstract_spread(p, samples):
+    try:
+        return universality_report(p, MachineKind.ABSTRACT_BH, samples).spread
+    except GramNotPSDError:
+        return math.nan  # no universal machine exists here
+
+
 def study_tables(xi_points, filter_budget, samples):
     """The four study tables, keyed by CSV file name, over ``xi_points``
     admissible machines; nan marks a quantity that does not exist there."""
     xis = np.linspace(XI_LOWER, 0.5, xi_points)
     at_half = evaluate({"bellM", "fidelity", "wernerX"}, xis, 0.5)
-    ranges, quality, cloners = [], [], []
-    for xi, bell_m, fidelity, werner_x in zip(
-            xis.tolist(), *(at_half[q].tolist() for q in ("bellM", "fidelity", "wernerX"))):
-        p = make_cloner_parameter(xi)
-        row = {"xi": xi}
-        for pair, closed_form in (("nonlocal", nonlocal_inseparability_range),
-                                  ("local", local_separability_range)):
-            try:
-                r = closed_form(p)
-                row[f"{pair}_lo"], row[f"{pair}_hi"] = r.lo, r.hi
-            except RangeUndefinedError:
-                row[f"{pair}_lo"] = row[f"{pair}_hi"] = math.nan
-        ranges.append(row)
-        quality.append({"xi": xi, "bell_m": bell_m, "fidelity": fidelity,
-                        "werner_x": werner_x})
-        literal = universality_report(p, MachineKind.LITERAL_2D, samples).spread
-        try:
-            abstract = universality_report(p, MachineKind.ABSTRACT_BH, samples).spread
-        except GramNotPSDError:
-            abstract = math.nan  # no universal machine exists here
-        cloners.append({"xi": xi, "literal_spread": literal, "abstract_spread": abstract})
-    filtering = []
-    for a2, xi in ((0.5, XI_LOWER), (0.5, 1 / 6), (0.2, 1 / 6), (0.35, 0.2)):
-        res = filter_search_max_m(EntangledInput.from_alpha_sq(a2),
-                                  make_cloner_parameter(xi), budget=filter_budget)
-        filtering.append({"alpha_sq": a2, "xi": xi, "max_m": res["max_m"]})
+    quality = {"xi": xis.tolist(), "bell_m": at_half["bellM"].tolist(),
+               "fidelity": at_half["fidelity"].tolist(),
+               "werner_x": at_half["wernerX"].tolist()}
+    machines = [make_cloner_parameter(xi) for xi in quality["xi"]]
+    ranges = {"xi": quality["xi"]}
+    for pair, closed_form in (("nonlocal", nonlocal_inseparability_range),
+                              ("local", local_separability_range)):
+        lo, hi = zip(*(_range_ends(closed_form, p) for p in machines))
+        ranges[f"{pair}_lo"], ranges[f"{pair}_hi"] = list(lo), list(hi)
+    cloners = {
+        "xi": quality["xi"],
+        "literal_spread": [universality_report(p, MachineKind.LITERAL_2D, samples).spread
+                           for p in machines],
+        "abstract_spread": [_abstract_spread(p, samples) for p in machines],
+    }
+    alpha_sq, xi = [0.5, 0.5, 0.2, 0.35], [XI_LOWER, 1 / 6, 1 / 6, 0.2]
+    filtering = {"alpha_sq": alpha_sq, "xi": xi, "max_m": [
+        filter_search_max_m(EntangledInput.from_alpha_sq(a), make_cloner_parameter(x),
+                            budget=filter_budget)["max_m"]
+        for a, x in zip(alpha_sq, xi)]}
     return {"ranges.csv": ranges, "quality.csv": quality,
             "filtering.csv": filtering, "cloners.csv": cloners}

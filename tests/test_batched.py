@@ -35,7 +35,6 @@ from entbroadcast.broadcast import (
     nonlocal_states,
 )
 from entbroadcast.cloner import OutOfRangeError, analysis_parameter, make_cloner_parameter
-from entbroadcast.linalg import hermitian_eigenvalues
 
 alpha_sqs = st.one_of(st.just(0.5), st.floats(0.0, 1.0))
 
@@ -108,7 +107,6 @@ def test_local_stack_matches_scalar_path(points):
 @given(_density_stacks())
 def test_general_states_match_scalar_path(drawn):
     states = _as_states(*drawn)
-    _assert_each_equal(hermitian_eigenvalues, states)
     _check_measures(states)
     # more than one leading axis
     np.testing.assert_array_equal(_min_pt_eigenvalue(states[None])[0],
@@ -138,18 +136,6 @@ def test_stacks_raise_at_first_unphysical_point():
         nonlocal_states([0.3], [math.nan])
     with pytest.raises(ValueError):
         nonlocal_states([1.5], [0.2])
-
-
-def test_stacked_linalg_keeps_its_checks():
-    good = np.stack([np.eye(4), np.eye(4)]).astype(complex)
-    bad = good.copy()
-    bad[1, 0, 1] = 1.0
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(bad)
-    bad = good.copy()
-    bad[1, 2, 2] = np.nan
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(bad)
 
 
 def _grid_search(inp, p, budget):

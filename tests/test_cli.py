@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entbroadcast.cli import main
-from entbroadcast.report import rows_to_csv, rows_to_json
+from entbroadcast.report import table_to_csv, table_to_json
 from entbroadcast.sweep import QUANTITIES, ConfigError, SweepConfig, parse_grid, run_sweep
 
 
@@ -39,54 +39,56 @@ class TestRunSweep:
     def test_single_point_fidelity(self):
         cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
                           quantities=("fidelity",))
-        rows = run_sweep(cfg)
-        assert len(rows) == 1
-        assert abs(rows[0]["value"] - 13 / 18) <= 1e-12
+        table = run_sweep(cfg)
+        assert [len(cells) for cells in table.values()] == [1, 1, 1, 1]
+        assert abs(table["value"][0] - 13 / 18) <= 1e-12
 
     def test_single_point_bell_m(self):
         cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
                           quantities=("bellM",))
-        assert abs(run_sweep(cfg)[0]["value"] - 32 / 81) <= 1e-12
+        assert abs(run_sweep(cfg)["value"][0] - 32 / 81) <= 1e-12
 
     def test_row_order_is_xi_major(self):
         cfg = SweepConfig(xi_grid=(1 / 6, 0.2), alpha_sq_grid=(0.3, 0.5),
                           quantities=("bellM", "fidelity"))
-        rows = run_sweep(cfg)
-        keys = [(r["xi"], r["alpha_sq"], r["quantity"]) for r in rows]
+        table = run_sweep(cfg)
+        assert list(table) == ["xi", "alpha_sq", "quantity", "value"]
+        keys = list(zip(table["xi"], table["alpha_sq"], table["quantity"]))
         assert keys == sorted(keys, key=lambda k: (k[0], k[1]))
-        assert len(rows) == 8
+        assert keys == [(xi, a2, q) for xi in (1 / 6, 0.2) for a2 in (0.3, 0.5)
+                        for q in ("bellM", "fidelity")]
+        assert len(table["value"]) == 8
 
     def test_werner_nan_off_center(self):
         cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.3,),
                           quantities=("wernerX",))
-        assert math.isnan(run_sweep(cfg)[0]["value"])
+        assert math.isnan(run_sweep(cfg)["value"][0])
 
 
 class TestEmission:
-    ROWS = [{"xi": 1 / 6, "alpha_sq": 0.5, "quantity": "fidelity",
-             "value": 13 / 18}]
-    FIELDS = ["xi", "alpha_sq", "quantity", "value"]
+    TABLE = {"xi": [1 / 6], "alpha_sq": [0.5], "quantity": ["fidelity"],
+             "value": [13 / 18]}
 
     def test_csv_shape(self):
-        text = rows_to_csv(self.ROWS, self.FIELDS)
+        text = table_to_csv(self.TABLE)
         lines = text.splitlines()
         assert lines[0] == "xi,alpha_sq,quantity,value"
         assert len(lines) == 2
         assert text.endswith("\n")
 
     def test_json_empty_list(self):
-        assert rows_to_json([], self.FIELDS) == "[]\n"
+        assert table_to_json({k: [] for k in self.TABLE}) == "[]\n"
 
     def test_csv_json_numeric_agreement(self):
-        text_csv = rows_to_csv(self.ROWS, self.FIELDS)
-        text_json = rows_to_json(self.ROWS, self.FIELDS)
+        text_csv = table_to_csv(self.TABLE)
+        text_json = table_to_json(self.TABLE)
         row_csv = next(csv.DictReader(text_csv.splitlines()))
         row_json = json.loads(text_json)[0]
         for k in ("xi", "alpha_sq", "value"):
             assert float(row_csv[k]) == row_json[k]
 
     def test_json_round_trip_exact(self):
-        parsed = json.loads(rows_to_json(self.ROWS, self.FIELDS))
+        parsed = json.loads(table_to_json(self.TABLE))
         assert parsed[0]["value"] == 13 / 18
 
 
@@ -239,7 +241,7 @@ def argvs(draw):
         argv.append(flag)
         own = FLAGS[command].get(flag, COMMON.get(flag, FLOATS))
         if flag in ("--out", "--out-dir"):
-            # paths stay inside TMP; argparse takes study's --out for --out-dir
+            # paths stay inside TMP; study writes a directory, so it gets one
             argv.append(draw(st.sampled_from(OUT_DIRS if command == "study" else OUTS)))
         elif own is not None:
             foreign = draw(st.integers(0, 3)) == 3
@@ -260,6 +262,20 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv, tmp_path, capsys):
         code = e.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--xi-points", "2", "--filter-budget", "3", "--samples", "2", "--out", "-"],
+    ["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quant", "bellM"],
+    ["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM", "--form", "json"],
+])
+def test_option_prefixes_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # study wrote no directory named "-"
 
 
 def test_study_out_dir_is_a_file(tmp_path, capsys):

@@ -9,9 +9,7 @@ from entbroadcast.linalg import (
     SIGMA_X,
     SIGMA_Z,
     DimensionError,
-    NotHermitianError,
-    hermitian_eigenvalues,
-    kron,
+    is_density_operator,
     partial_trace,
 )
 
@@ -25,15 +23,15 @@ def small_complex(n):
 
 
 def test_kron_identities():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-    assert np.array_equal(kron(SIGMA_X, SIGMA_X), np.fliplr(np.eye(4)))
+    assert np.array_equal(np.kron(I2, I2), np.eye(4))
+    assert np.array_equal(np.kron(SIGMA_X, SIGMA_X), np.fliplr(np.eye(4)))
 
 
 def test_kron_basis_bookkeeping():
     # |0><0| x |1><1| sits at row/col 1 in the |00>,|01>,|10>,|11> ordering
     p0 = np.diag([1.0, 0.0])
     p1 = np.diag([0.0, 1.0])
-    out = kron(p0, p1)
+    out = np.kron(p0, p1)
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0
     assert np.array_equal(out, expected)
@@ -43,10 +41,10 @@ def test_kron_basis_bookkeeping():
 @given(small_complex(2), small_complex(2), small_complex(2))
 def test_kron_bilinear_and_associative(a, b, c):
     scale = max(1.0, np.max(np.abs(a)) * max(np.max(np.abs(b)), np.max(np.abs(c))))
-    assert np.max(np.abs(kron(a, b + c) - kron(a, b) - kron(a, c))) / scale <= 1e-13
+    assert np.max(np.abs(np.kron(a, b + c) - np.kron(a, b) - np.kron(a, c))) / scale <= 1e-13
     scale3 = max(1.0, np.max(np.abs(a)) * np.max(np.abs(b)) * np.max(np.abs(c)))
-    lhs = kron(kron(a, b), c)
-    rhs = kron(a, kron(b, c))
+    lhs = np.kron(np.kron(a, b), c)
+    rhs = np.kron(a, np.kron(b, c))
     assert np.max(np.abs(lhs - rhs)) / scale3 <= 1e-13
 
 
@@ -95,8 +93,8 @@ def test_partial_trace_layout_mismatch():
 
 
 def test_hermitian_eigenvalues_basic():
-    assert np.allclose(hermitian_eigenvalues(SIGMA_Z.astype(complex)), [-1, 1])
-    assert np.allclose(hermitian_eigenvalues(np.eye(4) / 4), [0.25] * 4)
+    assert np.allclose(np.linalg.eigvalsh(SIGMA_Z.astype(complex)), [-1, 1])
+    assert np.allclose(np.linalg.eigvalsh(np.eye(4) / 4), [0.25] * 4)
 
 
 def test_hermitian_eigenvalues_local_broadcast_state():
@@ -104,19 +102,21 @@ def test_hermitian_eigenvalues_local_broadcast_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 2 / 3
     rho[1, 1] = rho[2, 2] = rho[1, 2] = rho[2, 1] = 1 / 6
-    assert np.allclose(hermitian_eigenvalues(rho), [0, 0, 1 / 3, 2 / 3], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(rho), [0, 0, 1 / 3, 2 / 3], atol=1e-12)
 
 
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+def test_density_operator_rejects_non_hermitian():
+    # unit trace, and its lower triangle (all eigvalsh reads) is I/2
+    rho = np.array([[0.5, 1], [0, 0.5]], dtype=complex)
+    assert not is_density_operator(rho)
+    assert is_density_operator(np.tril(rho))
 
 
 def test_eigenvalue_sum_equals_trace():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = (a + a.conj().T) / 2
-    assert abs(np.sum(hermitian_eigenvalues(h)) - np.trace(h).real) <= 1e-12 * 6
+    assert abs(np.sum(np.linalg.eigvalsh(h)) - np.trace(h).real) <= 1e-12 * 6
 
 
 def test_tensor_product_spectrum_is_pairwise_products():
@@ -126,6 +126,6 @@ def test_tensor_product_spectrum_is_pairwise_products():
         rho = a @ a.conj().T
         return rho / np.trace(rho)
     r1, r2 = rand_density(2), rand_density(3)
-    ev = hermitian_eigenvalues(kron(r1, r2))
-    prods = np.sort(np.outer(hermitian_eigenvalues(r1), hermitian_eigenvalues(r2)).ravel())
+    ev = np.linalg.eigvalsh(np.kron(r1, r2))
+    prods = np.sort(np.outer(np.linalg.eigvalsh(r1), np.linalg.eigvalsh(r2)).ravel())
     assert np.max(np.abs(ev - prods)) <= 1e-11

@@ -1,22 +1,34 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbroadcast.report import _fmt, rows_to_csv
+from entbroadcast.report import _fmt, _jsonable, table_to_csv, table_to_json
+
+
+def as_rows(table):
+    return [dict(zip(table, cells)) for cells in zip(*table.values())]
 
 
 def reference_csv(rows, fieldnames):
-    """The row-at-a-time writer that ``rows_to_csv`` must match byte for byte."""
+    """The row-at-a-time writer that ``table_to_csv`` must match byte for byte."""
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     w.writeheader()
     for r in rows:
         w.writerow({k: _fmt(r[k]) for k in fieldnames})
     return buf.getvalue()
+
+
+def reference_json(rows, fieldnames):
+    """The row-at-a-time writer that ``table_to_json`` must match byte for byte."""
+    return json.dumps([{k: _jsonable(r[k]) for k in fieldnames} for r in rows],
+                      indent=2) + "\n"
 
 
 NAN_WITH_PAYLOAD = np.array(0x7FF8000000000001, dtype=np.int64).view(np.float64).item()
@@ -35,17 +47,31 @@ def tables(draw):
     # an all-float column takes the deduplicating path, any other the per-cell one
     columns = [draw(st.lists(draw(st.sampled_from([FLOATS, CELLS])), min_size=n, max_size=n))
                for _ in names]
-    return [dict(zip(names, cells)) for cells in zip(*columns)], names
+    return dict(zip(names, columns))
 
 
 @settings(max_examples=150, deadline=None)
 @given(tables())
-def test_rows_to_csv_matches_row_writer(table):
-    rows, names = table
-    assert rows_to_csv(rows, names) == reference_csv(rows, names)
+def test_table_to_csv_matches_row_writer(table):
+    assert table_to_csv(table) == reference_csv(as_rows(table), list(table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_table_to_json_matches_row_writer(table):
+    assert table_to_json(table) == reference_json(as_rows(table), list(table))
 
 
 def test_equal_values_of_other_bits_or_types_keep_their_own_text():
     # 0.0 == -0.0 and True == 1, so neither path may share text by value
-    rows = [{"x": x, "y": y} for x, y in ((0.0, True), (-0.0, 1), (0.0, 1.0), (-0.0, True))]
-    assert rows_to_csv(rows, ["x", "y"]) == "x,y\n0,True\n-0,1\n0,1\n-0,True\n"
+    table = {"x": [0.0, -0.0, 0.0, -0.0], "y": [True, 1, 1.0, True]}
+    assert table_to_csv(table) == "x,y\n0,True\n-0,1\n0,1\n-0,True\n"
+
+
+@pytest.mark.parametrize("write", [table_to_csv, table_to_json])
+@pytest.mark.parametrize("table", [{"x": [1.0, 2.0], "y": ["a"]},
+                                   {"x": [], "y": [None]},
+                                   {"x": [1.0], "y": ["a", "b"]}])
+def test_columns_of_unequal_length_raise(write, table):
+    with pytest.raises(ValueError):
+        write(table)
