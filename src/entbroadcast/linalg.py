@@ -33,7 +33,7 @@ def _as_matrix(m):
 
 def _check_layout(m, dims):
     d = int(np.prod(dims))
-    if m.shape[-2:] != (d, d):
+    if m.shape != (d, d):
         raise DimensionError(
             f"layout {list(dims)} implies dimension {d}, matrix is {m.shape}"
         )
