@@ -23,6 +23,7 @@ from .broadcast import (
     local_state,
     nonlocal_state,
     oracle_broadcast,
+    oracle_states,
 )
 from .cloner import (
     ClonerParameter,

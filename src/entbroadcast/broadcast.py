@@ -42,7 +42,7 @@ class EntangledInput:
 
     @property
     def alpha_sq(self):
-        return self.alpha * self.alpha
+        return min(self.alpha * self.alpha, 1.0)  # alpha may pass 1 by rounding
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq):
@@ -145,41 +145,61 @@ def local_states(alpha_sq, xi):
         return _same_site(*_stack_inputs(alpha_sq, xi))
 
 
+def _global_vectors(a, b, p):
+    """Global pure states alpha|00> + beta|11>, each half cloned, for arrays
+    a, b of one shape (...), shape (..., 256). The machine isometry is built
+    once for all of them."""
+    v = machine_isometry(p, MachineKind.ABSTRACT_BH)  # 16x2, raises GramNotPSD below 1/6
+    return (np.multiply.outer(a, np.kron(v[:, 0], v[:, 0]))
+            + np.multiply.outer(b, np.kron(v[:, 1], v[:, 1])))
+
+
 def global_broadcast_vector(inp: EntangledInput, p: ClonerParameter):
     """Global pure state on factors (a1, b1, m1, a2, b2, m2), dims (2,2,4,2,2,4)."""
-    v = machine_isometry(p, MachineKind.ABSTRACT_BH)  # 16x2, raises GramNotPSD below 1/6
-    psi = inp.alpha * np.kron(v[:, 0], v[:, 0]) + inp.beta * np.kron(v[:, 1], v[:, 1])
-    return psi
+    return _global_vectors(inp.alpha, inp.beta, p)
 
 
 ORACLE_DIMS = [2, 2, 4, 2, 2, 4]
 _ORACLE_FACTORS = "abmcdn"  # (a1, b1, m1, a2, b2, m2), one letter per factor
+# name -> factor letters, in the order the reduced state reads
+_ORACLE_PAIRS = {"a1b1": "ab", "a2b2": "cd", "a1b2": "ad", "a2b1": "cb"}
 
 
-def _pair_reduction(psi, pair):
-    """Reduced state of |psi><psi| on two qubit factors, named by their letters.
+def _pair_reduction(psis, pair):
+    """Reduced states of |psi><psi| on two qubit factors, named by their
+    letters, for a stack of global vectors of shape (..., 256).
 
-    The result reads in the order of ``pair``: "cb" gives (a2, b1). One einsum
-    contracts psi with its conjugate over every other factor.
+    The result, of shape (..., 4, 4), reads in the order of ``pair``: "cb"
+    gives (a2, b1). One einsum contracts each psi with its conjugate over
+    every other factor.
     """
     bra = "".join(f.upper() if f in pair else f for f in _ORACLE_FACTORS)
-    t = psi.reshape(ORACLE_DIMS)
-    rho = np.einsum(f"{_ORACLE_FACTORS},{bra}->{pair}{pair.upper()}", t, t.conj())
-    return rho.reshape(4, 4)
+    t = psis.reshape(psis.shape[:-1] + tuple(ORACLE_DIMS))
+    rho = np.einsum(f"...{_ORACLE_FACTORS},...{bra}->...{pair}{pair.upper()}", t, t.conj())
+    return rho.reshape(psis.shape[:-1] + (4, 4))
+
+
+def oracle_states(alpha_sq, p: ClonerParameter):
+    """All four pair reductions of the global states at the points alpha_sq,
+    by brute-force partial tracing, keyed by factor names ("a1b1", "a2b2",
+    "a1b2", "a2b1").
+
+    Each entry has shape alpha_sq.shape + (4, 4). Independent of the closed
+    forms above; agreement with them is the test.
+    """
+    a, b, _ = _stack_inputs(alpha_sq, p.xi)
+    psis = _global_vectors(a, b, p)
+    return {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
 
 
 def oracle_broadcast(inp: EntangledInput, p: ClonerParameter):
-    """Broadcast outputs obtained by brute-force partial tracing of the global state.
-
-    Independent of the closed forms above; agreement with them is the test.
-    """
-    psi = global_broadcast_vector(inp, p)
-    return BroadcastOutputs(local_state=_pair_reduction(psi, "ab"),  # (a1, b1)
-                            nonlocal_state=_pair_reduction(psi, "ad"))  # (a1, b2)
+    """Broadcast outputs of ``oracle_states`` at one input: the same-site
+    pair (a1, b1) and the cross-site pair (a1, b2)."""
+    pairs = oracle_states(inp.alpha_sq, p)
+    return BroadcastOutputs(local_state=pairs["a1b1"], nonlocal_state=pairs["a1b2"])
 
 
 def oracle_all_pairs(inp: EntangledInput, p: ClonerParameter):
-    """All four pair reductions, keyed by factor names, for symmetry checks."""
-    psi = global_broadcast_vector(inp, p)
-    return {name: _pair_reduction(psi, pair)
-            for name, pair in (("a1b1", "ab"), ("a2b2", "cd"), ("a1b2", "ad"), ("a2b1", "cb"))}
+    """All four pair reductions at one input, keyed by factor names, for
+    symmetry checks."""
+    return oracle_states(inp.alpha_sq, p)

@@ -24,7 +24,7 @@ from .analysis import (
     nonlocal_inseparability_range,
     nonlocal_inseparable_predicate,
 )
-from .broadcast import EntangledInput, local_state, nonlocal_state, oracle_broadcast
+from .broadcast import EntangledInput, local_states, nonlocal_states, oracle_states
 from .cloner import (
     MachineKind,
     analysis_parameter,
@@ -164,14 +164,12 @@ def verify_claims(filter_budget=101):
 
     # brute-force oracle agrees with the closed forms wherever it exists
     dev = 0.0
+    a2 = np.arange(0.1, 0.95, 0.1)
     for xi in (1.0 / 6.0, 0.20, 0.30, 0.45):
-        p = make_cloner_parameter(xi)
-        for a2 in np.arange(0.1, 0.95, 0.1):
-            inp = EntangledInput.from_alpha_sq(a2)
-            out = oracle_broadcast(inp, p)
-            dev = max(dev,
-                      float(np.max(np.abs(out.local_state - local_state(inp, p)))),
-                      float(np.max(np.abs(out.nonlocal_state - nonlocal_state(inp, p)))))
+        pairs = oracle_states(a2, make_cloner_parameter(xi))
+        dev = max(dev,
+                  float(np.max(np.abs(pairs["a1b1"] - local_states(a2, xi)))),
+                  float(np.max(np.abs(pairs["a1b2"] - nonlocal_states(a2, xi)))))
     claims.append(_upper_bound("oracle.equivalence",
                                "state-vector oracle vs closed forms, max entry deviation",
                                0.0, dev, 1e-12))

@@ -5,6 +5,7 @@ verdict, 2 usage or configuration error.
 """
 
 import argparse
+import functools
 import math
 import pathlib
 import sys
@@ -33,7 +34,13 @@ from .sweep import (
 )
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and reused for every call.
+
+    Reuse is safe: parsing leaves the parser unchanged, and each repeatable
+    option defaults to None, so argparse starts a new list on every call.
+    """
     ap = argparse.ArgumentParser(
         prog="entbroadcast",
         description="Numerical laboratory for entanglement broadcasting with "

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dag, outer, partial_trace
+from .linalg import dag, partial_trace
 
 XI_LOWER = 0.5 - 0.5 / math.sqrt(2.0)  # ~0.146447
 XI_UPPER = 0.5
@@ -182,10 +182,22 @@ def _clone_pair(rho_in, v):
     return partial_trace(out, [2, 2, v.shape[0] // 4], keep=[0, 1])
 
 
-def _fidelity_under(psi, v):
-    """<psi| rho_a |psi> for the machine isometry ``v``, psi normalized."""
-    rho_a = partial_trace(_clone_pair(outer(psi), v), [2, 2], keep=[0])
-    return float(np.real(psi.conj() @ rho_a @ psi))
+def _fidelities(psis, v):
+    """<psi| rho_a |psi> of each row of the (n, 2) stack ``psis`` under the
+    machine isometry ``v``, as an array of shape (n,).
+
+    Read v|psi> as out[a, r], with a the first clone and r the rest (second
+    clone and machine); the fidelity is sum_r |sum_a conj(psi_a) out[a, r]|^2.
+    Only elementwise products and sums of a fixed number of terms are used, so
+    a row's value does not depend on the other rows; einsum or @ may sum in
+    another order for another number of rows.
+    """
+    cols = v.reshape(2, -1, 2)  # cols[a, :, k]: the amplitudes of v|k> with clone a in |a>
+    p0, p1 = psis[:, 0, None], psis[:, 1, None]
+    overlap = (p0.conj() * (p0 * cols[0, :, 0] + p1 * cols[0, :, 1])
+               + p1.conj() * (p0 * cols[1, :, 0] + p1 * cols[1, :, 1]))
+    sq = overlap.real * overlap.real + overlap.imag * overlap.imag
+    return sum(sq[:, r] for r in range(sq.shape[1]))
 
 
 def clone_density(rho_in, p, kind):
@@ -210,31 +222,42 @@ def clone_fidelity(psi, p, kind):
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"input not normalized (norm {nrm})")
-    return _fidelity_under(psi, machine_isometry(p, kind))
+    return float(_fidelities(psi[None, :], machine_isometry(p, kind))[0])
+
+
+_AXIS_STATES = np.array([
+    [1.0, 0.0],  # +z
+    [0.0, 1.0],  # -z
+    [1.0 / math.sqrt(2), 1.0 / math.sqrt(2)],  # +x
+    [1.0 / math.sqrt(2), -1.0 / math.sqrt(2)],  # -x
+    [1.0 / math.sqrt(2), 1.0j / math.sqrt(2)],  # +y
+    [1.0 / math.sqrt(2), -1.0j / math.sqrt(2)],  # -y
+], dtype=complex)
+_GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+# Sample states per block of an audit, so that its memory does not grow with
+# the sample count.
+_AUDIT_CHUNK = 2048
+
+
+def _bloch_chunks(count):
+    """The rows of ``bloch_sample_states(count)`` in consecutive blocks of at
+    most _AUDIT_CHUNK Fibonacci-sphere points; the first block also holds the
+    six axis states, even when count is 0."""
+    for start in range(0, max(count, 1), _AUDIT_CHUNK):
+        i = np.arange(start, min(start + _AUDIT_CHUNK, count))
+        z = 1.0 - 2.0 * (i + 0.5) / count
+        half_theta = 0.5 * np.arccos(np.clip(z, -1.0, 1.0))
+        phi = (2.0 * math.pi * i / _GOLDEN_RATIO) % (2.0 * math.pi)
+        block = np.stack([np.cos(half_theta) + 0j, np.exp(1j * phi) * np.sin(half_theta)],
+                         axis=1)
+        yield np.concatenate([_AXIS_STATES, block]) if start == 0 else block
 
 
 def bloch_sample_states(count):
-    """Deterministic pure-state sweep: Fibonacci sphere plus the 6 axis states."""
-    states = [
-        np.array([1.0, 0.0], dtype=complex),  # +z
-        np.array([0.0, 1.0], dtype=complex),  # -z
-        np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),  # +x
-        np.array([1.0, -1.0], dtype=complex) / math.sqrt(2),  # -x
-        np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2),  # +y
-        np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2),  # -y
-    ]
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    for i in range(count):
-        z = 1.0 - 2.0 * (i + 0.5) / count
-        theta = math.acos(max(-1.0, min(1.0, z)))
-        phi = (2.0 * math.pi * i / golden) % (2.0 * math.pi)
-        states.append(
-            np.array(
-                [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)],
-                dtype=complex,
-            )
-        )
-    return states
+    """Deterministic pure-state sweep, shape (count + 6, 2): the 6 axis states,
+    then a Fibonacci sphere of ``count`` points."""
+    return np.concatenate(list(_bloch_chunks(count)))
 
 
 @dataclass(frozen=True)
@@ -247,11 +270,14 @@ class UniversalityReport:
 def universality_report(p, kind, sample_count=64):
     """Clone-fidelity spread over a deterministic Bloch-sphere sweep.
 
-    The machine isometry is built once and applied to every sample state.
+    The machine isometry is built once and applied to the samples a block at
+    a time, so memory stays bounded for any sample count.
     """
     if sample_count < 2:
         raise ValueError("sample_count must be >= 2")
     v = machine_isometry(p, kind)
-    fids = [_fidelity_under(psi, v) for psi in bloch_sample_states(sample_count)]
-    lo, hi = min(fids), max(fids)
+    lo, hi = math.inf, -math.inf
+    for states in _bloch_chunks(sample_count):
+        fids = _fidelities(states, v)
+        lo, hi = min(lo, float(fids.min())), max(hi, float(fids.max()))
     return UniversalityReport(min_fidelity=lo, max_fidelity=hi, spread=hi - lo)

@@ -42,16 +42,35 @@ def _csv_fields(texts, sole_field):
     return [line[:-1 - len(pad)] for line in lines]
 
 
+def _is_float_column(cells):
+    return all(map(isinstance, cells, repeat(float)))
+
+
+# Below this many cells a float column is formatted cell by cell: finding the
+# distinct values costs more than it saves.
+_DEDUPE_MIN_CELLS = 32
+
+
+def _float_column(cells, fmt):
+    """``fmt`` of each float cell, called once per distinct float64 bit pattern
+    in a long column.
+
+    Not once per value: 0.0 == -0.0, yet they print "0" and "-0".
+    """
+    if len(cells) < _DEDUPE_MIN_CELLS:
+        return list(map(fmt, cells))
+    bits, inverse = np.unique(np.array(cells, dtype=float).view(np.int64),
+                              return_inverse=True)
+    texts = list(map(fmt, bits.view(float).tolist()))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
 def _csv_column(cells, sole_field):
     """The CSV field of each cell: ``_fmt`` text, quoted as csv quotes it."""
-    if all(map(isinstance, cells, repeat(float))):
-        # Format each distinct float64 bit pattern once. Not each value: 0.0 ==
-        # -0.0, yet they print "0" and "-0". "%.17g" % v equals format(v,
-        # ".17g"), and its digits, sign, ".", "e", "inf" and "nan" need no quotes.
-        bits, inverse = np.unique(np.array(cells, dtype=float).view(np.int64),
-                                  return_inverse=True)
-        texts = list(map("%.17g".__mod__, bits.view(float).tolist()))
-        return np.array(texts, dtype=object)[inverse].tolist()
+    if _is_float_column(cells):
+        # "%.17g" % v equals format(v, ".17g"), and its digits, sign, ".", "e",
+        # "inf" and "nan" need no quotes
+        return _float_column(cells, "%.17g".__mod__)
     texts = [_fmt(v) for v in cells]
     distinct = dict.fromkeys(texts)
     quoted = dict(zip(distinct, _csv_fields(distinct, sole_field)))
@@ -73,14 +92,40 @@ def table_to_csv(table):
     return "\n".join(lines) + "\n"
 
 
+# JSON text of the floats whose repr is not JSON, nan as null
+_JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v):
+    text = float.__repr__(v)  # as json writes it, also for np.float64
+    return _JSON_FLOATS.get(text, text)
+
+
+def _json_column(cells):
+    """The JSON text of each cell, as ``json.dumps`` writes ``_jsonable`` of it."""
+    if _is_float_column(cells):
+        return _float_column(cells, _json_float)
+    if all(map(isinstance, cells, repeat(str))):
+        texts = {t: json.dumps(t) for t in dict.fromkeys(cells)}
+        return [texts[t] for t in cells]
+    return [json.dumps(_jsonable(v)) for v in cells]
+
+
 def table_to_json(table):
     """JSON text of ``table``: a list of one object per row, nan as null.
 
-    Raises ValueError when the columns differ in length.
+    Built a column at a time; the text equals ``json.dumps(rows, indent=2)``
+    of one dict per row, then a newline. Column names are strings. Raises
+    ValueError when the columns differ in length.
     """
-    data = [dict(zip(table, map(_jsonable, row)))
-            for row in zip(*table.values(), strict=True)]
-    return json.dumps(data, indent=2) + "\n"
+    columns = [_json_column(cells) for cells in table.values()]
+    fields = ",\n".join(f"    {json.dumps(name)}: ".replace("%", "%%") + "%s"
+                        for name in table)
+    template = "  {\n" + fields + "\n  }"
+    objects = [template % row for row in zip(*columns, strict=True)]
+    if not objects:
+        return "[]\n"
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def emit_rows(table, fmt, destination):

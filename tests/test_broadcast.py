@@ -13,6 +13,7 @@ from entbroadcast.broadcast import (
     nonlocal_state,
     oracle_all_pairs,
     oracle_broadcast,
+    oracle_states,
 )
 from entbroadcast.cloner import (
     XI_LOWER,
@@ -179,6 +180,12 @@ class TestOracle:
         out = oracle_broadcast(inp, p)
         assert np.max(np.abs(out.local_state - local_state(inp, p))) <= 1e-12
 
+    def test_oracle_takes_alpha_rounded_past_one(self):
+        inp, p = EntangledInput(1.0 + 1e-15), make_cloner_parameter(0.3)
+        out = oracle_broadcast(inp, p)
+        assert np.max(np.abs(out.nonlocal_state - nonlocal_state(inp, p))) <= 1e-12
+        assert np.max(np.abs(out.local_state - local_state(inp, p))) <= 1e-12
+
     def test_oracle_rejects_unphysical_machine(self):
         with pytest.raises(GramNotPSDError):
             oracle_broadcast(EntangledInput.from_alpha_sq(0.5),
@@ -216,3 +223,22 @@ class TestOracle:
         target = p.eta * np.diag([0.3, 0.7]) + p.xi * np.eye(2)
         for rho in (out.local_state, out.nonlocal_state):
             assert np.max(np.abs(partial_trace(rho, [2, 2], [0]) - target)) <= 1e-12
+
+
+@pytest.mark.parametrize("xi", [1 / 6, 0.2, 0.3, 0.45])
+def test_oracle_states_equal_the_one_point_oracles(xi):
+    p = make_cloner_parameter(xi)
+    alpha_sq = np.array([0.0, *np.arange(0.1, 0.95, 0.1), 0.5, 1.0])
+    stack = oracle_states(alpha_sq, p)
+    assert all(rho.shape == alpha_sq.shape + (4, 4) for rho in stack.values())
+    for k, a2 in enumerate(alpha_sq):
+        inp = EntangledInput.from_alpha_sq(a2)
+        pairs = oracle_all_pairs(inp, p)
+        for name, rho in pairs.items():
+            assert np.array_equal(stack[name][k], rho), (a2, name)
+        out = oracle_broadcast(inp, p)
+        assert np.array_equal(stack["a1b1"][k], out.local_state)
+        assert np.array_equal(stack["a1b2"][k], out.nonlocal_state)
+    grid = oracle_states(alpha_sq.reshape(2, -1), p)
+    assert all(np.array_equal(grid[name].reshape(stack[name].shape), stack[name])
+               for name in stack)

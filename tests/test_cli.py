@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from entbroadcast import cli
 from entbroadcast.cli import main
 from entbroadcast.report import table_to_csv, table_to_json
 from entbroadcast.sweep import QUANTITIES, ConfigError, SweepConfig, parse_grid, run_sweep
@@ -276,6 +277,40 @@ def test_option_prefixes_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert e.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # study wrote no directory named "-"
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """Reusing the parser carries nothing over: the outputs equal those of a
+    parser built afresh for each call, and repeatable options start empty."""
+    calls = [
+        ["sweep", "--xi", "0.2", "--xi", "0.3", "--alpha-sq", "0.5", "--alpha-sq", "0.1",
+         "--quantity", "bellM", "--quantity", "fidelity"],
+        ["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bogus"],  # usage error
+        ["sweep", "--xi-grid", "0.2:0.3:2", "--alpha-grid", "0.1:0.9:3",
+         "--quantity", "pptNonlocal", "--format", "json"],
+        ["sweep", "--xi-grid", "0.25:0.25:1", "--alpha-grid", "0.7:0.7:1",
+         "--quantity", "pptLocal"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = run_all()
+    assert [r[0] for r in fresh] == [0, 2, 0, 0]
+    assert run_all() == fresh
+    assert cli._build_parser() is cli._build_parser()
+    args = cli._build_parser().parse_args(calls[3])
+    assert (args.xi, args.alpha_sq, args.quantity) == (None, None, ["pptLocal"])
 
 
 def test_study_out_dir_is_a_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbroadcast.cloner import (
+    _AUDIT_CHUNK,
     XI_LOWER,
     ClonerParameter,
     GramNotPSDError,
     MachineKind,
     OutOfRangeError,
+    _fidelities,
     abstract_machine_vectors,
     analysis_parameter,
     bloch_sample_states,
@@ -23,7 +26,7 @@ from entbroadcast.cloner import (
     single_clone_density,
     universality_report,
 )
-from entbroadcast.linalg import dag, outer
+from entbroadcast.linalg import dag, outer, partial_trace
 
 
 def random_pure_states(n, seed=0):
@@ -216,6 +219,85 @@ class TestUniversalityReport:
         fids = [clone_fidelity(psi, p, kind) for psi in bloch_sample_states(16)]
         rep = universality_report(p, kind, 16)
         assert (rep.min_fidelity, rep.max_fidelity) == (min(fids), max(fids))
+
+
+class TestBatchedAudit:
+    """The audit evaluates its samples as stacks; these hold it to the
+    per-sample route it replaced."""
+
+    @staticmethod
+    def fidelity_by_partial_trace(psi, v):
+        """<psi| rho_a |psi> by the per-sample route: the clone pair's density
+        operator, then two checked partial traces."""
+        out = v @ outer(psi) @ dag(v)
+        rho_ab = partial_trace(out, [2, 2, v.shape[0] // 4], keep=[0, 1])
+        rho_a = partial_trace(rho_ab, [2, 2], keep=[0])
+        return float(np.real(psi.conj() @ rho_a @ psi))
+
+    @staticmethod
+    def sample_states_one_by_one(count):
+        """The sample states as the per-sample route built them, one at a time."""
+        states = [np.array(s, dtype=complex) for s in (
+            [1.0, 0.0], [0.0, 1.0], [1 / math.sqrt(2), 1 / math.sqrt(2)],
+            [1 / math.sqrt(2), -1 / math.sqrt(2)], [1 / math.sqrt(2), 1j / math.sqrt(2)],
+            [1 / math.sqrt(2), -1j / math.sqrt(2)])]
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        for i in range(count):
+            theta = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * (i + 0.5) / count)))
+            phi = (2.0 * math.pi * i / golden) % (2.0 * math.pi)
+            states.append(np.array([math.cos(theta / 2.0),
+                                    np.exp(1j * phi) * math.sin(theta / 2.0)]))
+        return np.array(states)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(MachineKind)), st.floats(1 / 6, 0.5),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_each_row_of_a_stack_as_if_alone(self, kind, xi, n, seed):
+        v = machine_isometry(make_cloner_parameter(xi), kind)
+        psis = random_pure_states(n, seed)
+        fids = _fidelities(psis, v)
+        assert fids.shape == (n,)
+        for k in range(n):
+            assert fids[k].tobytes() == _fidelities(psis[k:k + 1], v).tobytes()
+
+    @pytest.mark.parametrize("kind, xi", [(MachineKind.LITERAL_2D, XI_LOWER),
+                                          (MachineKind.LITERAL_2D, 0.2),
+                                          (MachineKind.ABSTRACT_BH, 1 / 6),
+                                          (MachineKind.ABSTRACT_BH, 0.3)])
+    @pytest.mark.parametrize("samples", [2, 16, 64])
+    def test_matches_per_sample_partial_trace(self, kind, xi, samples):
+        p = make_cloner_parameter(xi)
+        v = machine_isometry(p, kind)
+        states = bloch_sample_states(samples)
+        want = [self.fidelity_by_partial_trace(psi, v) for psi in states]
+        assert np.max(np.abs(_fidelities(states, v) - want)) <= 1e-15
+        rep = universality_report(p, kind, samples)
+        assert abs(rep.min_fidelity - min(want)) <= 1e-15
+        assert abs(rep.max_fidelity - max(want)) <= 1e-15
+
+    @pytest.mark.parametrize("count", [0, 2, 64, 2 * _AUDIT_CHUNK + 5])
+    def test_sample_states_match_one_by_one_construction(self, count):
+        got = bloch_sample_states(count)
+        assert got.shape == (count + 6, 2)
+        assert np.max(np.abs(got - self.sample_states_one_by_one(count))) <= 1e-15
+
+    def test_blocks_do_not_change_the_result(self):
+        p = make_cloner_parameter(XI_LOWER)
+        count = 2 * _AUDIT_CHUNK + 5
+        fids = _fidelities(bloch_sample_states(count), machine_isometry(p, MachineKind.LITERAL_2D))
+        rep = universality_report(p, MachineKind.LITERAL_2D, count)
+        assert (rep.min_fidelity, rep.max_fidelity) == (fids.min(), fids.max())
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        p = make_cloner_parameter(0.3)
+        universality_report(p, MachineKind.ABSTRACT_BH, 2)  # first-call costs outside
+        tracemalloc.start()
+        try:
+            universality_report(p, MachineKind.ABSTRACT_BH, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20  # all samples at once would take about 70 MB
 
 
 @pytest.mark.parametrize("xi", [-0.1, -1e-9, 0.5 + 1e-9, 0.7])
