@@ -42,7 +42,7 @@ class EntangledInput:
 
     @property
     def alpha_sq(self):
-        return min(self.alpha * self.alpha, 1.0)  # alpha may pass 1 by rounding
+        return self.alpha * self.alpha
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq):
@@ -146,9 +146,9 @@ def local_states(alpha_sq, xi):
 
 
 def _global_vectors(a, b, p):
-    """Global pure states alpha|00> + beta|11>, each half cloned, for arrays
-    a, b of one shape (...), shape (..., 256). The machine isometry is built
-    once for all of them."""
+    """Global pure states alpha|00> + beta|11>, each half cloned: shape (256,)
+    for floats a, b, or (..., 256) for arrays of one shape (...). The machine
+    isometry is built once for all of them."""
     v = machine_isometry(p, MachineKind.ABSTRACT_BH)  # 16x2, raises GramNotPSD below 1/6
     return (np.multiply.outer(a, np.kron(v[:, 0], v[:, 0]))
             + np.multiply.outer(b, np.kron(v[:, 1], v[:, 1])))
@@ -179,27 +179,32 @@ def _pair_reduction(psis, pair):
     return rho.reshape(psis.shape[:-1] + (4, 4))
 
 
+def _oracle_pairs(a, b, p, names):
+    """The named pair reductions of the global states ``_global_vectors(a, b, p)``,
+    by brute-force partial tracing, each of shape a.shape + (4, 4)."""
+    psis = _global_vectors(a, b, p)
+    return {name: _pair_reduction(psis, _ORACLE_PAIRS[name]) for name in names}
+
+
 def oracle_states(alpha_sq, p: ClonerParameter):
     """All four pair reductions of the global states at the points alpha_sq,
-    by brute-force partial tracing, keyed by factor names ("a1b1", "a2b2",
-    "a1b2", "a2b1").
+    keyed by factor names ("a1b1", "a2b2", "a1b2", "a2b1").
 
     Each entry has shape alpha_sq.shape + (4, 4). Independent of the closed
     forms above; agreement with them is the test.
     """
     a, b, _ = _stack_inputs(alpha_sq, p.xi)
-    psis = _global_vectors(a, b, p)
-    return {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
+    return _oracle_pairs(a, b, p, _ORACLE_PAIRS)
 
 
 def oracle_broadcast(inp: EntangledInput, p: ClonerParameter):
-    """Broadcast outputs of ``oracle_states`` at one input: the same-site
-    pair (a1, b1) and the cross-site pair (a1, b2)."""
-    pairs = oracle_states(inp.alpha_sq, p)
+    """Broadcast outputs of ``global_broadcast_vector`` by brute-force partial
+    tracing: the same-site pair (a1, b1) and the cross-site pair (a1, b2)."""
+    pairs = _oracle_pairs(inp.alpha, inp.beta, p, ("a1b1", "a1b2"))
     return BroadcastOutputs(local_state=pairs["a1b1"], nonlocal_state=pairs["a1b2"])
 
 
 def oracle_all_pairs(inp: EntangledInput, p: ClonerParameter):
     """All four pair reductions at one input, keyed by factor names, for
     symmetry checks."""
-    return oracle_states(inp.alpha_sq, p)
+    return _oracle_pairs(inp.alpha, inp.beta, p, _ORACLE_PAIRS)

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,19 +47,11 @@ def _is_float_column(cells):
     return all(map(isinstance, cells, repeat(float)))
 
 
-# Below this many cells a float column is formatted cell by cell: finding the
-# distinct values costs more than it saves.
-_DEDUPE_MIN_CELLS = 32
-
-
 def _float_column(cells, fmt):
-    """``fmt`` of each float cell, called once per distinct float64 bit pattern
-    in a long column.
+    """``fmt`` of each float cell, called once per distinct float64 bit pattern.
 
     Not once per value: 0.0 == -0.0, yet they print "0" and "-0".
     """
-    if len(cells) < _DEDUPE_MIN_CELLS:
-        return list(map(fmt, cells))
     bits, inverse = np.unique(np.array(cells, dtype=float).view(np.int64),
                               return_inverse=True)
     texts = list(map(fmt, bits.view(float).tolist()))
@@ -95,6 +88,12 @@ def table_to_csv(table):
 # JSON text of the floats whose repr is not JSON, nan as null
 _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Below this many cells a JSON float column is written cell by cell: finding
+# the distinct values costs about as much as formatting 20-30 cells of one
+# value, and more than a column of distinct values ever saves; with it the
+# one-row clone-audit table would take several times as long as json.dumps.
+_DEDUPE_MIN_CELLS = 32
+
 
 def _json_float(v):
     text = float.__repr__(v)  # as json writes it, also for np.float64
@@ -104,9 +103,11 @@ def _json_float(v):
 def _json_column(cells):
     """The JSON text of each cell, as ``json.dumps`` writes ``_jsonable`` of it."""
     if _is_float_column(cells):
+        if len(cells) < _DEDUPE_MIN_CELLS:
+            return list(map(_json_float, cells))
         return _float_column(cells, _json_float)
     if all(map(isinstance, cells, repeat(str))):
-        texts = {t: json.dumps(t) for t in dict.fromkeys(cells)}
+        texts = {t: _json_str(t) for t in dict.fromkeys(cells)}
         return [texts[t] for t in cells]
     return [json.dumps(_jsonable(v)) for v in cells]
 
@@ -119,7 +120,7 @@ def table_to_json(table):
     ValueError when the columns differ in length.
     """
     columns = [_json_column(cells) for cells in table.values()]
-    fields = ",\n".join(f"    {json.dumps(name)}: ".replace("%", "%%") + "%s"
+    fields = ",\n".join(f"    {_json_str(name)}: ".replace("%", "%%") + "%s"
                         for name in table)
     template = "  {\n" + fields + "\n  }"
     objects = [template % row for row in zip(*columns, strict=True)]

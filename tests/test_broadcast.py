@@ -180,12 +180,6 @@ class TestOracle:
         out = oracle_broadcast(inp, p)
         assert np.max(np.abs(out.local_state - local_state(inp, p))) <= 1e-12
 
-    def test_oracle_takes_alpha_rounded_past_one(self):
-        inp, p = EntangledInput(1.0 + 1e-15), make_cloner_parameter(0.3)
-        out = oracle_broadcast(inp, p)
-        assert np.max(np.abs(out.nonlocal_state - nonlocal_state(inp, p))) <= 1e-12
-        assert np.max(np.abs(out.local_state - local_state(inp, p))) <= 1e-12
-
     def test_oracle_rejects_unphysical_machine(self):
         with pytest.raises(GramNotPSDError):
             oracle_broadcast(EntangledInput.from_alpha_sq(0.5),

@@ -80,7 +80,7 @@ def test_columns_of_unequal_length_raise(write, table):
 @pytest.mark.parametrize("write, reference", [(table_to_csv, reference_csv),
                                               (table_to_json, reference_json)])
 def test_long_float_columns_match_row_writer(write, reference):
-    # a long column formats each distinct bit pattern once; a short one each cell
+    # long enough that JSON too formats each distinct bit pattern once
     cells = SPECIAL_FLOATS + [np.float64(v) for v in SPECIAL_FLOATS]
     table = {"x": cells * 3, "y": cells[::-1] * 3, "z": ["a,b", "c"] * (len(cells) * 3 // 2)}
     assert write(table) == reference(as_rows(table), list(table))
