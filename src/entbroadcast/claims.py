@@ -174,7 +174,7 @@ def verify_claims(filter_budget=101):
                                "state-vector oracle vs closed forms, max entry deviation",
                                0.0, dev, 1e-12))
 
-    # the literal machine is not universal away from xi = 1/6; recorded as a
+    # the literal machine is not universal away from xi = 1/6 and 1/2; recorded as a
     # documented discrepancy of the two machine readings, not a failure
     rep_opt = universality_report(make_cloner_parameter(XI_OPTIMAL),
                                   MachineKind.LITERAL_2D, 64)

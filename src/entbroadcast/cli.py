@@ -18,10 +18,11 @@ from .analysis import (
     nonlocal_inseparable_predicate,
 )
 from .cloner import (
-    ClonerParameter,
     GramNotPSDError,
     MachineKind,
     OutOfRangeError,
+    analysis_parameter,
+    make_cloner_parameter,
     universality_report,
 )
 from .report import emit_rows
@@ -53,11 +54,12 @@ def _build_parser():
         # is an error and not "--out-dir"
         return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    def add_common(p):
+    def add_common(p, analysis_only=True):
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default="-", help="output path, or - for stdout")
-        p.add_argument("--analysis-only", action="store_true",
-                       help="permit xi outside the machine's admissible range")
+        if analysis_only:
+            p.add_argument("--analysis-only", action="store_true",
+                           help="permit xi outside the machine's admissible range")
 
     sp = add_command("sweep", "evaluate quantities over an (xi, alpha^2) grid")
     sp.add_argument("--xi", type=float, action="append", default=None)
@@ -73,7 +75,7 @@ def _build_parser():
     vp = add_command("verify", "recompute and check every headline claim")
     vp.add_argument("--filter-budget", type=int, default=101,
                     help="grid points per filter-ratio axis")
-    add_common(vp)
+    add_common(vp, analysis_only=False)
 
     bp = add_command("boundary", "bisect a PPT boundary in alpha^2")
     bp.add_argument("--xi", type=float, required=True)
@@ -141,7 +143,7 @@ def _cmd_verify(args):
 def _cmd_boundary(args):
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
         raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-    p = ClonerParameter(args.xi, analysis_only=args.analysis_only)
+    p = (analysis_parameter if args.analysis_only else make_cloner_parameter)(args.xi)
     if args.target == "nonlocal":
         pred = nonlocal_inseparable_predicate(p)
     else:
@@ -156,7 +158,7 @@ def _cmd_boundary(args):
 
 def _cmd_clone_audit(args):
     _require_at_least("--samples", args.samples, 2)
-    p = ClonerParameter(args.xi, analysis_only=args.analysis_only)
+    p = (analysis_parameter if args.analysis_only else make_cloner_parameter)(args.xi)
     rep = universality_report(p, MachineKind(args.kind), args.samples)
     table = {"xi": [args.xi], "kind": [args.kind], "samples": [args.samples],
              "min_fidelity": [rep.min_fidelity], "max_fidelity": [rep.max_fidelity],
@@ -192,7 +194,7 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, OutOfRangeError, GramNotPSDError, analysis.RangeUndefinedError,
-            analysis.NoCrossingError, OSError) as e:
+            analysis.NoCrossingError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

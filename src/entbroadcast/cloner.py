@@ -1,23 +1,22 @@
 """The xi-parameterized family of universal cloning machines.
 
-Two readings of the machine are implemented:
+A machine maps |k> -> |kk> Q_k + (|01> + |10>) Y_k and is given by its machine
+vectors (Q0, Y0, Q1, Y1), the rows of a real matrix. The two readings differ
+only in <Q0|Y1> = <Q1|Y0>:
 
-* ``Literal2D`` -- the transformation with a two-dimensional ancilla whose
-  basis vectors are literally orthonormal. This is a valid isometry for
-  every xi in the allowed range, but direct computation shows its clone
-  fidelity is input-dependent except at xi = 1/6.
-* ``AbstractBH`` -- machine vectors Q0, Y0, Q1, Y1 whose inner products are
-  fixed so the single-clone channel is the universal shrinking map
-  rho -> (1-2 xi) rho + xi I. The required Gram matrix is positive
-  semidefinite only for xi >= 1/6, so this machine does not exist below
-  that point.
+* ``Literal2D`` -- a two-dimensional ancilla with orthonormal basis vectors,
+  where it is sqrt(eta xi). A valid isometry for every allowed xi, but its
+  clone fidelity is input-dependent except at xi = 1/6 and xi = 1/2.
+* ``AbstractBH`` -- the Buzek-Hillery machine, where it is eta/2, so a single
+  clone sees the universal shrinking map rho -> (1-2 xi) rho + xi I. It
+  exists only for xi >= eta/4, i.e. xi >= 1/6.
 
 Both are exposed; discrepancies between them are reported, not hidden.
 """
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,6 @@ from .linalg import dag, partial_trace
 XI_LOWER = 0.5 - 0.5 / math.sqrt(2.0)  # ~0.146447
 XI_UPPER = 0.5
 XI_SLACK = 1e-12  # closed interval with slack: both endpoints are used as distinguished values
-
-XI_ABSTRACT_MIN = 1.0 / 6.0  # Gram matrix PSD boundary
 
 GRAM_PSD_TOL = 1e-10
 
@@ -57,22 +54,14 @@ class MachineKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ClonerParameter:
-    """Machine parameter xi with derived eta = 1 - 2 xi.
-
-    ``analysis_only=True`` skips range validation; analysis-layer operations
-    accept such parameters, protocol-level operations should not be handed
-    them.
-    """
+    """Machine parameter xi with derived eta = 1 - 2 xi. It checks only that xi
+    is finite; ``make_cloner_parameter`` checks the admissible range."""
 
     xi: float
-    analysis_only: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.xi):
             raise OutOfRangeError(self.xi)
-        if not self.analysis_only:
-            if self.xi < XI_LOWER - XI_SLACK or self.xi > XI_UPPER + XI_SLACK:
-                raise OutOfRangeError(self.xi)
 
     @property
     def eta(self):
@@ -81,48 +70,35 @@ class ClonerParameter:
 
 def make_cloner_parameter(xi):
     """Validated machine parameter; raises OutOfRangeError outside the allowed range."""
-    return ClonerParameter(xi)
+    p = ClonerParameter(xi)
+    if p.xi < XI_LOWER - XI_SLACK or p.xi > XI_UPPER + XI_SLACK:
+        raise OutOfRangeError(xi)
+    return p
 
 
 def analysis_parameter(xi):
     """Unchecked parameter for analysis-only sweeps outside the machine range."""
-    return ClonerParameter(xi, analysis_only=True)
+    return ClonerParameter(xi)
 
 
-# |+> = (|01> + |10>)/sqrt(2) in the two-clone space
-_PLUS = np.zeros(4, dtype=complex)
-_PLUS[1] = _PLUS[2] = 1.0 / math.sqrt(2.0)
-
-_E2 = np.eye(2, dtype=complex)
-_E4 = np.eye(4, dtype=complex)
-
-
-def literal_isometry(p):
-    """8x2 isometry of the literal machine, factor order (a, b, machine).
-
-    Column k is the image of basis input |k>:
-    |0> -> sqrt(1-2xi)|00>|up> + sqrt(2xi)|+>|down>
-    |1> -> sqrt(1-2xi)|11>|down> + sqrt(2xi)|+>|up>
+def literal_machine_vectors(p):
+    """Literal machine vectors (Q0, Y0, Q1, Y1) as rows of a 4x2 real matrix over
+    the ancilla basis (up, down): Q0 = sqrt(eta)|up>, Q1 = sqrt(eta)|down>,
+    Y0 = sqrt(xi)|down>, Y1 = sqrt(xi)|up>.
 
     Raises OutOfRangeError for xi outside [0, 1/2] (beyond XI_SLACK), where
-    these columns are not orthonormal.
+    the isometry's columns are not orthonormal.
     """
     eta, xi = p.eta, p.xi
     if not (-XI_SLACK <= xi <= XI_UPPER + XI_SLACK):
         raise OutOfRangeError(xi, 0.0, XI_UPPER)
-    s_eta, s_2xi = math.sqrt(max(eta, 0.0)), math.sqrt(max(2.0 * xi, 0.0))
-    up, down = _E2[:, 0], _E2[:, 1]
-    e00 = np.zeros(4, dtype=complex)
-    e00[0] = 1.0
-    e11 = np.zeros(4, dtype=complex)
-    e11[3] = 1.0
-    col0 = s_eta * np.kron(e00, up) + s_2xi * np.kron(_PLUS, down)
-    col1 = s_eta * np.kron(e11, down) + s_2xi * np.kron(_PLUS, up)
-    return np.stack([col0, col1], axis=1)
+    # y is sqrt(2 xi) times the |01> amplitude of |+>, the product the isometry holds
+    q, y = math.sqrt(max(eta, 0.0)), math.sqrt(max(2.0 * xi, 0.0)) * (1.0 / math.sqrt(2.0))
+    return np.array([[q, 0.0], [0.0, y], [0.0, q], [y, 0.0]])
 
 
 def gram_matrix(p):
-    """4x4 Gram matrix of the machine vectors in order (Q0, Y0, Q1, Y1)."""
+    """4x4 Gram matrix of the abstract machine vectors in order (Q0, Y0, Q1, Y1)."""
     eta, xi = p.eta, p.xi
     g = np.zeros((4, 4))
     g[0, 0] = g[2, 2] = eta
@@ -133,53 +109,54 @@ def gram_matrix(p):
 
 
 def abstract_machine_vectors(p):
-    """Machine vectors Q0, Y0, Q1, Y1 as rows of a 4x4 real matrix.
+    """Abstract machine vectors (Q0, Y0, Q1, Y1) as rows of a 4x4 real matrix
+    with Gram matrix ``gram_matrix(p)``: Q0 = sqrt(eta) e1, Q1 = sqrt(eta) e3,
+    Y1 = sqrt(eta)/2 e1 + r e2, Y0 = sqrt(eta)/2 e3 + r e4, r = sqrt(xi - eta/4).
 
-    Any factorization of the Gram matrix is acceptable; this one uses the
-    eigendecomposition square root. Raises GramNotPSDError when the Gram
-    matrix has an eigenvalue below -1e-10 (no physical machine exists).
+    Raises GramNotPSDError when the least Gram eigenvalue, that of the block
+    [[eta, eta/2], [eta/2, xi]], is below -GRAM_PSD_TOL: no machine exists.
+    Within that tolerance, a negative eta or r^2 is taken as 0.
     """
-    g = gram_matrix(p)
-    if not np.isfinite(g).all():  # 2 xi overflowed: eta = -inf on the diagonal
-        raise GramNotPSDError(p.xi, -math.inf)
-    w, v = np.linalg.eigh(g)
-    if w[0] < -GRAM_PSD_TOL:
-        raise GramNotPSDError(p.xi, w[0])
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)  # rows L[i] satisfy L @ L.T = g
+    eta, xi = p.eta, p.xi
+    h = eta / 2.0  # halving first keeps h +- xi/2 finite wherever eta is
+    least = h + xi / 2.0 - math.hypot(h - xi / 2.0, h)
+    if not least >= -GRAM_PSD_TOL:  # also rejects the -inf or nan of an overflowed 2 xi
+        raise GramNotPSDError(xi, least)
+    q, r = math.sqrt(max(eta, 0.0)), math.sqrt(max(xi - eta / 4.0, 0.0))
+    return np.array([[q, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, q / 2.0, r],
+                     [0.0, 0.0, q, 0.0],
+                     [q / 2.0, r, 0.0, 0.0]])
 
 
-def abstract_isometry(p):
-    """16x2 isometry of the abstract machine, factor order (a, b, machine).
-
-    The machine lives in the 4-dimensional span of (Q0, Y0, Q1, Y1).
-    Column k: |k> -> |kk> Q_k + (|01> + |10>) Y_k.
-    """
-    vecs = abstract_machine_vectors(p).astype(complex)
+def _isometry(vecs):
+    """(4 d)x2 isometry, factor order (a, b, machine), of the machine vectors
+    ``vecs`` (rows Q0, Y0, Q1, Y1 of dimension d): column k is the image
+    |kk> Q_k + (|01> + |10>) Y_k of the input |k>."""
     q0, y0, q1, y1 = vecs
-    e00 = np.zeros(4, dtype=complex)
-    e00[0] = 1.0
-    e11 = np.zeros(4, dtype=complex)
-    e11[3] = 1.0
-    sym = np.zeros(4, dtype=complex)
-    sym[1] = sym[2] = 1.0  # |01> + |10>, unnormalized
-    col0 = np.kron(e00, q0) + np.kron(sym, y0)
-    col1 = np.kron(e11, q1) + np.kron(sym, y1)
-    return np.stack([col0, col1], axis=1)
+    v = np.zeros((4, len(q0), 2), dtype=complex)  # v[ab, machine, k]
+    v[0, :, 0], v[3, :, 1] = q0, q1
+    v[1, :, 0] = v[2, :, 0] = y0
+    v[1, :, 1] = v[2, :, 1] = y1
+    return v.reshape(-1, 2)
+
+
+def literal_isometry(p):
+    """8x2 isometry of the literal machine, factor order (a, b, machine).
+
+    Column k is the image of basis input |k>:
+    |0> -> sqrt(1-2xi)|00>|up> + sqrt(2xi)|+>|down>
+    |1> -> sqrt(1-2xi)|11>|down> + sqrt(2xi)|+>|up>
+    """
+    return _isometry(literal_machine_vectors(p))
 
 
 def machine_isometry(p, kind):
     if kind is MachineKind.LITERAL_2D:
         return literal_isometry(p)
     if kind is MachineKind.ABSTRACT_BH:
-        return abstract_isometry(p)
+        return _isometry(abstract_machine_vectors(p))
     raise ValueError(f"unknown machine kind {kind!r}")
-
-
-def _clone_pair(rho_in, v):
-    """4x4 two-clone state of machine isometry ``v`` after tracing the machine out."""
-    out = v @ rho_in @ dag(v)
-    return partial_trace(out, [2, 2, v.shape[0] // 4], keep=[0, 1])
 
 
 def _fidelities(psis, v):
@@ -205,7 +182,8 @@ def clone_density(rho_in, p, kind):
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (2, 2):
         raise ValueError("input must be a 2x2 density operator")
-    return _clone_pair(rho_in, machine_isometry(p, kind))
+    v = machine_isometry(p, kind)
+    return partial_trace(v @ rho_in @ dag(v), [2, 2, v.shape[0] // 4], keep=[0, 1])
 
 
 def single_clone_density(rho_in, p, kind):

@@ -16,9 +16,9 @@ from .analysis import (
 from .broadcast import EntangledInput
 from .cloner import (
     XI_LOWER,
-    ClonerParameter,
     GramNotPSDError,
     MachineKind,
+    analysis_parameter,
     make_cloner_parameter,
     universality_report,
 )
@@ -57,9 +57,9 @@ class SweepConfig:
 def run_sweep(cfg: SweepConfig):
     """The sweep table: a row per (xi, alpha^2, quantity), xi-major, then
     alpha^2, then quantity."""
+    check = analysis_parameter if cfg.analysis_only else make_cloner_parameter
     for xi in cfg.xi_grid:
-        # the machine's range, or finiteness when analysis-only
-        ClonerParameter(float(xi), analysis_only=cfg.analysis_only)
+        check(float(xi))  # the machine's range, or finiteness when analysis-only
     xi = np.asarray(cfg.xi_grid, dtype=float)
     a2 = np.asarray(cfg.alpha_sq_grid, dtype=float)
     values = evaluate(cfg.quantities, xi[:, None], a2[None, :], cfg.werner_tol)
@@ -84,7 +84,7 @@ def parse_grid(spec):
     if n < 1:
         raise ConfigError(f"grid spec {spec!r}: need at least one point")
     if n == 1:
-        return (lo,)
+        return (lo,)  # np.linspace(lo, hi, 1) loses -0.0 and is nan for a non-finite endpoint
     return tuple(np.linspace(lo, hi, n))
 
 

@@ -30,6 +30,9 @@ class TestSweepConfig:
     def test_parse_grid(self):
         assert parse_grid("0:1:3") == (0.0, 0.5, 1.0)
         assert parse_grid("0.3:0.9:1") == (0.3,)
+        # one point is lo itself, whatever hi is and whatever the sign of zero
+        assert [math.copysign(1.0, x) for x in parse_grid("-0.0:1:1")] == [-1.0]
+        assert parse_grid("0.2:nan:1") == parse_grid("0.2:inf:1") == (0.2,)
         with pytest.raises(ConfigError):
             parse_grid("0:1")
         with pytest.raises(ConfigError):
@@ -183,6 +186,29 @@ def test_exit_codes_without_traceback(argv, code, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "boundary", "clone-audit"])
+def test_memory_error_is_an_input_error(command, monkeypatch, capsys):
+    """A run too large for the machine's memory exits 2 with one error line."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.0 GiB for an array")
+
+    for stage in ("run_sweep", "boundary_bisect", "universality_report"):
+        monkeypatch.setattr(cli, stage, out_of_memory)
+    argv = {"sweep": ["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM"],
+            "boundary": ["boundary", "--xi", "0.2"],
+            "clone-audit": ["clone-audit", "--xi", "0.2"]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 6.0 GiB for an array\n"
+
+
+def test_verify_takes_no_analysis_only_flag(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--filter-budget", "1", "--analysis-only"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --analysis-only" in capsys.readouterr().err
+
+
 def test_signed_zero_alpha_sq_keeps_its_sign(capsys):
     assert main(["sweep", "--xi", "0.2", "--alpha-sq", "-0.0", "--alpha-sq", "0.0",
                  "--quantity", "pptNonlocal"]) == 0
@@ -203,16 +229,17 @@ OUTS = ["-", "TMP/out.csv", "TMP", "TMP/missing/out.csv", "TMP/blocker/out.csv"]
 OUT_DIRS = ["TMP/study", "TMP/blocker/sub", "TMP/blocker"]
 CHOICES = ["nonlocal", "local", "lower", "upper", "both", "csv", "json", "Literal2D",
            "AbstractBH", *QUANTITIES, "bogus"]
-COMMON = {"--format": ["csv", "json"], "--out": OUTS, "--analysis-only": None}
+COMMON = {"--format": ["csv", "json"], "--out": OUTS}
+MACHINE = {**COMMON, "--analysis-only": None}  # the commands that take an xi
 FLAGS = {
     "sweep": {"--xi": FLOATS, "--xi-grid": GRIDS, "--alpha-sq": FLOATS,
               "--alpha-grid": GRIDS, "--quantity": list(QUANTITIES), "--tol": FLOATS,
-              **COMMON},
+              **MACHINE},
     "verify": {"--filter-budget": COUNTS, **COMMON},
     "boundary": {"--xi": FLOATS, "--target": ["nonlocal", "local"],
-                 "--side": ["lower", "upper", "both"], "--tol": FLOATS, **COMMON},
+                 "--side": ["lower", "upper", "both"], "--tol": FLOATS, **MACHINE},
     "clone-audit": {"--xi": FLOATS, "--kind": ["Literal2D", "AbstractBH"],
-                    "--samples": COUNTS, **COMMON},
+                    "--samples": COUNTS, **MACHINE},
     "study": {"--out-dir": OUT_DIRS, "--xi-points": COUNTS, "--filter-budget": COUNTS,
               "--samples": COUNTS},
 }
@@ -240,7 +267,7 @@ def argvs(draw):
         foreign = draw(st.integers(0, 3)) == 3
         flag = draw(st.sampled_from(ALL_FLAGS if foreign else sorted(FLAGS[command])))
         argv.append(flag)
-        own = FLAGS[command].get(flag, COMMON.get(flag, FLOATS))
+        own = FLAGS[command].get(flag, MACHINE.get(flag, FLOATS))
         if flag in ("--out", "--out-dir"):
             # paths stay inside TMP; study writes a directory, so it gets one
             argv.append(draw(st.sampled_from(OUT_DIRS if command == "study" else OUTS)))

@@ -21,6 +21,7 @@ from entbroadcast.cloner import (
     clone_fidelity,
     gram_matrix,
     literal_isometry,
+    literal_machine_vectors,
     machine_isometry,
     make_cloner_parameter,
     single_clone_density,
@@ -80,6 +81,73 @@ class TestLiteralIsometry:
         assert np.isclose(v[0, 0], math.sqrt(2 / 3))
         assert np.isclose(v[3, 0], math.sqrt(1 / 6))
         assert np.isclose(v[5, 0], math.sqrt(1 / 6))
+
+
+class TestMachineVectors:
+    """Both readings are sets of machine vectors (Q0, Y0, Q1, Y1) that differ
+    only in the cross product <Q0|Y1> = <Q1|Y0>."""
+
+    CROSS = [(0, 3), (3, 0), (1, 2), (2, 1)]
+    GRID = sorted({*np.linspace(XI_LOWER, 0.5, 57).tolist(), 1 / 6})
+
+    @staticmethod
+    def kron_literal_isometry(p):
+        """The literal isometry built as Kronecker products of the clone pair's
+        and the ancilla's basis vectors."""
+        plus = np.zeros(4, dtype=complex)
+        plus[1] = plus[2] = 1.0 / math.sqrt(2.0)
+        up, down = np.eye(2, dtype=complex)
+        e00, e11 = np.eye(4, dtype=complex)[[0, 3]]
+        s_eta = math.sqrt(max(p.eta, 0.0))
+        s_2xi = math.sqrt(max(2.0 * p.xi, 0.0))
+        col0 = s_eta * np.kron(e00, up) + s_2xi * np.kron(plus, down)
+        col1 = s_eta * np.kron(e11, down) + s_2xi * np.kron(plus, up)
+        return np.stack([col0, col1], axis=1)
+
+    @pytest.mark.parametrize("xi", [-1e-12, 0.0, XI_LOWER, 1 / 6, 0.5, 0.5 + 1e-12,
+                                    *np.linspace(0.0, 0.5, 41).tolist()])
+    def test_literal_isometry_is_the_kron_construction_bit_for_bit(self, xi):
+        p = analysis_parameter(xi)
+        assert np.array_equal(literal_isometry(p), self.kron_literal_isometry(p))
+
+    def test_literal_gram_differs_from_the_abstract_only_in_the_cross_products(self):
+        rest = np.ones((4, 4), dtype=bool)
+        rest[tuple(zip(*self.CROSS))] = False
+        agree = []
+        for xi in self.GRID:
+            p = make_cloner_parameter(xi)
+            vecs = literal_machine_vectors(p)
+            lit, spec = vecs @ vecs.T, gram_matrix(p)
+            assert np.max(np.abs(lit - spec)[rest]) <= 1e-15
+            for i, j in self.CROSS:
+                assert abs(lit[i, j] - math.sqrt(p.eta * p.xi)) <= 1e-15
+                assert spec[i, j] == p.eta / 2.0
+            if abs(math.sqrt(p.eta * p.xi) - p.eta / 2.0) <= 1e-15:
+                agree.append(xi)
+        assert agree == [1 / 6, 0.5]
+
+    @pytest.mark.parametrize("xi", [1 / 6, 0.5])
+    def test_literal_universal_where_the_cross_products_agree(self, xi):
+        rep = universality_report(make_cloner_parameter(xi), MachineKind.LITERAL_2D, 64)
+        assert rep.spread <= 1e-12
+
+    def test_literal_not_universal_away_from_those_points(self):
+        far = [xi for xi in self.GRID if min(abs(xi - 1 / 6), abs(xi - 0.5)) >= 0.01]
+        assert len(far) >= 40
+        for xi in far:
+            rep = universality_report(make_cloner_parameter(xi), MachineKind.LITERAL_2D, 64)
+            assert rep.spread > 1e-3, xi
+
+    @pytest.mark.parametrize("xi", [-1.0, -0.1, 0.0, 0.1, XI_LOWER, 0.16, 0.6, 2.0, 1e6])
+    def test_rejection_reports_the_least_gram_eigenvalue(self, xi):
+        with pytest.raises(GramNotPSDError) as e:
+            abstract_machine_vectors(analysis_parameter(xi))
+        least = np.linalg.eigvalsh(gram_matrix(analysis_parameter(xi)))[0]
+        assert e.value.min_eigenvalue == pytest.approx(least, rel=1e-12, abs=1e-15)
+
+    def test_overflowed_eta_is_rejected(self):
+        with pytest.raises(GramNotPSDError, match="eigenvalue -inf < 0"):
+            abstract_machine_vectors(analysis_parameter(1e308))
 
 
 class TestAbstractMachine:

@@ -1,8 +1,9 @@
 """Import hygiene of the package, read from its source with ``ast``.
 
-No module imports another module's private (``_``-prefixed) names, and no
-module imports a name it never uses. The package ``__init__`` is exempt from
-the second rule: its imports are the package's public interface.
+No module imports another module's private (``_``-prefixed) names, no
+module imports a name it never uses, and every private name a module binds
+at its top level is used in it. The package ``__init__`` is exempt from the
+second rule: its imports are the package's public interface.
 """
 
 import ast
@@ -38,4 +39,30 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [bound for _, _, bound in _imports(tree) if bound not in used]
+    assert not unused, f"{path.name} never uses {unused}"
+
+
+def _top_level_bindings(tree):
+    """Every name bound by a statement at the top level of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (bound for _, _, bound in _imports(node))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_module_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    private = {name for name in _top_level_bindings(tree)
+               if name.startswith("_") and not name.startswith("__")}
+    unused = sorted(private - loaded)
     assert not unused, f"{path.name} never uses {unused}"
