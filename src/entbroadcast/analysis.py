@@ -157,16 +157,47 @@ def _max_dev(a, b):
     return np.max(np.abs(a - b), axis=(-2, -1))
 
 
+# Every state _werner_fit accepts has both one-qubit reductions near I/2.
+# Non-mixed: each reduction of rho - recon is a sum of two entries within tol,
+# and recon's reduction is I/2 + x (psi's reduction - I/2), within x tol, so
+# the total is within (2 + x) tol <= 3 tol: x = (4 lambda_max - 1)/3 is at
+# most 1 + 16/3 STATE_TOL for a density operator. Mixed: within tol of I/4
+# entrywise, so within 2 tol. The screen rejects beyond 4 tol plus an
+# allowance for the few roundings (each below an ulp of an entry of size at
+# most 1) in forming recon, psi's reductions and the two sums.
+_WERNER_SCREEN_ULPS = 16 * np.finfo(float).eps
+_HALF = np.eye(2) / 2.0
+
+
 def _werner(rho, tol):
-    """Werner weight x and pure part psi; x is nan where rho has no Werner form."""
+    """Werner weight x and pure part psi; x is nan where rho has no Werner form.
+
+    ``rho`` is a density operator or a stack of them. Only the states whose
+    two one-qubit reductions lie within 4 tol (plus a few ulps) of I/2 can
+    have Werner form, so only those are diagonalised; every other state gets
+    x = nan and psi = |Phi+>. Every step of the fit acts on each matrix
+    alone, so a state gets the same bits whether or not its neighbours were
+    screened out.
+    """
+    lead = rho.shape[:-2]
+    dev = np.maximum(_max_dev(rho[..., ::2, ::2] + rho[..., 1::2, 1::2], _HALF),
+                     _max_dev(rho[..., :2, :2] + rho[..., 2:, 2:], _HALF))
+    near = dev <= 4.0 * tol + _WERNER_SCREEN_ULPS
+    x = np.full(lead, math.nan)
+    psi = np.broadcast_to(_BELL_PHI, lead + (4,)).copy()
+    x[near], psi[near] = _werner_fit(rho[near], tol)
+    return _value(x), psi
+
+
+def _werner_fit(rho, tol):
+    """The unscreened Werner fit of a stack: top eigenpair, then the checks."""
     w, v = np.linalg.eigh(rho)
     x = (4.0 * w[..., -1] - 1.0) / 3.0
     psi = v[..., :, -1]
     # maximal entanglement of the pure part
     m = psi.reshape(psi.shape[:-1] + (2, 2))
     m_dag = np.swapaxes(m, -1, -2).conj()
-    half = np.eye(2) / 2.0
-    ok = (_max_dev(m @ m_dag, half) <= tol) & (_max_dev(m_dag @ m, half) <= tol)
+    ok = (_max_dev(m @ m_dag, _HALF) <= tol) & (_max_dev(m_dag @ m, _HALF) <= tol)
     xs = x[..., None, None]
     recon = ((1.0 - xs) / 4.0) * np.eye(4) + xs * (psi[..., :, None] * psi[..., None, :].conj())
     ok &= _max_dev(rho, recon) <= tol
@@ -175,7 +206,7 @@ def _werner(rho, tol):
     ok = np.where(mixed, _max_dev(rho, np.eye(4) / 4.0) <= tol, ok)
     psi = np.where(mixed[..., None], _BELL_PHI, psi)
     x = np.where(ok, np.where(mixed, np.maximum(x, 0.0), x), math.nan)
-    return _value(x), psi
+    return x, psi
 
 
 QUANTITIES = ("pptNonlocal", "pptLocal", "bellM", "fidelity", "wernerX")
@@ -279,15 +310,21 @@ def gisin_filter(rho, f: FilterParams):
     return _filter(_require_state(rho), scale)
 
 
+# Grid points filtered and evaluated per stack by filter_search_max_m: large
+# enough that the Python loop costs little, small enough that a search holds
+# about 1.4 MB of arrays at any budget (one 401x401 stack of states is 41 MB).
+_FILTER_BLOCK = 2048
+
+
 def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
     """Maximize M over a deterministic log grid of filter ratios.
 
     Only the ratios m1/m2 and p1/p2 matter (overall scales cancel in the
     normalization), so the grid covers (m1/m2, p1/p2) in [1e-3, 1e3]^2 with
-    ``budget`` points per axis. Each grid row, one m1/m2 against every
-    p1/p2, is filtered and evaluated as one stack of states. ``argmax`` is
-    the earliest grid point (m1/m2 major, then p1/p2) at which M attains
-    ``max_m``.
+    ``budget`` points per axis. The grid is taken in row-major order (m1/m2
+    major, then p1/p2) in blocks of a fixed number of points, each filtered
+    and evaluated as one stack of states. ``argmax`` is the earliest grid
+    point at which M attains ``max_m``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -296,15 +333,17 @@ def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
         ratios = np.array([1.0])
     else:
         ratios = np.logspace(-3.0, 3.0, budget)
-    ones = np.ones_like(ratios)
+    points = budget * budget
     best_m, best_f = -np.inf, None
-    for rm in ratios.tolist():
-        scale = np.stack([rm * ratios, rm * ones, ratios, ones], axis=-1)
+    for start in range(0, points, _FILTER_BLOCK):
+        row, col = np.divmod(np.arange(start, min(start + _FILTER_BLOCK, points)), budget)
+        rm, rp = ratios[row], ratios[col]
+        scale = np.stack([rm * rp, rm, rp, np.ones_like(rp)], axis=-1)
         m = _bell_m(_correlation(_filter(rho, scale)).real)
         j = int(np.argmax(m))
-        if m[j] > best_m:
+        if m[j] > best_m:  # strict: an earlier block keeps a tied maximum
             best_m = float(m[j])
-            best_f = FilterParams(m1=rm, m2=1.0, p1=float(ratios[j]), p2=1.0)
+            best_f = FilterParams(m1=float(rm[j]), m2=1.0, p1=float(rp[j]), p2=1.0)
     return {"max_m": best_m, "argmax": best_f}
 
 

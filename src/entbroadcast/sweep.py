@@ -85,7 +85,12 @@ def parse_grid(spec):
         raise ConfigError(f"grid spec {spec!r}: need at least one point")
     if n == 1:
         return (lo,)  # np.linspace(lo, hi, 1) loses -0.0 and is nan for a non-finite endpoint
-    return tuple(np.linspace(lo, hi, n))
+    # an infinite endpoint, or hi - lo overflowing, makes nan or inf points
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid = np.linspace(lo, hi, n)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"grid spec {spec!r}: the points are not all finite")
+    return tuple(grid)
 
 
 # -- study tables --------------------------------------------------------------

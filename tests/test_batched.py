@@ -1,9 +1,10 @@
 """The stack-aware measures against themselves, one state at a time.
 
 Every measure takes one state or a stack of states. On a stack it must give,
-for each state, exactly the value it gives for that state alone; the filter
-search, which evaluates its grid a row at a time, must find what a plain
-double loop over the grid finds.
+for each state, exactly the value it gives for that state alone; the Werner
+fit, which diagonalises only the states its screen lets through, must give
+what the unscreened fit gives; the filter search, which evaluates its grid in
+fixed-size blocks, must find what a plain double loop over the grid finds.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from entbroadcast import analysis
 from entbroadcast.analysis import (
     FilterParams,
     _bell_m,
@@ -23,11 +25,13 @@ from entbroadcast.analysis import (
     _filter,
     _min_pt_eigenvalue,
     _werner,
+    _werner_fit,
     bell_quantity_m,
     filter_search_max_m,
     gisin_filter,
 )
 from entbroadcast.broadcast import (
+    STATE_TOL,
     EntangledInput,
     local_state,
     local_states,
@@ -126,6 +130,53 @@ def test_werner_nan_pattern_on_a_mixed_stack():
                                                   make_cloner_parameter(1 / 6)), 1e-8)[0]
 
 
+@st.composite
+def _screen_cases(draw):
+    """A Werner tolerance and a stack of density operators: random states,
+    Werner states of a random maximally entangled psi with traceless Hermitian
+    noise of tol in its largest entry (kept where the sum is still a density
+    operator), and cross-site states within 1e-6 of xi = 1/2, near I/4."""
+    tol = draw(st.sampled_from([1e-15, 1e-8, 1e-3, 0.3]))
+    randoms = _as_states(*draw(_density_stacks()))
+    n = len(randoms)
+    unit = st.floats(0.0, 1.0)
+    u = draw(arrays(np.float64, (n, 2, 2, 2), elements=st.floats(-1.0, 1.0)))
+    # (U x I)|Phi+> for a unitary U: the amplitudes, as a 2x2 matrix, are U / sqrt(2)
+    psi = (np.linalg.qr(u[:, 0] + 1j * u[:, 1])[0] / math.sqrt(2.0)).reshape(n, 4)
+    x = draw(arrays(np.float64, n, elements=unit))[:, None, None]
+    werner = x * (psi[:, :, None] * psi[:, None, :].conj()) + (1.0 - x) / 4.0 * np.eye(4)
+    h = draw(arrays(np.float64, (n, 2, 4, 4),
+                    elements=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)))
+    e = (h[:, 0] + 1j * h[:, 1]) / math.sqrt(2.0)
+    e = (e + np.swapaxes(e, -1, -2).conj()) / 2.0
+    e -= np.trace(e, axis1=-2, axis2=-1)[:, None, None] / 4.0 * np.eye(4)
+    # largest entry exactly tol, the most noise the fit tolerates
+    e /= np.maximum(np.max(np.abs(e), axis=(-2, -1)), 1e-300)[:, None, None]
+    noisy = werner + tol * e
+    noisy = noisy[np.linalg.eigvalsh(noisy)[:, 0] >= -STATE_TOL]
+    xi = 0.5 + draw(arrays(np.float64, n, elements=st.floats(-1e-6, 1e-6)))
+    near_mixed = nonlocal_states(draw(arrays(np.float64, n, elements=unit)), xi)
+    return tol, np.concatenate([randoms, noisy, near_mixed])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_screen_cases())
+def test_werner_screen_drops_no_fit(case):
+    tol, states = case
+    x, psi = _werner(states, tol)
+    want_x, want_psi = _werner_fit(states, tol)
+    np.testing.assert_array_equal(x, want_x)
+    fit = ~np.isnan(want_x)
+    np.testing.assert_array_equal(psi[fit], want_psi[fit])
+    # every fitted state has reductions within (2 + x) tol <= 3 tol of I/2, up
+    # to rounding: the screen's 4 tol leaves a whole tol to spare
+    half = np.eye(2) / 2.0
+    for reduced in (states[:, ::2, ::2] + states[:, 1::2, 1::2],
+                    states[:, :2, :2] + states[:, 2:, 2:]):
+        dev = np.max(np.abs(reduced - half), axis=(-2, -1))
+        assert np.all(dev[fit] <= 3.0 * tol + 1e-15)
+
+
 def test_stacks_raise_at_first_unphysical_point():
     xi = np.array([0.2, 0.7, -0.3, 1.5])
     with pytest.raises(OutOfRangeError, match=r"xi=0\.7 outside \[0\.0, 0\.5\]"):
@@ -159,7 +210,10 @@ def _grid_search(inp, p, budget):
     (0.5, 0.2, True),  # maximum at both the first and the last grid point
     (0.2, 0.5, True),  # maximum at the two off-diagonal corners
 ])
-def test_filter_search_matches_double_loop(alpha_sq, xi, tied, budget):
+def test_filter_search_matches_double_loop(alpha_sq, xi, tied, budget, monkeypatch):
+    # blocks of 5 points: a grid of 7 or 21 ratios spans many blocks, most of
+    # them across row ends, and the tied maxima sit in the first and last blocks
+    monkeypatch.setattr(analysis, "_FILTER_BLOCK", 5)
     inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
     best_m, best_f, ties = _grid_search(inp, p, budget)
     res = filter_search_max_m(inp, p, budget=budget)
@@ -167,3 +221,17 @@ def test_filter_search_matches_double_loop(alpha_sq, xi, tied, budget):
     assert res["argmax"] == best_f  # the earliest grid point of the maximum
     if tied and budget > 1:
         assert ties >= 2  # the tie-break is exercised
+
+
+@pytest.mark.parametrize("budget", [101, 401])
+@pytest.mark.parametrize("alpha_sq, xi, max_m, m1, p1", [
+    (0.5, 0.5 - 0.5 / math.sqrt(2.0), "0x1.ffffa6858db6ap-1", 1e3, 1e3),
+    (0.2, 1 / 6, "0x1.ffffbd8e3fb2dp-1", 1e-3, 1e-3),
+    (0.2, 0.5, "0x1.fffef390cc533p-1", 1e-3, 1e3),
+])
+def test_filter_search_keeps_its_results(alpha_sq, xi, max_m, m1, p1, budget):
+    """The values a row-at-a-time search found, bit for bit, at the default block."""
+    res = filter_search_max_m(EntangledInput.from_alpha_sq(alpha_sq),
+                              make_cloner_parameter(xi), budget=budget)
+    assert res["max_m"] == float.fromhex(max_m)
+    assert res["argmax"] == FilterParams(m1, 1.0, p1, 1.0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,6 +38,29 @@ class TestSweepConfig:
             parse_grid("0:1")
         with pytest.raises(ConfigError):
             parse_grid("0:1:0")
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--xi-grid", "0.2:inf:2"), ("--alpha-grid", "0:inf:2"), ("--xi-grid", "1e308:-1e308:3"),
+])
+def test_non_finite_grid_is_one_error_line(flag, spec, capsys):
+    """No numpy warning escapes, and the error names the spec, not a nan point."""
+    argv = ["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM", flag, spec]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"error: grid spec {spec!r}: the points are not all finite\n"
+
+
+def test_one_point_grid_ignores_an_infinite_end(capsys):
+    assert main(["sweep", "--xi-grid", "0.2:inf:1", "--alpha-sq", "0.5",
+                 "--quantity", "bellM"]) == 0
+    grid = capsys.readouterr()
+    assert main(["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM"]) == 0
+    assert grid == capsys.readouterr()
+    assert grid.err == ""
 
 
 class TestRunSweep:
