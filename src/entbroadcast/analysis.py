@@ -7,6 +7,7 @@ bisection, and ``evaluate``, which computes the sweep quantities at many
 (xi, alpha^2) points at once.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -16,10 +17,10 @@ import numpy as np
 from .broadcast import (
     STATE_TOL,
     EntangledInput,
+    local_entries,
     local_state,
-    local_states,
+    nonlocal_entries,
     nonlocal_state,
-    nonlocal_states,
 )
 from .cloner import ClonerParameter
 from .linalg import PAULIS, is_density_operator
@@ -157,40 +158,12 @@ def _max_dev(a, b):
     return np.max(np.abs(a - b), axis=(-2, -1))
 
 
-# Every state _werner_fit accepts has both one-qubit reductions near I/2.
-# Non-mixed: each reduction of rho - recon is a sum of two entries within tol,
-# and recon's reduction is I/2 + x (psi's reduction - I/2), within x tol, so
-# the total is within (2 + x) tol <= 3 tol: x = (4 lambda_max - 1)/3 is at
-# most 1 + 16/3 STATE_TOL for a density operator. Mixed: within tol of I/4
-# entrywise, so within 2 tol. The screen rejects beyond 4 tol plus an
-# allowance for the few roundings (each below an ulp of an entry of size at
-# most 1) in forming recon, psi's reductions and the two sums.
-_WERNER_SCREEN_ULPS = 16 * np.finfo(float).eps
 _HALF = np.eye(2) / 2.0
 
 
-def _werner(rho, tol):
-    """Werner weight x and pure part psi; x is nan where rho has no Werner form.
-
-    ``rho`` is a density operator or a stack of them. Only the states whose
-    two one-qubit reductions lie within 4 tol (plus a few ulps) of I/2 can
-    have Werner form, so only those are diagonalised; every other state gets
-    x = nan and psi = |Phi+>. Every step of the fit acts on each matrix
-    alone, so a state gets the same bits whether or not its neighbours were
-    screened out.
-    """
-    lead = rho.shape[:-2]
-    dev = np.maximum(_max_dev(rho[..., ::2, ::2] + rho[..., 1::2, 1::2], _HALF),
-                     _max_dev(rho[..., :2, :2] + rho[..., 2:, 2:], _HALF))
-    near = dev <= 4.0 * tol + _WERNER_SCREEN_ULPS
-    x = np.full(lead, math.nan)
-    psi = np.broadcast_to(_BELL_PHI, lead + (4,)).copy()
-    x[near], psi[near] = _werner_fit(rho[near], tol)
-    return _value(x), psi
-
-
 def _werner_fit(rho, tol):
-    """The unscreened Werner fit of a stack: top eigenpair, then the checks."""
+    """Werner weight x and pure part psi of a density operator or a stack of
+    them, from the top eigenpair; x is nan where the checks fail."""
     w, v = np.linalg.eigh(rho)
     x = (4.0 * w[..., -1] - 1.0) / 3.0
     psi = v[..., :, -1]
@@ -211,17 +184,63 @@ def _werner_fit(rho, tol):
 
 QUANTITIES = ("pptNonlocal", "pptLocal", "bellM", "fidelity", "wernerX")
 
+# A Werner weight this close to 0 is 0 up to the rounding of (4 lambda - 1)/3
+# with lambda near 1/4: a few ulps of 1.
+_MIXED_ULPS = 8 * np.finfo(float).eps
+
+
+def _max_abs(*diffs):
+    """max |d| over ``diffs``, elementwise over their broadcast shape."""
+    return functools.reduce(np.maximum, map(np.abs, diffs))
+
+
+def _werner_x(e, tol):
+    """The Werner weight of cross-site states from their entries, nan where
+    there is no Werner form within ``tol``; the rule is ``evaluate``'s.
+
+    The top eigenpair of an X-state with diagonal (A, C, C, B) and corner D
+    lies in the {|00>, |11>} block when its eigenvalue (A + B)/2 + h, with
+    h = hypot((A - B)/2, D), is at least C; the eigenvector is
+    cos|00> + sin|11> with cos^2 = 1/2 + (A - B)/(4h) and cos sin = D/(2h).
+    """
+    h = np.hypot(0.5 * e.asym, e.d)
+    top = 0.5 * (e.big_a + e.big_b) + h
+    x = (4.0 * top - 1.0) / 3.0
+    inv_2h = 0.5 / np.where(h > 0.0, h, 1.0)  # h = 0 only at I/4, where x = 0
+    tilt = 0.5 * e.asym * inv_2h  # cos^2 - 1/2
+    # (1-x)/4 I + x psi psi^dag, entry by entry against the state
+    base = 0.25 * (1.0 - x)
+    dev = _max_abs(base + x * (0.5 + tilt) - e.big_a, base + x * (0.5 - tilt) - e.big_b,
+                   base - e.c, x * e.d * inv_2h - e.d)
+    ok = (np.abs(tilt) <= tol) & (top >= e.c) & (dev <= tol)
+    # maximally mixed: the pure part carries no weight, any psi works
+    mixed = np.abs(x) <= _MIXED_ULPS
+    quarter = _max_abs(e.big_a - 0.25, e.big_b - 0.25, e.c - 0.25, e.d) <= tol
+    ok = np.where(mixed, quarter, ok)
+    return np.where(ok, np.where(mixed, np.maximum(x, 0.0), x), math.nan)
+
 
 def evaluate(quantities, xi, alpha_sq, werner_tol=1e-8):
     """The named quantities at the points (xi, alpha_sq), as {name: values}.
 
     ``xi`` and ``alpha_sq`` are floats or arrays that broadcast together; each
     value has their broadcast shape, and is a float when both are floats.
-    Only the states the quantities need are built, each as one stack; ``xi``
-    is not held to the machine's range here. Raises ValueError for a name not
-    in QUANTITIES, and OutOfRangeError at the first point, in order, where a
-    needed state is not a density operator. The same-site state is checked
-    first: wherever the cross-site state fails, it fails too.
+    Each quantity is computed elementwise from the entries of the states it
+    needs, with no matrix built (``dense_quantities`` is the reference);
+    ``xi`` is not held to the machine's range here. Raises ValueError for a
+    name not in QUANTITIES, and OutOfRangeError at the first point, in order,
+    where a needed state is not a density operator. The same-site state is
+    checked first: wherever the cross-site state fails, it fails too.
+
+    ``wernerX`` is the weight x of the cross-site state written as
+    ((1-x)/4) I + x |psi><psi| with psi maximally entangled, and nan where it
+    has no such form: psi is the top eigenvector, which must be maximally
+    entangled within ``werner_tol`` (|cos^2 - 1/2| <= werner_tol), and the
+    reconstruction must match every entry within ``werner_tol``. When x is 0
+    up to rounding (a few ulps), the state is taken as maximally mixed, and
+    it is accepted, with weight max(x, 0), if every entry lies within
+    ``werner_tol`` of I/4. A state near I/4 with a weight above rounding,
+    however small, must pass the first test: only alpha^2 = 1/2 gives it.
     """
     wanted = set(quantities)
     if not wanted <= set(QUANTITIES):
@@ -229,20 +248,40 @@ def evaluate(quantities, xi, alpha_sq, werner_tol=1e-8):
                          f"choose from {QUANTITIES}")
     values = {}
     if "pptLocal" in wanted:
-        values["pptLocal"] = _min_pt_eigenvalue(local_states(alpha_sq, xi))
+        s = local_entries(alpha_sq, xi)
+        # partial transpose: the block [[a^2 eta, xi], [xi, b^2 eta]], and xi twice
+        values["pptLocal"] = np.minimum(s.xi, 0.5 * (s.big_a + s.big_b)
+                                        - np.hypot(0.5 * (s.big_a - s.big_b), s.xi))
     if wanted - {"pptLocal"}:
-        rho = nonlocal_states(alpha_sq, xi)
+        e = nonlocal_entries(alpha_sq, xi)
         if "pptNonlocal" in wanted:
-            values["pptNonlocal"] = _min_pt_eigenvalue(rho)
-        if wanted & {"bellM", "fidelity"}:
-            t = _correlation(rho).real
-            if "bellM" in wanted:
-                values["bellM"] = _bell_m(t)
-            if "fidelity" in wanted:
-                values["fidelity"] = _fidelity(t)
+            # partial transpose: A, B, and the block [[C, D], [D, C]]
+            values["pptNonlocal"] = np.minimum(np.minimum(e.big_a, e.big_b),
+                                               e.c - np.abs(e.d))
+        # correlation tensor T = diag(2D, -2D, A + B - 2C)
+        t_xy_sq = 4.0 * e.d * e.d
+        t_z = e.big_a + e.big_b - 2.0 * e.c
+        if "bellM" in wanted:
+            values["bellM"] = t_xy_sq + np.maximum(t_xy_sq, t_z * t_z)
+        if "fidelity" in wanted:
+            values["fidelity"] = 0.5 * (1.0 + (4.0 * np.abs(e.d) + np.abs(t_z)) / 3.0)
         if "wernerX" in wanted:
-            values["wernerX"] = _werner(rho, werner_tol)[0]
-    return values
+            values["wernerX"] = _werner_x(e, werner_tol)
+    return {q: _value(v) for q, v in values.items()}
+
+
+def dense_quantities(same_site, cross_site):
+    """``pptLocal``, ``pptNonlocal``, ``bellM`` and ``fidelity`` of stacks of
+    same-site and cross-site density operators, by the dense 4x4 measures
+    (eigenvalues, correlation tensor, singular values).
+
+    The independent reference for ``evaluate``'s closed forms; the states
+    are trusted, as the measures trust them.
+    """
+    t = _correlation(cross_site).real
+    return {"pptLocal": _min_pt_eigenvalue(same_site),
+            "pptNonlocal": _min_pt_eigenvalue(cross_site),
+            "bellM": _bell_m(t), "fidelity": _fidelity(t)}
 
 
 def ppt_test(rho, tol=PPT_TOL):
@@ -353,9 +392,17 @@ def werner_decompose(rho, tol=1e-8) -> Optional[WernerDecomposition]:
     psi is taken from the top eigenvector; x from its eigenvalue. Returns
     None unless psi's reduced states are both I/2 within tol and the
     reconstruction matches rho entrywise within tol.
+
+    Within tol of I/4 this dense fit is looser than ``evaluate``'s
+    ``wernerX``: it takes any rho with x < tol as maximally mixed, and
+    accepts it, with weight max(x, 0), when rho lies within tol of I/4
+    entrywise. So a cross-site state near xi = 1/2 but off alpha^2 = 1/2
+    gets a small weight here and nan from ``evaluate``. The dense fit cannot
+    take ``evaluate``'s narrower rule: so near I/4 the top eigenvalue is
+    nearly degenerate, and the error of eigh's eigenvector exceeds tol.
     """
-    x, psi = _werner(_require_state(rho), tol)
-    return None if math.isnan(x) else WernerDecomposition(x=x, psi=psi)
+    x, psi = _werner_fit(_require_state(rho), tol)
+    return None if math.isnan(x) else WernerDecomposition(x=float(x), psi=psi)
 
 
 def teleportation_fidelity(rho):

@@ -7,12 +7,15 @@ state-vector oracle that builds the global 256-dimensional pure state
 matrices by partial tracing. The oracle requires the abstract machine, so
 it is only defined for xi >= 1/6.
 
-Both constructors validate what they build from the closed-form smallest
-eigenvalue of an X-state, so no later query needs to check it again.
+Both states are X-states, fixed by a few real entries. One entry function
+per state computes them and validates the state from its closed-form
+smallest eigenvalue, so no later query needs to check it again; the matrix
+builders fill their matrices from those entries.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,27 +60,57 @@ class BroadcastOutputs:
     nonlocal_state: np.ndarray  # rho of a cross-site pair
 
 
-def _x_stack(physical, xi, hi, entries):
-    """The states with these entries, shape physical.shape + (4, 4).
+# The entries of one state (floats) or of a stack of states (arrays).
 
-    Raises OutOfRangeError at the first point, in order, that ``physical``
-    marks as not a density operator.
-    """
+class CrossSiteEntries(NamedTuple):
+    """The cross-site state's entries: diagonal (A, C, C, B) and the real
+    coherence D between |00> and |11>, with asym = A - B = (a^2 - b^2) eta
+    computed directly, not as the difference of the rounded A and B."""
+
+    big_a: object
+    big_b: object
+    c: object
+    d: object
+    asym: object
+
+
+class SameSiteEntries(NamedTuple):
+    """The same-site state's entries: diagonal (a^2 eta, xi, xi, b^2 eta) and
+    the real coherence xi between |01> and |10>."""
+
+    big_a: object
+    big_b: object
+    xi: object
+
+
+def _require_physical(physical, xi, hi):
+    """Raises OutOfRangeError at the first point, in order, that ``physical``
+    marks as not a density operator."""
+    if physical is True:  # one state from floats: skip numpy's cost on a bool
+        return
     physical = np.asarray(physical)
     if not physical.all():
         xi = np.broadcast_to(xi, physical.shape).flat[np.argmin(physical)]
         raise OutOfRangeError(float(xi), 0.0, hi)
-    rho = np.zeros(physical.shape + (4, 4), dtype=complex)
+
+
+def _x_stack(entries):
+    """The states with these entries, {(i, j): value}: shape (4, 4), or
+    (..., 4, 4) for values of broadcast shape (...), the shape of A."""
+    # not np.shape, which costs about as much as the rest of a one-state build
+    rho = np.zeros(getattr(entries[0, 0], "shape", ()) + (4, 4), dtype=complex)
     for (i, j), v in entries.items():
         rho[..., i, j] = v
     return rho
 
 
-# One builder per state. Plain arithmetic, so ``a``, ``b`` and ``xi`` may be
-# floats, for one state of shape (4, 4), or arrays of one shape (...), for a
-# stack of shape (..., 4, 4).
+# One entry function and one builder per state. Plain arithmetic, so ``a``,
+# ``b`` and ``xi`` may be floats, for one state, or arrays that broadcast
+# together, for a stack over their broadcast shape (...). The entry functions
+# check the state once, from its closed-form eigenvalues; the builders fill
+# (4, 4) or (..., 4, 4) matrices from the entries.
 
-def _cross_site(a, b, xi):
+def _cross_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta + xi * xi, b * b * eta + xi * xi
     c, d = xi * (1.0 - xi), a * b * eta * eta
@@ -85,18 +118,30 @@ def _cross_site(a, b, xi):
     h = 0.5 * (big_a - big_b)
     physical = ((c >= -STATE_TOL)
                 & (0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL))
-    return _x_stack(physical, xi, 1.0, {(0, 0): big_a, (3, 3): big_b, (1, 1): c, (2, 2): c,
-                                        (0, 3): d, (3, 0): d})
+    _require_physical(physical, xi, 1.0)
+    return CrossSiteEntries(big_a, big_b, c, d, (a * a - b * b) * eta)
 
 
-def _same_site(a, b, xi):
+def _same_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta, b * b * eta
     # eigenvalues: a^2 eta, b^2 eta, 2 xi, and 0 on (|01> - |10>)/sqrt(2)
     physical = (big_a >= -STATE_TOL) & (big_b >= -STATE_TOL) & (2.0 * xi >= -STATE_TOL)
+    _require_physical(physical, xi, 0.5)
+    return SameSiteEntries(big_a, big_b, xi)
+
+
+def _cross_site(a, b, xi):
+    e = _cross_site_entries(a, b, xi)
+    return _x_stack({(0, 0): e.big_a, (3, 3): e.big_b, (1, 1): e.c, (2, 2): e.c,
+                     (0, 3): e.d, (3, 0): e.d})
+
+
+def _same_site(a, b, xi):
+    e = _same_site_entries(a, b, xi)
     # 2 xi |+><+| spread over |01>, |10>
-    return _x_stack(physical, xi, 0.5, {(0, 0): big_a, (3, 3): big_b, (1, 1): xi, (2, 2): xi,
-                                        (1, 2): xi, (2, 1): xi})
+    return _x_stack({(0, 0): e.big_a, (3, 3): e.big_b, (1, 1): e.xi, (2, 2): e.xi,
+                     (1, 2): e.xi, (2, 1): e.xi})
 
 
 def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
@@ -143,6 +188,21 @@ def local_states(alpha_sq, xi):
     ``nonlocal_states``, with entry k equal to ``local_state`` there."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _same_site(*_stack_inputs(alpha_sq, xi))
+
+
+def nonlocal_entries(alpha_sq, xi) -> CrossSiteEntries:
+    """The entries of the cross-site states at the points (alpha_sq, xi), each
+    of their broadcast shape (or a float); validated as ``nonlocal_states``
+    validates, from the same arithmetic, with no matrix built."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cross_site_entries(*_stack_inputs(alpha_sq, xi))
+
+
+def local_entries(alpha_sq, xi) -> SameSiteEntries:
+    """The entries of the same-site states at the points (alpha_sq, xi); as
+    ``nonlocal_entries``, validated as ``local_states`` validates."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _same_site_entries(*_stack_inputs(alpha_sq, xi))
 
 
 def _global_vectors(a, b, p):

@@ -19,6 +19,7 @@ from .analysis import (
     bell_violation_range,
     bisect,
     boundary_bisect,
+    dense_quantities,
     evaluate,
     filter_search_max_m,
     nonlocal_inseparability_range,
@@ -162,14 +163,19 @@ def verify_claims(filter_budget=101):
                         "Werner form unattainable off alpha^2 = 1/2",
                         bool(np.all(np.isnan(off_half["wernerX"])))))
 
-    # brute-force oracle agrees with the closed forms wherever it exists
+    # brute-force oracle agrees with the closed forms wherever it exists: its
+    # states with the closed-form states, and the dense measures of its states
+    # with the closed-form quantities of ``evaluate``
     dev = 0.0
     a2 = np.arange(0.1, 0.95, 0.1)
     for xi in (1.0 / 6.0, 0.20, 0.30, 0.45):
         pairs = oracle_states(a2, make_cloner_parameter(xi))
+        dense = dense_quantities(pairs["a1b1"], pairs["a1b2"])
+        closed = evaluate(dense.keys(), xi, a2)
         dev = max(dev,
                   float(np.max(np.abs(pairs["a1b1"] - local_states(a2, xi)))),
-                  float(np.max(np.abs(pairs["a1b2"] - nonlocal_states(a2, xi)))))
+                  float(np.max(np.abs(pairs["a1b2"] - nonlocal_states(a2, xi)))),
+                  *(float(np.max(np.abs(dense[q] - closed[q]))) for q in dense))
     claims.append(_upper_bound("oracle.equivalence",
                                "state-vector oracle vs closed forms, max entry deviation",
                                0.0, dev, 1e-12))

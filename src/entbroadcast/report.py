@@ -64,10 +64,11 @@ def _csv_column(cells, sole_field):
         # "%.17g" % v equals format(v, ".17g"), and its digits, sign, ".", "e",
         # "inf" and "nan" need no quotes
         return _float_column(cells, "%.17g".__mod__)
-    texts = [_fmt(v) for v in cells]
+    # ``_fmt`` of a str (not of a subclass, whose str() may differ) is itself
+    texts = cells if set(map(type, cells)) == {str} else [_fmt(v) for v in cells]
     distinct = dict.fromkeys(texts)
     quoted = dict(zip(distinct, _csv_fields(distinct, sole_field)))
-    return [quoted[t] for t in texts]
+    return list(map(quoted.__getitem__, texts))
 
 
 def table_to_csv(table):

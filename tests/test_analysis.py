@@ -33,6 +33,7 @@ from entbroadcast.analysis import (
 from entbroadcast.analysis import _bell_m, _fidelity, _min_pt_eigenvalue
 from entbroadcast.broadcast import EntangledInput, local_state, nonlocal_state
 from entbroadcast.cloner import XI_LOWER, analysis_parameter, make_cloner_parameter
+from entbroadcast.sweep import SweepConfig, run_sweep
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 BELL_RHO = np.outer(PHI_PLUS, PHI_PLUS)
@@ -273,6 +274,36 @@ class TestWerner:
         dec = werner_decompose(MIXED)
         assert dec is not None
         assert dec.x <= 1e-12
+
+
+class TestWernerNearMaximallyMixed:
+    """``wernerX`` within 1e-6 of xi = 1/2, where the state lies within the
+    Werner tolerance of I/4, through ``evaluate`` and the sweep table."""
+
+    @staticmethod
+    def _both(xi, alpha_sq):
+        by_evaluate = evaluate({"wernerX"}, xi, alpha_sq)["wernerX"]
+        cfg = SweepConfig(xi_grid=(xi,), alpha_sq_grid=(alpha_sq,), quantities=("wernerX",))
+        return by_evaluate, run_sweep(cfg)["value"][0]
+
+    @pytest.mark.parametrize("xi, alpha_sq", [
+        (0.49999966739011026, 0.49037851820494394),
+        (0.49999965881835123, 0.5039537655553885),
+    ])
+    def test_no_form_off_center(self, xi, alpha_sq):
+        # the top eigenvalue's weight, about 8.5e-9 and 3.6e-9 here, is not
+        # 0 up to rounding, and its eigenvector is nowhere near maximally
+        # entangled
+        assert all(math.isnan(x) for x in self._both(xi, alpha_sq))
+
+    @pytest.mark.parametrize("xi", [0.49998390356638267, 0.49999665576229974, 0.5 - 1e-7])
+    def test_eta_squared_at_center(self, xi):
+        for x in self._both(xi, 0.5):
+            assert abs(x - (1.0 - 2.0 * xi) ** 2) <= 1e-12
+
+    @pytest.mark.parametrize("alpha_sq", np.linspace(0.0, 1.0, 11).tolist())
+    def test_zero_at_half(self, alpha_sq):
+        assert self._both(0.5, alpha_sq) == (0.0, 0.0)
 
 
 class TestTeleportationFidelity:

@@ -1,10 +1,13 @@
-"""The stack-aware measures against themselves, one state at a time.
+"""The closed forms of ``evaluate`` against the dense 4x4 measures, and the
+stack-aware dense measures against themselves, one state at a time.
 
-Every measure takes one state or a stack of states. On a stack it must give,
-for each state, exactly the value it gives for that state alone; the Werner
-fit, which diagonalises only the states its screen lets through, must give
-what the unscreened fit gives; the filter search, which evaluates its grid in
-fixed-size blocks, must find what a plain double loop over the grid finds.
+``evaluate`` computes every sweep quantity from the entries of the X-states;
+on the dense states built from the same entries, the dense measures must
+give the same values within a stated absolute tolerance, and ``wernerX``
+must follow the analytic rule. Every dense measure takes one state or a
+stack of states; on a stack it must give, for each state, exactly the value
+it gives for that state alone. The filter search, which evaluates its grid
+in fixed-size blocks, must find what a plain double loop over the grid finds.
 """
 
 import itertools
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entbroadcast import analysis
+from entbroadcast import analysis, broadcast
 from entbroadcast.analysis import (
     FilterParams,
     _bell_m,
@@ -24,21 +27,28 @@ from entbroadcast.analysis import (
     _fidelity,
     _filter,
     _min_pt_eigenvalue,
-    _werner,
     _werner_fit,
     bell_quantity_m,
+    dense_quantities,
+    evaluate,
     filter_search_max_m,
     gisin_filter,
 )
 from entbroadcast.broadcast import (
-    STATE_TOL,
     EntangledInput,
+    local_entries,
     local_state,
     local_states,
+    nonlocal_entries,
     nonlocal_state,
     nonlocal_states,
 )
-from entbroadcast.cloner import OutOfRangeError, analysis_parameter, make_cloner_parameter
+from entbroadcast.cloner import (
+    XI_LOWER,
+    OutOfRangeError,
+    analysis_parameter,
+    make_cloner_parameter,
+)
 
 alpha_sqs = st.one_of(st.just(0.5), st.floats(0.0, 1.0))
 
@@ -79,8 +89,8 @@ def _check_measures(states):
     _assert_each_equal(_bell_m, t)
     _assert_each_equal(_fidelity, t)
     for tol in (1e-8, 1e-3):
-        _assert_each_equal(lambda s: _werner(s, tol)[0], states)
-        _assert_each_equal(lambda s: _werner(s, tol)[1], states)
+        _assert_each_equal(lambda s: _werner_fit(s, tol)[0], states)
+        _assert_each_equal(lambda s: _werner_fit(s, tol)[1], states)
     scale = np.array([2.0, 0.5, 3.0, 1.0])
     _assert_each_equal(lambda s: _filter(s, scale), states)
 
@@ -122,59 +132,97 @@ def test_general_states_match_scalar_path(drawn):
     np.testing.assert_array_equal(_min_pt_eigenvalue(states), np.linalg.eigvalsh(pt)[:, 0])
 
 
-def test_werner_nan_pattern_on_a_mixed_stack():
-    a2 = np.array([0.5, 0.3, 0.5, 0.7])
-    x, _ = _werner(nonlocal_states(a2, np.full(4, 1 / 6)), 1e-8)
-    assert np.isnan(x).tolist() == [False, True, False, True]
-    assert x[0] == x[2] == _werner(nonlocal_state(EntangledInput.from_alpha_sq(0.5),
-                                                  make_cloner_parameter(1 / 6)), 1e-8)[0]
+# evaluate's closed forms against the dense measures of the dense states
+CLOSED_FORM_TOL = 1e-13  # absolute
+# alpha^2 at 1/2 exactly, anywhere, and within 1e-6 of 1/2
+closed_alpha_sqs = st.one_of(st.just(0.5), st.floats(0.0, 1.0),
+                             st.floats(0.5 - 1e-6, 0.5 + 1e-6))
 
 
-@st.composite
-def _screen_cases(draw):
-    """A Werner tolerance and a stack of density operators: random states,
-    Werner states of a random maximally entangled psi with traceless Hermitian
-    noise of tol in its largest entry (kept where the sum is still a density
-    operator), and cross-site states within 1e-6 of xi = 1/2, near I/4."""
-    tol = draw(st.sampled_from([1e-15, 1e-8, 1e-3, 0.3]))
-    randoms = _as_states(*draw(_density_stacks()))
-    n = len(randoms)
-    unit = st.floats(0.0, 1.0)
-    u = draw(arrays(np.float64, (n, 2, 2, 2), elements=st.floats(-1.0, 1.0)))
-    # (U x I)|Phi+> for a unitary U: the amplitudes, as a 2x2 matrix, are U / sqrt(2)
-    psi = (np.linalg.qr(u[:, 0] + 1j * u[:, 1])[0] / math.sqrt(2.0)).reshape(n, 4)
-    x = draw(arrays(np.float64, n, elements=unit))[:, None, None]
-    werner = x * (psi[:, :, None] * psi[:, None, :].conj()) + (1.0 - x) / 4.0 * np.eye(4)
-    h = draw(arrays(np.float64, (n, 2, 4, 4),
-                    elements=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)))
-    e = (h[:, 0] + 1j * h[:, 1]) / math.sqrt(2.0)
-    e = (e + np.swapaxes(e, -1, -2).conj()) / 2.0
-    e -= np.trace(e, axis1=-2, axis2=-1)[:, None, None] / 4.0 * np.eye(4)
-    # largest entry exactly tol, the most noise the fit tolerates
-    e /= np.maximum(np.max(np.abs(e), axis=(-2, -1)), 1e-300)[:, None, None]
-    noisy = werner + tol * e
-    noisy = noisy[np.linalg.eigvalsh(noisy)[:, 0] >= -STATE_TOL]
-    xi = 0.5 + draw(arrays(np.float64, n, elements=st.floats(-1e-6, 1e-6)))
-    near_mixed = nonlocal_states(draw(arrays(np.float64, n, elements=unit)), xi)
-    return tol, np.concatenate([randoms, noisy, near_mixed])
+def _closed_points(xi_hi):
+    return st.lists(st.tuples(st.floats(0.0, xi_hi), closed_alpha_sqs),
+                    min_size=1, max_size=12)
+
+
+def _assert_close(got, want):
+    for q, v in want.items():
+        np.testing.assert_allclose(got[q], v, rtol=0.0, atol=CLOSED_FORM_TOL, err_msg=q)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_screen_cases())
-def test_werner_screen_drops_no_fit(case):
-    tol, states = case
-    x, psi = _werner(states, tol)
-    want_x, want_psi = _werner_fit(states, tol)
-    np.testing.assert_array_equal(x, want_x)
-    fit = ~np.isnan(want_x)
-    np.testing.assert_array_equal(psi[fit], want_psi[fit])
-    # every fitted state has reductions within (2 + x) tol <= 3 tol of I/2, up
-    # to rounding: the screen's 4 tol leaves a whole tol to spare
-    half = np.eye(2) / 2.0
-    for reduced in (states[:, ::2, ::2] + states[:, 1::2, 1::2],
-                    states[:, :2, :2] + states[:, 2:, 2:]):
-        dev = np.max(np.abs(reduced - half), axis=(-2, -1))
-        assert np.all(dev[fit] <= 3.0 * tol + 1e-15)
+@given(_closed_points(1.0))
+def test_cross_site_closed_forms_match_dense_measures(points):
+    xi, a2 = np.array(points).T
+    rho = nonlocal_states(a2, xi)
+    t = _correlation(rho).real
+    _assert_close(evaluate({"pptNonlocal", "bellM", "fidelity"}, xi, a2),
+                  {"pptNonlocal": _min_pt_eigenvalue(rho), "bellM": _bell_m(t),
+                   "fidelity": _fidelity(t)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_points(0.5))
+def test_all_closed_forms_match_dense_measures(points):
+    xi, a2 = np.array(points).T
+    want = dense_quantities(local_states(a2, xi), nonlocal_states(a2, xi))
+    assert set(want) == {"pptNonlocal", "pptLocal", "bellM", "fidelity"}
+    _assert_close(evaluate(want, xi, a2), want)
+
+
+# Off alpha^2 = 1/2 by at least 1e-6, the top eigenvector's cos^2 is at least
+# about 1e-6 from 1/2, far beyond the default Werner tolerance of 1e-8.
+werner_alpha_sqs = st.one_of(st.just(0.5),
+                             st.floats(0.0, 1.0).filter(lambda a: abs(a - 0.5) >= 1e-6))
+werner_xis = st.one_of(st.floats(0.0, 1.0),
+                       st.floats(0.5 - 1e-4, 0.5, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(werner_xis, werner_alpha_sqs), min_size=1, max_size=12))
+def test_werner_weight_follows_the_analytic_rule(points):
+    """eta^2 at alpha^2 = 1/2, else nan, wherever the weight of the top
+    eigenvalue resolves the state from I/4."""
+    xi, a2 = np.array(points).T
+    got = evaluate({"wernerX"}, xi, a2)["wernerX"]
+    eta = 1.0 - 2.0 * xi
+    at_half = a2 == 0.5
+    np.testing.assert_allclose(got[at_half], eta[at_half] ** 2, rtol=0.0, atol=1e-12)
+    # (4 lambda_max - 1)/3 in exact terms: (eta^2 + 4 hypot((A - B)/2, D))/3
+    top = (eta**2 + 2.0 * np.hypot((2.0 * a2 - 1.0) * eta,
+                                   2.0 * np.sqrt(a2 * (1.0 - a2)) * eta**2)) / 3.0
+    off = ~at_half
+    assert np.all(np.isnan(got[off & (top > 1e-14)]))
+    # below that the state is I/4 to the precision of its entries
+    assert np.all(~(got[off & (top <= 1e-14)] > 1e-14))
+
+
+def test_evaluate_builds_no_matrix(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a dense matrix was built or decomposed")
+
+    monkeypatch.setattr(broadcast, "_x_stack", no_matrix)
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_matrix)
+    with pytest.raises(AssertionError):
+        nonlocal_states([0.5], [0.2])  # the patch is live
+    xi = np.linspace(XI_LOWER, 0.5, 7)[:, None]
+    a2 = np.linspace(0.0, 1.0, 5)[None, :]
+    values = evaluate(("pptNonlocal", "pptLocal", "bellM", "fidelity"), xi, a2)
+    assert {v.shape for v in values.values()} == {(7, 5)}
+    x = evaluate({"wernerX"}, xi, a2)["wernerX"]
+    assert x.shape == (7, 5)
+    assert not np.isnan(x[:, 2]).any() and np.isnan(x[:-1, [0, 1, 3, 4]]).all()
+
+
+def test_dense_fit_and_evaluate_agree_on_a_mixed_stack():
+    a2 = np.array([0.5, 0.3, 0.5, 0.7])
+    xi = np.array([1 / 6, 1 / 6, 0.3, 0.3])
+    x, _ = _werner_fit(nonlocal_states(a2, xi), 1e-8)
+    assert np.isnan(x).tolist() == [False, True, False, True]
+    got = evaluate({"wernerX"}, xi, a2)["wernerX"]
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(x))
+    assert np.nanmax(np.abs(got - x)) <= 1e-15
+    assert got[0] == evaluate({"wernerX"}, 1 / 6, 0.5)["wernerX"]
 
 
 def test_stacks_raise_at_first_unphysical_point():
@@ -187,6 +235,15 @@ def test_stacks_raise_at_first_unphysical_point():
         nonlocal_states([0.3], [math.nan])
     with pytest.raises(ValueError):
         nonlocal_states([1.5], [0.2])
+    # the entry functions, and so evaluate, check the same points the same way
+    with pytest.raises(OutOfRangeError, match=r"xi=0\.7 outside \[0\.0, 0\.5\]"):
+        local_entries(np.full(4, 0.3), xi)
+    with pytest.raises(OutOfRangeError, match=r"xi=-0\.3 outside \[0\.0, 1\.0\]"):
+        nonlocal_entries(np.full(4, 0.3), xi)
+    with pytest.raises(OutOfRangeError, match=r"xi=0\.7 outside \[0\.0, 0\.5\]"):
+        evaluate({"pptLocal", "bellM"}, xi, 0.3)
+    with pytest.raises(OutOfRangeError, match=r"xi=-0\.3 outside \[0\.0, 1\.0\]"):
+        evaluate({"wernerX"}, xi, 0.3)
 
 
 def _grid_search(inp, p, budget):

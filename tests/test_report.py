@@ -44,8 +44,10 @@ CELLS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), TEXT)
 def tables(draw):
     names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
     n = draw(st.integers(0, 12))
-    # an all-float column takes the deduplicating path, any other the per-cell one
-    columns = [draw(st.lists(draw(st.sampled_from([FLOATS, CELLS])), min_size=n, max_size=n))
+    # an all-float or all-str column takes a deduplicating path, any other the
+    # per-cell one
+    columns = [draw(st.lists(draw(st.sampled_from([FLOATS, TEXT, CELLS])),
+                             min_size=n, max_size=n))
                for _ in names]
     return dict(zip(names, columns))
 
@@ -66,6 +68,19 @@ def test_equal_values_of_other_bits_or_types_keep_their_own_text():
     # 0.0 == -0.0 and True == 1, so neither path may share text by value
     table = {"x": [0.0, -0.0, 0.0, -0.0], "y": [True, 1, 1.0, True]}
     assert table_to_csv(table) == "x,y\n0,True\n-0,1\n0,1\n-0,True\n"
+
+
+class _Shouting(str):
+    def __str__(self):
+        return self.upper()
+
+
+def test_str_subclass_keeps_its_own_text():
+    # a column of str subclasses is not all str: each cell keeps _fmt's text
+    table = {"q": [_Shouting("a,b"), "a,b", _Shouting("c")] * 12}
+    for write, reference in ((table_to_csv, reference_csv), (table_to_json, reference_json)):
+        assert write(table) == reference(as_rows(table), list(table))
+    assert table_to_csv(table).startswith('q\n"A,B"\n"a,b"\nC\n')
 
 
 @pytest.mark.parametrize("write", [table_to_csv, table_to_json])
