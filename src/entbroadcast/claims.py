@@ -177,7 +177,8 @@ def verify_claims(filter_budget=101):
                   float(np.max(np.abs(pairs["a1b2"] - nonlocal_states(a2, xi)))),
                   *(float(np.max(np.abs(dense[q] - closed[q]))) for q in dense))
     claims.append(_upper_bound("oracle.equivalence",
-                               "state-vector oracle vs closed forms, max entry deviation",
+                               "state-vector oracle vs closed forms: max deviation of its states, "
+                               "and of their dense measures from evaluate",
                                0.0, dev, 1e-12))
 
     # the literal machine is not universal away from xi = 1/6 and 1/2; recorded as a
