@@ -154,6 +154,11 @@ def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
     return _cross_site(inp.alpha, inp.beta, p.xi)
 
 
+def nonlocal_state_entries(inp: EntangledInput, p: ClonerParameter) -> CrossSiteEntries:
+    """The entries of ``nonlocal_state(inp, p)``, from the same a, b and xi."""
+    return _cross_site_entries(inp.alpha, inp.beta, p.xi)
+
+
 def local_state(inp: EntangledInput, p: ClonerParameter):
     """Same-site clone pair: (1-2xi)(a^2 |00><00| + b^2 |11><11|) + 2xi |+><+|.
 

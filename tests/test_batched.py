@@ -6,8 +6,9 @@ on the dense states built from the same entries, the dense measures must
 give the same values within a stated absolute tolerance, and ``wernerX``
 must follow the analytic rule. Every dense measure takes one state or a
 stack of states; on a stack it must give, for each state, exactly the value
-it gives for that state alone. The filter search, which evaluates its grid
-in fixed-size blocks, must find what a plain double loop over the grid finds.
+it gives for that state alone. The filter search, which computes M over its
+grid from the entries, must find what a plain double loop over the dense
+filter and the dense M finds.
 """
 
 import itertools
@@ -21,11 +22,11 @@ from hypothesis.extra.numpy import arrays
 
 from entbroadcast import analysis, broadcast
 from entbroadcast.analysis import (
+    DegenerateFilterError,
     FilterParams,
     _bell_m,
     _correlation,
     _fidelity,
-    _filter,
     _min_pt_eigenvalue,
     _werner_fit,
     bell_quantity_m,
@@ -40,7 +41,9 @@ from entbroadcast.broadcast import (
     local_state,
     local_states,
     nonlocal_entries,
+    CrossSiteEntries,
     nonlocal_state,
+    nonlocal_state_entries,
     nonlocal_states,
 )
 from entbroadcast.cloner import (
@@ -91,8 +94,6 @@ def _check_measures(states):
     for tol in (1e-8, 1e-3):
         _assert_each_equal(lambda s: _werner_fit(s, tol)[0], states)
         _assert_each_equal(lambda s: _werner_fit(s, tol)[1], states)
-    scale = np.array([2.0, 0.5, 3.0, 1.0])
-    _assert_each_equal(lambda s: _filter(s, scale), states)
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +248,7 @@ def test_stacks_raise_at_first_unphysical_point():
 
 
 def _grid_search(inp, p, budget):
-    """The filter search as a plain double loop over the public scalar measures."""
+    """The filter search as a plain double loop over the public dense measures."""
     rho = nonlocal_state(inp, p)
     ratios = [1.0] if budget == 1 else np.logspace(-3.0, 3.0, budget).tolist()
     best_m, best_f, ties = -math.inf, None, 0
@@ -261,34 +262,116 @@ def _grid_search(inp, p, budget):
     return best_m, best_f, ties
 
 
+def _search_grid(inp, p, budget):
+    """The ratios and the M values that the search itself computes."""
+    ratios = np.array([1.0]) if budget == 1 else np.logspace(-3.0, 3.0, budget)
+    m = analysis._filtered_bell_m(nonlocal_state_entries(inp, p),
+                                  ratios[:, None], ratios[None, :])
+    return ratios, m
+
+
 @pytest.mark.parametrize("budget", [1, 7, 21])
 @pytest.mark.parametrize("alpha_sq, xi, tied", [
     (0.5, 0.5 - 0.5 / math.sqrt(2.0), False), (0.2, 1 / 6, False), (0.35, 0.2, False),
-    (0.5, 0.2, True),  # maximum at both the first and the last grid point
-    (0.2, 0.5, True),  # maximum at the two off-diagonal corners
+    (0.5, 0.2, True),  # A = B: the first and the last grid point tie
+    (0.2, 0.5, True),  # eta = 0: the four grid corners tie
 ])
-def test_filter_search_matches_double_loop(alpha_sq, xi, tied, budget, monkeypatch):
-    # blocks of 5 points: a grid of 7 or 21 ratios spans many blocks, most of
-    # them across row ends, and the tied maxima sit in the first and last blocks
-    monkeypatch.setattr(analysis, "_FILTER_BLOCK", 5)
+def test_filter_search_matches_double_loop(alpha_sq, xi, tied, budget):
     inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
     best_m, best_f, ties = _grid_search(inp, p, budget)
     res = filter_search_max_m(inp, p, budget=budget)
     assert abs(res["max_m"] - best_m) <= 1e-15
-    assert res["argmax"] == best_f  # the earliest grid point of the maximum
-    if tied and budget > 1:
-        assert ties >= 2  # the tie-break is exercised
+    if not (tied and budget > 1):
+        assert res["argmax"] == best_f  # the earliest grid point of the maximum
+        return
+    assert ties >= 2  # the tie is exact on the dense route
+    # rounding may break the tie either way on the search's route: its point
+    # must attain the dense maximum, and be the earliest of its own maximum
+    rho = nonlocal_state(inp, p)
+    assert abs(bell_quantity_m(gisin_filter(rho, res["argmax"])) - best_m) <= 1e-15
+    ratios, m = _search_grid(inp, p, budget)
+    row, col = divmod(int(np.flatnonzero(m == m.max())[0]), budget)
+    assert res["max_m"] == m.max()
+    assert res["argmax"] == FilterParams(ratios[row], 1.0, ratios[col], 1.0)
 
 
-@pytest.mark.parametrize("budget", [101, 401])
-@pytest.mark.parametrize("alpha_sq, xi, max_m, m1, p1", [
+# The maxima of the dense route, bit for bit, pinned while it was the search;
+# the dense double loop must still reproduce them at budget 101.
+FILTER_PINS = [
     (0.5, 0.5 - 0.5 / math.sqrt(2.0), "0x1.ffffa6858db6ap-1", 1e3, 1e3),
     (0.2, 1 / 6, "0x1.ffffbd8e3fb2dp-1", 1e-3, 1e-3),
     (0.2, 0.5, "0x1.fffef390cc533p-1", 1e-3, 1e3),
-])
+]
+
+
+@pytest.mark.parametrize("alpha_sq, xi, max_m, m1, p1", FILTER_PINS)
+def test_dense_double_loop_keeps_the_pinned_results(alpha_sq, xi, max_m, m1, p1):
+    best_m, best_f, _ = _grid_search(EntangledInput.from_alpha_sq(alpha_sq),
+                                     make_cloner_parameter(xi), 101)
+    assert best_m == float.fromhex(max_m)
+    assert best_f == FilterParams(m1, 1.0, p1, 1.0)
+
+
+@pytest.mark.parametrize("budget", [101, 401])
+@pytest.mark.parametrize("alpha_sq, xi, max_m, m1, p1", FILTER_PINS)
 def test_filter_search_keeps_its_results(alpha_sq, xi, max_m, m1, p1, budget):
-    """The values a row-at-a-time search found, bit for bit, at the default block."""
+    """The search from the entries stays within 4 ulps of the dense pins."""
     res = filter_search_max_m(EntangledInput.from_alpha_sq(alpha_sq),
                               make_cloner_parameter(xi), budget=budget)
-    assert res["max_m"] == float.fromhex(max_m)
-    assert res["argmax"] == FilterParams(m1, 1.0, p1, 1.0)
+    pin = float.fromhex(max_m)
+    assert abs(res["max_m"] - pin) <= 4 * math.ulp(pin)
+    if xi == 0.5:  # eta = 0: the four corners tie, and rounding picks one
+        assert {res["argmax"].m1, res["argmax"].p1} <= {1e-3, 1e3}
+    else:
+        assert res["argmax"] == FilterParams(m1, 1.0, p1, 1.0)
+
+
+log_ratios = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha_sqs, st.floats(0.0, 1.0), log_ratios, log_ratios)
+def test_filtered_closed_form_matches_dense_reference(alpha_sq, xi, rm, rp):
+    inp, p = EntangledInput.from_alpha_sq(alpha_sq), analysis_parameter(xi)
+    rho = nonlocal_state(inp, p)
+    # unfiltered, through the public search at its one-point grid
+    dense = bell_quantity_m(gisin_filter(rho, FilterParams(1.0, 1.0, 1.0, 1.0)))
+    assert abs(filter_search_max_m(inp, p, budget=1)["max_m"] - dense) <= 1e-14
+    dense = bell_quantity_m(gisin_filter(rho, FilterParams(rm, 1.0, rp, 1.0)))
+    got = analysis._filtered_bell_m(nonlocal_state_entries(inp, p), rm, rp)
+    assert abs(got - dense) <= 1e-14
+
+
+def test_filter_search_reads_its_grid_row_major(monkeypatch):
+    """m1/m2 indexes the rows and p1/p2 the columns; of tied maxima, the
+    earliest in row-major order wins."""
+    monkeypatch.setattr(analysis, "_filtered_bell_m",
+                        lambda e, rm, rp: np.where((rm > 1.0) & (rp < 1.0), 2.0, 0.0))
+    res = filter_search_max_m(EntangledInput.from_alpha_sq(0.3), make_cloner_parameter(0.2),
+                              budget=7)
+    assert res == {"max_m": 2.0, "argmax": FilterParams(10.0, 1.0, 1e-3, 1.0)}
+
+
+def test_filter_search_builds_no_matrix(monkeypatch):
+    inp, p = EntangledInput.from_alpha_sq(0.2), make_cloner_parameter(1 / 6)
+    want = filter_search_max_m(inp, p, budget=101)
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a dense matrix was built or decomposed")
+
+    monkeypatch.setattr(broadcast, "_x_stack", no_matrix)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_matrix)
+    for name in ("_correlation", "_bell_m", "gisin_filter"):
+        monkeypatch.setattr(analysis, name, no_matrix)
+    with pytest.raises(AssertionError):
+        nonlocal_state(inp, p)  # the patch is live
+    assert filter_search_max_m(inp, p, budget=101) == want
+
+
+def test_degenerate_filters_raise():
+    zero = CrossSiteEntries(0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DegenerateFilterError):
+        analysis._filtered_bell_m(zero, np.ones((2, 1)), np.ones((1, 3)))
+    rho = nonlocal_state(EntangledInput.from_alpha_sq(0.5), make_cloner_parameter(0.2))
+    with pytest.raises(DegenerateFilterError):
+        gisin_filter(rho, FilterParams(1e-80, 1e-80, 1e-80, 1e-80))
