@@ -18,9 +18,8 @@ from .broadcast import (
     STATE_TOL,
     EntangledInput,
     local_entries,
-    local_state,
+    local_state_entries,
     nonlocal_entries,
-    nonlocal_state,
     nonlocal_state_entries,
 )
 from .cloner import ClonerParameter
@@ -183,6 +182,16 @@ def _max_abs(*diffs):
     return functools.reduce(np.maximum, map(np.abs, diffs))
 
 
+def _least_pt_cross(e):
+    """Least eigenvalue of the cross-site partial transpose: A, B, [[C, D], [D, C]]."""
+    return np.minimum(np.minimum(e.big_a, e.big_b), e.c - np.abs(e.d))
+
+
+def _least_pt_same(s):
+    """Least eigenvalue of the same-site partial transpose: [[a^2 eta, xi], [xi, b^2 eta]], xi."""
+    return np.minimum(s.xi, 0.5 * (s.big_a + s.big_b) - np.hypot(0.5 * (s.big_a - s.big_b), s.xi))
+
+
 def _werner_x(e, tol):
     """The Werner weight of cross-site states from their entries, nan where
     there is no Werner form within ``tol``; the rule is ``evaluate``'s.
@@ -237,16 +246,11 @@ def evaluate(quantities, xi, alpha_sq, werner_tol=1e-8):
                          f"choose from {QUANTITIES}")
     values = {}
     if "pptLocal" in wanted:
-        s = local_entries(alpha_sq, xi)
-        # partial transpose: the block [[a^2 eta, xi], [xi, b^2 eta]], and xi twice
-        values["pptLocal"] = np.minimum(s.xi, 0.5 * (s.big_a + s.big_b)
-                                        - np.hypot(0.5 * (s.big_a - s.big_b), s.xi))
+        values["pptLocal"] = _least_pt_same(local_entries(alpha_sq, xi))
     if wanted - {"pptLocal"}:
         e = nonlocal_entries(alpha_sq, xi)
         if "pptNonlocal" in wanted:
-            # partial transpose: A, B, and the block [[C, D], [D, C]]
-            values["pptNonlocal"] = np.minimum(np.minimum(e.big_a, e.big_b),
-                                               e.c - np.abs(e.d))
+            values["pptNonlocal"] = _least_pt_cross(e)
         # correlation tensor T = diag(2D, -2D, A + B - 2C)
         t_xy_sq = 4.0 * e.d * e.d
         t_z = e.big_a + e.big_b - 2.0 * e.c
@@ -447,22 +451,24 @@ def bisect(predicate, inside, outside, tol):
 
 
 def nonlocal_inseparable_predicate(p: ClonerParameter):
-    """alpha^2 -> True when the cross-site pair fails PPT (is entangled)."""
+    """alpha^2 -> True when the cross-site pair fails PPT (is entangled), by the
+    closed form of ``evaluate``'s pptNonlocal; ``oracle.equivalence`` ties it to eigvalsh."""
 
     def pred(alpha_sq):
-        rho = nonlocal_state(EntangledInput.from_alpha_sq(alpha_sq), p)
+        e = nonlocal_state_entries(EntangledInput.from_alpha_sq(alpha_sq), p)
         # raw eigenvalue sign: bisection needs the exact zero crossing, not
         # the -1e-10 classification threshold
-        return _min_pt_eigenvalue(rho) < 0.0
+        return bool(_least_pt_cross(e) < 0.0)
 
     return pred
 
 
 def local_separable_predicate(p: ClonerParameter):
-    """alpha^2 -> True when the same-site pair passes PPT (is separable)."""
+    """alpha^2 -> True when the same-site pair passes PPT (is separable), by the
+    closed form of ``evaluate``'s pptLocal; ``oracle.equivalence`` ties it to eigvalsh."""
 
     def pred(alpha_sq):
-        rho = local_state(EntangledInput.from_alpha_sq(alpha_sq), p)
-        return _min_pt_eigenvalue(rho) >= 0.0
+        s = local_state_entries(EntangledInput.from_alpha_sq(alpha_sq), p)
+        return bool(_least_pt_same(s) >= 0.0)
 
     return pred

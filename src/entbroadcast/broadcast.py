@@ -168,6 +168,11 @@ def local_state(inp: EntangledInput, p: ClonerParameter):
     return _same_site(inp.alpha, inp.beta, p.xi)
 
 
+def local_state_entries(inp: EntangledInput, p: ClonerParameter) -> SameSiteEntries:
+    """The entries of ``local_state(inp, p)``, from the same a, b and xi."""
+    return _same_site_entries(inp.alpha, inp.beta, p.xi)
+
+
 def _stack_inputs(alpha_sq, xi):
     alpha_sq = np.asarray(alpha_sq, dtype=float)
     if not ((alpha_sq >= 0.0) & (alpha_sq <= 1.0)).all():

@@ -164,18 +164,17 @@ def verify_claims(filter_budget=101):
                         bool(np.all(np.isnan(off_half["wernerX"])))))
 
     # brute-force oracle agrees with the closed forms wherever it exists: its
-    # states with the closed-form states, and the dense measures of its states
-    # with the closed-form quantities of ``evaluate``
+    # four pair states with the closed-form states, and the dense measures of
+    # its states with the closed-form quantities of ``evaluate``
     dev = 0.0
     a2 = np.arange(0.1, 0.95, 0.1)
     for xi in (1.0 / 6.0, 0.20, 0.30, 0.45):
         pairs = oracle_states(a2, make_cloner_parameter(xi))
         dense = dense_quantities(pairs["a1b1"], pairs["a1b2"])
-        closed = evaluate(dense.keys(), xi, a2)
-        dev = max(dev,
-                  float(np.max(np.abs(pairs["a1b1"] - local_states(a2, xi)))),
-                  float(np.max(np.abs(pairs["a1b2"] - nonlocal_states(a2, xi)))),
-                  *(float(np.max(np.abs(dense[q] - closed[q]))) for q in dense))
+        same, cross = local_states(a2, xi), nonlocal_states(a2, xi)
+        want = {"a1b1": same, "a2b2": same, "a1b2": cross, "a2b1": cross,
+                **evaluate(dense.keys(), xi, a2)}
+        dev = max(dev, *(float(np.max(np.abs(v - want[k]))) for k, v in (pairs | dense).items()))
     claims.append(_upper_bound("oracle.equivalence",
                                "state-vector oracle vs closed forms: max deviation of its states, "
                                "and of their dense measures from evaluate",

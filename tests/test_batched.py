@@ -8,7 +8,9 @@ must follow the analytic rule. Every dense measure takes one state or a
 stack of states; on a stack it must give, for each state, exactly the value
 it gives for that state alone. The filter search, which computes M over its
 grid from the entries, must find what a plain double loop over the dense
-filter and the dense M finds.
+filter and the dense M finds; the bisection predicates, which decide from the
+entries by ``evaluate``'s partial-transpose eigenvalue, must find the
+boundaries that the dense eigenvalue finds.
 """
 
 import itertools
@@ -22,6 +24,8 @@ from hypothesis.extra.numpy import arrays
 
 from entbroadcast import analysis, broadcast
 from entbroadcast.analysis import (
+    XI_LOCAL_MAX,
+    XI_NONLOCAL_MAX,
     DegenerateFilterError,
     FilterParams,
     _bell_m,
@@ -30,10 +34,13 @@ from entbroadcast.analysis import (
     _min_pt_eigenvalue,
     _werner_fit,
     bell_quantity_m,
+    boundary_bisect,
     dense_quantities,
     evaluate,
     filter_search_max_m,
     gisin_filter,
+    local_separable_predicate,
+    nonlocal_inseparable_predicate,
 )
 from entbroadcast.broadcast import (
     EntangledInput,
@@ -375,3 +382,78 @@ def test_degenerate_filters_raise():
     rho = nonlocal_state(EntangledInput.from_alpha_sq(0.5), make_cloner_parameter(0.2))
     with pytest.raises(DegenerateFilterError):
         gisin_filter(rho, FilterParams(1e-80, 1e-80, 1e-80, 1e-80))
+
+
+# The bisection predicates decide from the entries, by ``evaluate``'s closed
+# forms; the dense partial-transpose eigenvalue of the dense states is their
+# reference, with the same raw sign tests.
+
+def _dense_nonlocal_predicate(p):
+    return lambda a2: _min_pt_eigenvalue(nonlocal_state(EntangledInput.from_alpha_sq(a2), p)) < 0.0
+
+
+def _dense_local_predicate(p):
+    return lambda a2: _min_pt_eigenvalue(local_state(EntangledInput.from_alpha_sq(a2), p)) >= 0.0
+
+
+# target -> (predicate, its dense reference, the quantity and test it reads,
+# the end of the target's xi range)
+PREDICATES = {
+    "nonlocal": (nonlocal_inseparable_predicate, _dense_nonlocal_predicate,
+                 "pptNonlocal", lambda v: v < 0.0, XI_NONLOCAL_MAX),
+    "local": (local_separable_predicate, _dense_local_predicate,
+              "pptLocal", lambda v: v >= 0.0, XI_LOCAL_MAX),
+}
+
+
+@pytest.mark.parametrize("target", sorted(PREDICATES))
+def test_bisection_endpoints_match_the_dense_route(target):
+    """Bit for bit at tol 1e-10, and for the cross-site state at every tol;
+    within 1e-14 at smaller tols. Over the first 98% of each xi range, as
+    the benchmark draws it: toward xi = 1/4 the same-site eigenvalue is
+    within rounding of 0 over a band of alpha^2, and the two routes' ends
+    there differ by a few 1e-9."""
+    pred, dense, _, _, xi_max = PREDICATES[target]
+    for xi in XI_LOWER + np.linspace(0.0, 0.98, 25) * (xi_max - XI_LOWER):
+        p = make_cloner_parameter(float(xi))
+        for side, tol in itertools.product(("lower", "upper"), (1e-10, 1e-14, 1e-300)):
+            got = boundary_bisect(p, pred(p), side, tol)
+            want = boundary_bisect(p, dense(p), side, tol)
+            if target == "nonlocal" or tol == 1e-10:
+                assert got == want, (xi, side, tol)
+            else:
+                assert abs(got - want) <= 1e-14, (xi, side, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-0.1, 1.1), alpha_sqs)
+def test_predicates_decide_as_evaluate(xi, alpha_sq):
+    """Each predicate is evaluate's closed form and sign test, bit for bit,
+    and raises OutOfRangeError exactly where the dense builder raises it."""
+    p = analysis_parameter(xi)
+    for pred, dense, quantity, test, _ in PREDICATES.values():
+        try:
+            dense(p)(alpha_sq)
+        except OutOfRangeError:
+            with pytest.raises(OutOfRangeError):
+                pred(p)(alpha_sq)
+            with pytest.raises(OutOfRangeError):
+                evaluate({quantity}, xi, alpha_sq)
+        else:
+            assert pred(p)(alpha_sq) is test(evaluate({quantity}, xi, alpha_sq)[quantity])
+
+
+def test_bisection_builds_no_matrix(monkeypatch):
+    machines = (make_cloner_parameter(1 / 6), make_cloner_parameter(XI_LOWER))
+    cases = [(p, pred, side) for p in machines for pred, *_ in PREDICATES.values()
+             for side in ("lower", "upper")]
+    want = [boundary_bisect(p, pred(p), side) for p, pred, side in cases]
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a dense matrix was built or decomposed")
+
+    monkeypatch.setattr(broadcast, "_x_stack", no_matrix)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_matrix)
+    with pytest.raises(AssertionError):
+        _dense_local_predicate(cases[0][0])(0.5)  # the patch is live
+    assert [boundary_bisect(p, pred(p), side) for p, pred, side in cases] == want
