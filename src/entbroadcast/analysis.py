@@ -22,7 +22,7 @@ from .broadcast import (
     nonlocal_entries,
     nonlocal_state_entries,
 )
-from .cloner import ClonerParameter
+from .cloner import XI_SLACK, ClonerParameter, OutOfRangeError
 from .linalg import PAULIS, is_density_operator
 
 PPT_TOL = 1e-10
@@ -138,38 +138,6 @@ def _fidelity(t):
     return _value(0.5 * (1.0 + np.sum(np.linalg.svd(t, compute_uv=False), axis=-1) / 3.0))
 
 
-_BELL_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-
-
-def _max_dev(a, b):
-    """max |a - b| over the last two axes."""
-    return np.max(np.abs(a - b), axis=(-2, -1))
-
-
-_HALF = np.eye(2) / 2.0
-
-
-def _werner_fit(rho, tol):
-    """Werner weight x and pure part psi of a density operator or a stack of
-    them, from the top eigenpair; x is nan where the checks fail."""
-    w, v = np.linalg.eigh(rho)
-    x = (4.0 * w[..., -1] - 1.0) / 3.0
-    psi = v[..., :, -1]
-    # maximal entanglement of the pure part
-    m = psi.reshape(psi.shape[:-1] + (2, 2))
-    m_dag = np.swapaxes(m, -1, -2).conj()
-    ok = (_max_dev(m @ m_dag, _HALF) <= tol) & (_max_dev(m_dag @ m, _HALF) <= tol)
-    xs = x[..., None, None]
-    recon = ((1.0 - xs) / 4.0) * np.eye(4) + xs * (psi[..., :, None] * psi[..., None, :].conj())
-    ok &= _max_dev(rho, recon) <= tol
-    # maximally mixed: the pure part carries no weight, any psi works
-    mixed = x < tol
-    ok = np.where(mixed, _max_dev(rho, np.eye(4) / 4.0) <= tol, ok)
-    psi = np.where(mixed[..., None], _BELL_PHI, psi)
-    x = np.where(ok, np.where(mixed, np.maximum(x, 0.0), x), math.nan)
-    return x, psi
-
-
 QUANTITIES = ("pptNonlocal", "pptLocal", "bellM", "fidelity", "wernerX")
 
 # A Werner weight this close to 0 is 0 up to the rounding of (4 lambda - 1)/3
@@ -283,29 +251,40 @@ def ppt_test(rho, tol=PPT_TOL):
     return PptResult(separable=lam >= -tol, min_pt_eigenvalue=lam)
 
 
-def nonlocal_inseparability_range(p: ClonerParameter) -> Interval:
-    """Closed alpha^2 interval on which the cross-site pair is inseparable."""
+def _centred_range(p: ClonerParameter, hi, radicand):
+    """The alpha^2 interval 1/2 +- sqrt(radicand(xi, eta)), or None where the
+    radicand is negative; it tends to -inf as eta -> 0, and is -inf there.
+
+    Raises OutOfRangeError for xi outside [0, hi] (beyond XI_SLACK), its
+    state's bounds; inside, |eta| <= 1, so no eta^4 overflows.
+    """
     xi, eta = p.xi, p.eta
-    # eta -> 0 (xi -> 1/2) sends the radicand to -inf
-    radicand = 0.25 - (xi * (1.0 - xi)) ** 2 / eta**4 if eta != 0.0 else -math.inf
-    if radicand < 0.0:
-        raise RangeUndefinedError(
-            f"nonlocal range undefined at xi={xi} (above {XI_NONLOCAL_MAX})"
-        )
-    r = math.sqrt(radicand)
-    return Interval(0.5 - r, 0.5 + r)
+    if not (-XI_SLACK <= xi <= hi + XI_SLACK):
+        raise OutOfRangeError(xi, 0.0, hi)
+    r = radicand(xi, eta) if eta != 0.0 else -math.inf
+    if r < 0.0:
+        return None
+    s = math.sqrt(r)
+    return Interval(0.5 - s, 0.5 + s)
+
+
+def nonlocal_inseparability_range(p: ClonerParameter) -> Interval:
+    """Closed alpha^2 interval on which the cross-site pair is inseparable;
+    OutOfRangeError for xi outside [0, 1], RangeUndefinedError if empty."""
+    rng = _centred_range(p, 1.0, lambda xi, eta: 0.25 - (xi * (1.0 - xi)) ** 2 / eta**4)
+    if rng is None:
+        raise RangeUndefinedError(f"nonlocal range undefined at xi={p.xi} "
+                                  f"(above {XI_NONLOCAL_MAX})")
+    return rng
 
 
 def local_separability_range(p: ClonerParameter) -> Interval:
-    """Closed alpha^2 interval on which the same-site pair is separable."""
-    xi, eta = p.xi, p.eta
-    radicand = 0.25 - (xi / eta) ** 2 if eta != 0.0 else -math.inf
-    if radicand < 0.0:
-        raise RangeUndefinedError(
-            f"local range undefined at xi={xi} (above {XI_LOCAL_MAX})"
-        )
-    s = math.sqrt(radicand)
-    return Interval(0.5 - s, 0.5 + s)
+    """Closed alpha^2 interval on which the same-site pair is separable;
+    OutOfRangeError for xi outside [0, 1/2], RangeUndefinedError if empty."""
+    rng = _centred_range(p, 0.5, lambda xi, eta: 0.25 - (xi / eta) ** 2)
+    if rng is None:
+        raise RangeUndefinedError(f"local range undefined at xi={p.xi} (above {XI_LOCAL_MAX})")
+    return rng
 
 
 def correlation_tensor(rho):
@@ -325,15 +304,10 @@ def bell_violation_range(p: ClonerParameter) -> Optional[Interval]:
     """Closed-form alpha^2 interval of Bell violation, or None when empty.
 
     Empty for every xi the cloning machine actually admits; the radicand is
-    non-negative only below xi = 1/2 - 2^(-5/4) ~ 0.07955.
+    non-negative only below xi = 1/2 - 2^(-5/4) ~ 0.07955. Raises
+    OutOfRangeError for xi outside [0, 1].
     """
-    if p.eta**4 <= 0.0:
-        return None  # eta = 0: correlations vanish, no violation possible
-    radicand = 0.5 - 1.0 / (4.0 * p.eta**4)
-    if radicand < 0.0:
-        return None
-    q = math.sqrt(radicand)
-    return Interval(0.5 - q, 0.5 + q)
+    return _centred_range(p, 1.0, lambda xi, eta: 0.5 - 1.0 / (4.0 * eta**4))
 
 
 def gisin_filter(rho, f: FilterParams):
@@ -384,6 +358,10 @@ def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
             "argmax": FilterParams(float(ratios[row]), 1.0, float(ratios[col]), 1.0)}
 
 
+_BELL_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+_HALF = np.eye(2) / 2.0
+
+
 def werner_decompose(rho, tol=1e-8) -> Optional[WernerDecomposition]:
     """Try to write rho as ((1-x)/4) I + x |psi><psi| with psi maximally entangled.
 
@@ -399,8 +377,19 @@ def werner_decompose(rho, tol=1e-8) -> Optional[WernerDecomposition]:
     take ``evaluate``'s narrower rule: so near I/4 the top eigenvalue is
     nearly degenerate, and the error of eigh's eigenvector exceeds tol.
     """
-    x, psi = _werner_fit(_require_state(rho), tol)
-    return None if math.isnan(x) else WernerDecomposition(x=float(x), psi=psi)
+    rho = _require_state(rho)
+    w, v = np.linalg.eigh(rho)
+    x, psi = (4.0 * w[-1] - 1.0) / 3.0, v[:, -1]
+    if x < tol:  # maximally mixed: the pure part carries no weight, any psi works
+        devs, x, psi = [rho - np.eye(4) / 4.0], np.maximum(x, 0.0), _BELL_PHI.copy()
+    else:  # psi maximally entangled, and the reconstruction matches rho
+        m = psi.reshape(2, 2)
+        m_dag = m.conj().T
+        recon = ((1.0 - x) / 4.0) * np.eye(4) + x * np.outer(psi, psi.conj())
+        devs = [m @ m_dag - _HALF, m_dag @ m - _HALF, rho - recon]
+    if max(np.max(np.abs(d)) for d in devs) > tol:
+        return None
+    return WernerDecomposition(x=float(x), psi=psi)
 
 
 def teleportation_fidelity(rho):
@@ -414,6 +403,10 @@ def boundary_bisect(p: ClonerParameter, predicate, side, tol=1e-10):
     ``predicate`` maps alpha^2 to bool and must be true on a single interval
     around alpha^2 = 1/2. ``side`` selects which edge of that interval to
     find: 'lower' searches [0, 1/2], 'upper' searches [1/2, 1].
+
+    ``tol`` bounds the final bracket, not the error: where the predicate's
+    quantity is within rounding of 0 over a band of alpha^2, as the same-site
+    eigenvalue is at xi = 1/4, the ends may lie anywhere in that band.
     """
     if side == "lower":
         out_pt, in_pt = 0.0, 0.5

@@ -104,11 +104,11 @@ def _x_stack(entries):
     return rho
 
 
-# One entry function and one builder per state. Plain arithmetic, so ``a``,
-# ``b`` and ``xi`` may be floats, for one state, or arrays that broadcast
-# together, for a stack over their broadcast shape (...). The entry functions
-# check the state once, from its closed-form eigenvalues; the builders fill
-# (4, 4) or (..., 4, 4) matrices from the entries.
+# One entry function and one builder per state. The entry functions are plain
+# arithmetic, so ``a``, ``b`` and ``xi`` may be floats, for one state, or arrays
+# that broadcast together, for a stack over their broadcast shape (...); they
+# check the state once, from its closed-form eigenvalues. The builders fill
+# (4, 4) or (..., 4, 4) matrices from the entries, in the shape they come in.
 
 def _cross_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
@@ -131,14 +131,12 @@ def _same_site_entries(a, b, xi):
     return SameSiteEntries(big_a, big_b, xi)
 
 
-def _cross_site(a, b, xi):
-    e = _cross_site_entries(a, b, xi)
+def _cross_site_matrix(e: CrossSiteEntries):
     return _x_stack({(0, 0): e.big_a, (3, 3): e.big_b, (1, 1): e.c, (2, 2): e.c,
                      (0, 3): e.d, (3, 0): e.d})
 
 
-def _same_site(a, b, xi):
-    e = _same_site_entries(a, b, xi)
+def _same_site_matrix(e: SameSiteEntries):
     # 2 xi |+><+| spread over |01>, |10>
     return _x_stack({(0, 0): e.big_a, (3, 3): e.big_b, (1, 1): e.xi, (2, 2): e.xi,
                      (1, 2): e.xi, (2, 1): e.xi})
@@ -151,7 +149,7 @@ def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
     D = alpha beta (1-2xi)^2 between |00> and |11>. Raises OutOfRangeError
     when this is not a density operator (xi outside [0, 1]).
     """
-    return _cross_site(inp.alpha, inp.beta, p.xi)
+    return _cross_site_matrix(nonlocal_state_entries(inp, p))
 
 
 def nonlocal_state_entries(inp: EntangledInput, p: ClonerParameter) -> CrossSiteEntries:
@@ -165,7 +163,7 @@ def local_state(inp: EntangledInput, p: ClonerParameter):
     Raises OutOfRangeError when this is not a density operator (xi outside
     [0, 1/2]).
     """
-    return _same_site(inp.alpha, inp.beta, p.xi)
+    return _same_site_matrix(local_state_entries(inp, p))
 
 
 def local_state_entries(inp: EntangledInput, p: ClonerParameter) -> SameSiteEntries:
@@ -189,22 +187,20 @@ def nonlocal_states(alpha_sq, xi):
     range here (``make_cloner_parameter`` does that); raises OutOfRangeError
     at the first point where the state is not a density operator.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # huge xi fails the check
-        return _cross_site(*_stack_inputs(alpha_sq, xi))
+    return _cross_site_matrix(nonlocal_entries(alpha_sq, xi))
 
 
 def local_states(alpha_sq, xi):
     """Stack of same-site states at the points (alpha_sq[k], xi[k]); as
     ``nonlocal_states``, with entry k equal to ``local_state`` there."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _same_site(*_stack_inputs(alpha_sq, xi))
+    return _same_site_matrix(local_entries(alpha_sq, xi))
 
 
 def nonlocal_entries(alpha_sq, xi) -> CrossSiteEntries:
     """The entries of the cross-site states at the points (alpha_sq, xi), each
     of their broadcast shape (or a float); validated as ``nonlocal_states``
     validates, from the same arithmetic, with no matrix built."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # huge xi fails the check
         return _cross_site_entries(*_stack_inputs(alpha_sq, xi))
 
 
@@ -249,32 +245,29 @@ def _pair_reduction(psis, pair):
     return rho.reshape(psis.shape[:-1] + (4, 4))
 
 
-def _oracle_pairs(a, b, p, names):
-    """The named pair reductions of the global states ``_global_vectors(a, b, p)``,
-    by brute-force partial tracing, each of shape a.shape + (4, 4)."""
+def _oracle_pairs(a, b, p):
+    """All four pair reductions of the global states ``_global_vectors(a, b, p)``,
+    keyed by factor names, each of shape a.shape + (4, 4)."""
     psis = _global_vectors(a, b, p)
-    return {name: _pair_reduction(psis, _ORACLE_PAIRS[name]) for name in names}
+    return {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
 
 
 def oracle_states(alpha_sq, p: ClonerParameter):
-    """All four pair reductions of the global states at the points alpha_sq,
-    keyed by factor names ("a1b1", "a2b2", "a1b2", "a2b1").
+    """All four pair reductions of the global states at alpha^2 (a float, or
+    an array), by brute-force partial tracing, keyed by factor names ("a1b1",
+    "a2b2", "a1b2", "a2b1"), each of shape alpha_sq.shape + (4, 4).
 
-    Each entry has shape alpha_sq.shape + (4, 4). Independent of the closed
-    forms above; agreement with them is the test.
+    Independent of the closed forms above; agreement with them is the test.
     """
     a, b, _ = _stack_inputs(alpha_sq, p.xi)
-    return _oracle_pairs(a, b, p, _ORACLE_PAIRS)
+    return _oracle_pairs(a, b, p)
 
 
 def oracle_broadcast(inp: EntangledInput, p: ClonerParameter):
     """Broadcast outputs of ``global_broadcast_vector`` by brute-force partial
-    tracing: the same-site pair (a1, b1) and the cross-site pair (a1, b2)."""
-    pairs = _oracle_pairs(inp.alpha, inp.beta, p, ("a1b1", "a1b2"))
+    tracing: the same-site pair (a1, b1) and the cross-site pair (a1, b2).
+
+    Takes ``inp``'s own alpha and beta, not alpha^2: ``EntangledInput``
+    admits alpha up to 1 + 1e-15, whose square ``oracle_states`` rejects."""
+    pairs = _oracle_pairs(inp.alpha, inp.beta, p)
     return BroadcastOutputs(local_state=pairs["a1b1"], nonlocal_state=pairs["a1b2"])
-
-
-def oracle_all_pairs(inp: EntangledInput, p: ClonerParameter):
-    """All four pair reductions at one input, keyed by factor names, for
-    symmetry checks."""
-    return _oracle_pairs(inp.alpha, inp.beta, p, _ORACLE_PAIRS)

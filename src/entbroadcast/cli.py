@@ -81,7 +81,8 @@ def _build_parser():
     bp.add_argument("--xi", type=float, required=True)
     bp.add_argument("--target", choices=["nonlocal", "local"], default="nonlocal")
     bp.add_argument("--side", choices=["lower", "upper", "both"], default="both")
-    bp.add_argument("--tol", type=float, default=1e-10)
+    bp.add_argument("--tol", type=float, default=1e-10,
+                    help="width of the final bisection bracket, not a bound on the error")
     add_common(bp)
 
     cp = add_command("clone-audit", "clone-fidelity universality report")

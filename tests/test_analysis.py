@@ -32,7 +32,14 @@ from entbroadcast.analysis import (
 )
 from entbroadcast.analysis import _bell_m, _fidelity, _min_pt_eigenvalue
 from entbroadcast.broadcast import EntangledInput, local_state, nonlocal_state
-from entbroadcast.cloner import XI_LOWER, analysis_parameter, make_cloner_parameter
+from entbroadcast.cloner import (
+    XI_LOWER,
+    XI_SLACK,
+    XI_UPPER,
+    OutOfRangeError,
+    analysis_parameter,
+    make_cloner_parameter,
+)
 from entbroadcast.sweep import SweepConfig, run_sweep
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -134,6 +141,45 @@ class TestRanges:
     def test_local_state_separable_at_center(self):
         res = ppt_test(local_state(HALF, OPTIMAL))
         assert res.separable
+
+    @pytest.mark.parametrize("xi", [-0.1, 2.0, 1e100, -1e100])
+    def test_ranges_reject_xi_where_no_state_exists(self, xi):
+        # no state exists at these xi, so no closed form may answer there, and
+        # at +-1e100 eta**4 would overflow
+        p = analysis_parameter(xi)
+        for closed_form, hi in ((nonlocal_inseparability_range, 1.0),
+                                (bell_violation_range, 1.0),
+                                (local_separability_range, 0.5)):
+            with pytest.raises(OutOfRangeError) as err:
+                closed_form(p)
+            assert (err.value.lo, err.value.hi) == (0.0, hi)
+
+    def test_ranges_admit_every_admissible_machine(self):
+        # make_cloner_parameter admits XI_SLACK beyond each bound, and no
+        # machine it admits gets an OutOfRangeError
+        low, high = (make_cloner_parameter(xi) for xi in (XI_LOWER - XI_SLACK,
+                                                         XI_UPPER + XI_SLACK))
+        assert nonlocal_inseparability_range(low).width > 0.0
+        assert local_separability_range(low).width > 0.0
+        assert bell_violation_range(low) is None and bell_violation_range(high) is None
+        for closed_form in (nonlocal_inseparability_range, local_separability_range):
+            with pytest.raises(RangeUndefinedError):
+                closed_form(high)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_ranges_lie_within_the_unit_interval(self, xi):
+        p = analysis_parameter(xi)
+        unit = Interval(0.0, 1.0)
+        for closed_form in (nonlocal_inseparability_range, bell_violation_range,
+                            local_separability_range):
+            if closed_form is local_separability_range and xi > 0.5:
+                continue  # no same-site state
+            try:
+                rng = closed_form(p)
+            except RangeUndefinedError:
+                continue
+            assert rng is None or rng.subset_of(unit), (closed_form.__name__, rng)
 
     def test_complementarity_containment(self):
         for xi in np.linspace(XI_LOWER, XI_NONLOCAL_MAX, 20):

@@ -4,13 +4,14 @@ stack-aware dense measures against themselves, one state at a time.
 ``evaluate`` computes every sweep quantity from the entries of the X-states;
 on the dense states built from the same entries, the dense measures must
 give the same values within a stated absolute tolerance, and ``wernerX``
-must follow the analytic rule. Every dense measure takes one state or a
-stack of states; on a stack it must give, for each state, exactly the value
-it gives for that state alone. The filter search, which computes M over its
-grid from the entries, must find what a plain double loop over the dense
-filter and the dense M finds; the bisection predicates, which decide from the
-entries by ``evaluate``'s partial-transpose eigenvalue, must find the
-boundaries that the dense eigenvalue finds.
+must follow the analytic rule. Every dense measure but the Werner fit, which
+fits one matrix, takes one state or a stack of states; on a stack it must
+give, for each state, exactly the value it gives for that state alone. The
+filter search, which computes M over its grid from the entries, must find
+what a plain double loop over the dense filter and the dense M finds; the
+bisection predicates, which decide from the entries by ``evaluate``'s
+partial-transpose eigenvalue, must find the boundaries that the dense
+eigenvalue finds.
 """
 
 import itertools
@@ -32,7 +33,6 @@ from entbroadcast.analysis import (
     _correlation,
     _fidelity,
     _min_pt_eigenvalue,
-    _werner_fit,
     bell_quantity_m,
     boundary_bisect,
     dense_quantities,
@@ -41,6 +41,7 @@ from entbroadcast.analysis import (
     gisin_filter,
     local_separable_predicate,
     nonlocal_inseparable_predicate,
+    werner_decompose,
 )
 from entbroadcast.broadcast import (
     EntangledInput,
@@ -98,9 +99,6 @@ def _check_measures(states):
     t = _correlation(states).real
     _assert_each_equal(_bell_m, t)
     _assert_each_equal(_fidelity, t)
-    for tol in (1e-8, 1e-3):
-        _assert_each_equal(lambda s: _werner_fit(s, tol)[0], states)
-        _assert_each_equal(lambda s: _werner_fit(s, tol)[1], states)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,7 +223,8 @@ def test_evaluate_builds_no_matrix(monkeypatch):
 def test_dense_fit_and_evaluate_agree_on_a_mixed_stack():
     a2 = np.array([0.5, 0.3, 0.5, 0.7])
     xi = np.array([1 / 6, 1 / 6, 0.3, 0.3])
-    x, _ = _werner_fit(nonlocal_states(a2, xi), 1e-8)
+    fits = [werner_decompose(rho, 1e-8) for rho in nonlocal_states(a2, xi)]
+    x = np.array([math.nan if fit is None else fit.x for fit in fits])
     assert np.isnan(x).tolist() == [False, True, False, True]
     got = evaluate({"wernerX"}, xi, a2)["wernerX"]
     np.testing.assert_array_equal(np.isnan(got), np.isnan(x))

@@ -11,7 +11,6 @@ from entbroadcast.broadcast import (
     global_broadcast_vector,
     local_state,
     nonlocal_state,
-    oracle_all_pairs,
     oracle_broadcast,
     oracle_states,
 )
@@ -186,8 +185,7 @@ class TestOracle:
                              make_cloner_parameter(XI_LOWER))
 
     def test_pair_symmetries(self):
-        pairs = oracle_all_pairs(EntangledInput.from_alpha_sq(0.3),
-                                 make_cloner_parameter(0.2))
+        pairs = oracle_states(0.3, make_cloner_parameter(0.2))
         assert np.max(np.abs(pairs["a1b1"] - pairs["a2b2"])) <= 1e-13
         assert np.max(np.abs(pairs["a1b2"] - pairs["a2b1"])) <= 1e-13
 
@@ -203,12 +201,22 @@ class TestOracle:
             "a1b2": partial_trace(rho, ORACLE_DIMS, keep=[0, 4]),
             "a2b1": swap @ partial_trace(rho, ORACLE_DIMS, keep=[1, 3]) @ swap,
         }
-        pairs = oracle_all_pairs(inp, p)
+        pairs = oracle_states(inp.alpha_sq, p)
         for name, want in expected.items():
             assert np.max(np.abs(pairs[name] - want)) <= 1e-15, name
         out = oracle_broadcast(inp, p)
         assert np.array_equal(out.local_state, pairs["a1b1"])
         assert np.array_equal(out.nonlocal_state, pairs["a1b2"])
+
+    def test_oracle_broadcast_takes_alpha_just_above_one(self):
+        # EntangledInput admits alpha = 1 + 1e-15; its square is above 1, which
+        # oracle_states rejects, so oracle_broadcast reads alpha and beta
+        inp, p = EntangledInput(1 + 1e-15), make_cloner_parameter(0.3)
+        with pytest.raises(ValueError):
+            oracle_states(inp.alpha_sq, p)
+        out = oracle_broadcast(inp, p)
+        assert np.max(np.abs(out.local_state - local_state(inp, p))) <= 1e-12
+        assert np.max(np.abs(out.nonlocal_state - nonlocal_state(inp, p))) <= 1e-12
 
     def test_single_qubit_reduction_is_shrunk_input(self):
         inp = EntangledInput.from_alpha_sq(0.3)
@@ -226,11 +234,11 @@ def test_oracle_states_equal_the_one_point_oracles(xi):
     stack = oracle_states(alpha_sq, p)
     assert all(rho.shape == alpha_sq.shape + (4, 4) for rho in stack.values())
     for k, a2 in enumerate(alpha_sq):
-        inp = EntangledInput.from_alpha_sq(a2)
-        pairs = oracle_all_pairs(inp, p)
+        pairs = oracle_states(float(a2), p)
         for name, rho in pairs.items():
+            assert rho.shape == (4, 4)
             assert np.array_equal(stack[name][k], rho), (a2, name)
-        out = oracle_broadcast(inp, p)
+        out = oracle_broadcast(EntangledInput.from_alpha_sq(a2), p)
         assert np.array_equal(stack["a1b1"][k], out.local_state)
         assert np.array_equal(stack["a1b2"][k], out.nonlocal_state)
     grid = oracle_states(alpha_sq.reshape(2, -1), p)

@@ -162,6 +162,15 @@ class TestCli:
         a2 = float(out.splitlines()[1].split(",")[-1])
         assert abs(a2 - (0.5 - math.sqrt(39) / 16)) <= 1e-8
 
+    def test_boundary_at_a_degenerate_local_range(self, capsys):
+        # the local range is the point 1/2 at xi = 1/4, where the same-site
+        # eigenvalue is within rounding of 0 over a band of alpha^2: --tol
+        # bounds the final bracket, and each end lies within 1e-8 of 1/2
+        rc = main(["boundary", "--xi", "0.25", "--target", "local", "--format", "json"])
+        assert rc == 0
+        lo, hi = (rec["alpha_sq"] for rec in json.loads(capsys.readouterr().out))
+        assert 0.5 - 1e-8 <= lo < 0.5 < hi <= 0.5 + 1e-8
+
     def test_clone_audit_command(self, capsys):
         rc = main(["clone-audit", "--xi", str(1 / 6), "--kind", "Literal2D",
                    "--samples", "16", "--format", "json"])
