@@ -14,14 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .broadcast import (
-    STATE_TOL,
-    EntangledInput,
-    local_entries,
-    local_state_entries,
-    nonlocal_entries,
-    nonlocal_state_entries,
-)
+from .broadcast import STATE_TOL, EntangledInput, local_entries, nonlocal_entries
 from .cloner import XI_SLACK, ClonerParameter, OutOfRangeError
 from .linalg import PAULIS, is_density_operator
 
@@ -57,9 +50,6 @@ class Interval:
     @property
     def width(self):
         return self.hi - self.lo
-
-    def contains(self, x, slack=0.0):
-        return self.lo - slack <= x <= self.hi + slack
 
     def subset_of(self, other, slack=0.0):
         return other.lo - slack <= self.lo and self.hi <= other.hi + slack
@@ -252,8 +242,10 @@ def ppt_test(rho, tol=PPT_TOL):
 
 
 def _centred_range(p: ClonerParameter, hi, radicand):
-    """The alpha^2 interval 1/2 +- sqrt(radicand(xi, eta)), or None where the
-    radicand is negative; it tends to -inf as eta -> 0, and is -inf there.
+    """The alpha^2 interval 1/2 +- sqrt(radicand(xi, eta)), clamped to [0, 1],
+    or None where the radicand is negative; it tends to -inf as eta -> 0, and
+    is -inf there. A radicand above 1/4 comes only from an xi in the slack
+    outside [0, 1], where |eta| > 1.
 
     Raises OutOfRangeError for xi outside [0, hi] (beyond XI_SLACK), its
     state's bounds; inside, |eta| <= 1, so no eta^4 overflows.
@@ -265,7 +257,7 @@ def _centred_range(p: ClonerParameter, hi, radicand):
     if r < 0.0:
         return None
     s = math.sqrt(r)
-    return Interval(0.5 - s, 0.5 + s)
+    return Interval(max(0.0, 0.5 - s), min(1.0, 0.5 + s))
 
 
 def nonlocal_inseparability_range(p: ClonerParameter) -> Interval:
@@ -352,7 +344,7 @@ def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
     if budget < 1:
         raise ValueError("budget must be >= 1")
     ratios = np.array([1.0]) if budget == 1 else np.logspace(-3.0, 3.0, budget)
-    m = _filtered_bell_m(nonlocal_state_entries(inp, p), ratios[:, None], ratios[None, :])
+    m = _filtered_bell_m(nonlocal_entries(inp.alpha_sq, p.xi), ratios[:, None], ratios[None, :])
     row, col = divmod(int(np.argmax(m)), budget)  # C order: the earliest maximum
     return {"max_m": float(m[row, col]),
             "argmax": FilterParams(float(ratios[row]), 1.0, float(ratios[col]), 1.0)}
@@ -448,7 +440,7 @@ def nonlocal_inseparable_predicate(p: ClonerParameter):
     closed form of ``evaluate``'s pptNonlocal; ``oracle.equivalence`` ties it to eigvalsh."""
 
     def pred(alpha_sq):
-        e = nonlocal_state_entries(EntangledInput.from_alpha_sq(alpha_sq), p)
+        e = nonlocal_entries(alpha_sq, p.xi)
         # raw eigenvalue sign: bisection needs the exact zero crossing, not
         # the -1e-10 classification threshold
         return bool(_least_pt_cross(e) < 0.0)
@@ -461,7 +453,7 @@ def local_separable_predicate(p: ClonerParameter):
     closed form of ``evaluate``'s pptLocal; ``oracle.equivalence`` ties it to eigvalsh."""
 
     def pred(alpha_sq):
-        s = local_state_entries(EntangledInput.from_alpha_sq(alpha_sq), p)
+        s = local_entries(alpha_sq, p.xi)
         return bool(_least_pt_same(s) >= 0.0)
 
     return pred

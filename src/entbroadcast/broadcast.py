@@ -7,10 +7,14 @@ state-vector oracle that builds the global 256-dimensional pure state
 matrices by partial tracing. The oracle requires the abstract machine, so
 it is only defined for xi >= 1/6.
 
-Both states are X-states, fixed by a few real entries. One entry function
-per state computes them and validates the state from its closed-form
-smallest eigenvalue, so no later query needs to check it again; the matrix
-builders fill their matrices from those entries.
+Both states are X-states, fixed by a few real entries. Each state has one
+entry function, ``nonlocal_entries(alpha_sq, xi)`` or
+``local_entries(alpha_sq, xi)``, for one state (two floats) or a grid of
+them (arrays): it checks alpha^2, computes the entries and validates the
+state from its closed-form smallest eigenvalue, so no later query needs to
+check it again. ``nonlocal_states``/``local_states`` fill matrices from
+those entries; ``nonlocal_state``/``local_state`` call them with an
+``EntangledInput``'s alpha^2 and a ``ClonerParameter``'s xi.
 """
 
 import math
@@ -36,12 +40,12 @@ class EntangledInput:
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 + 1e-15):
+        if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha={self.alpha} outside [0, 1]")
 
     @property
     def beta(self):
-        return math.sqrt(max(0.0, 1.0 - self.alpha * self.alpha))
+        return math.sqrt(1.0 - self.alpha * self.alpha)
 
     @property
     def alpha_sq(self):
@@ -104,11 +108,30 @@ def _x_stack(entries):
     return rho
 
 
-# One entry function and one builder per state. The entry functions are plain
-# arithmetic, so ``a``, ``b`` and ``xi`` may be floats, for one state, or arrays
-# that broadcast together, for a stack over their broadcast shape (...); they
-# check the state once, from its closed-form eigenvalues. The builders fill
-# (4, 4) or (..., 4, 4) matrices from the entries, in the shape they come in.
+def _entries(state, alpha_sq, xi):
+    """``state(a, b, xi)`` with a = sqrt(alpha^2) and b = sqrt(1 - a^2).
+
+    On plain floats when ``alpha_sq`` and ``xi`` are both floats, for one
+    state; otherwise on arrays, for the stack over their broadcast shape,
+    with numpy's overflow warnings off: a huge xi fails the state's check.
+    Raises ValueError for alpha^2 outside [0, 1].
+    """
+    if isinstance(alpha_sq, float) and isinstance(xi, float):
+        if not 0.0 <= alpha_sq <= 1.0:
+            raise ValueError(f"alpha^2={alpha_sq} outside [0, 1]")
+        a = math.sqrt(alpha_sq)
+        return state(a, math.sqrt(1.0 - a * a), xi)
+    alpha_sq = np.asarray(alpha_sq, dtype=float)
+    if not ((alpha_sq >= 0.0) & (alpha_sq <= 1.0)).all():
+        raise ValueError("alpha^2 outside [0, 1]")
+    a = np.sqrt(alpha_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return state(a, np.sqrt(1.0 - a * a), np.asarray(xi, dtype=float))
+
+
+# The closed forms of the two states: plain arithmetic on floats or on arrays
+# that broadcast together, which checks each state once, from its closed-form
+# eigenvalues.
 
 def _cross_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
@@ -131,98 +154,64 @@ def _same_site_entries(a, b, xi):
     return SameSiteEntries(big_a, big_b, xi)
 
 
-def _cross_site_matrix(e: CrossSiteEntries):
-    return _x_stack({(0, 0): e.big_a, (3, 3): e.big_b, (1, 1): e.c, (2, 2): e.c,
-                     (0, 3): e.d, (3, 0): e.d})
-
-
-def _same_site_matrix(e: SameSiteEntries):
-    # 2 xi |+><+| spread over |01>, |10>
-    return _x_stack({(0, 0): e.big_a, (3, 3): e.big_b, (1, 1): e.xi, (2, 2): e.xi,
-                     (1, 2): e.xi, (2, 1): e.xi})
-
-
-def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
-    """Cross-site pair state: X-form with diagonal (A, C, C, B), coherence D.
-
-    A = alpha^2 (1-2xi) + xi^2, B = beta^2 (1-2xi) + xi^2, C = xi(1-xi),
-    D = alpha beta (1-2xi)^2 between |00> and |11>. Raises OutOfRangeError
-    when this is not a density operator (xi outside [0, 1]).
-    """
-    return _cross_site_matrix(nonlocal_state_entries(inp, p))
-
-
-def nonlocal_state_entries(inp: EntangledInput, p: ClonerParameter) -> CrossSiteEntries:
-    """The entries of ``nonlocal_state(inp, p)``, from the same a, b and xi."""
-    return _cross_site_entries(inp.alpha, inp.beta, p.xi)
-
-
-def local_state(inp: EntangledInput, p: ClonerParameter):
-    """Same-site clone pair: (1-2xi)(a^2 |00><00| + b^2 |11><11|) + 2xi |+><+|.
-
-    Raises OutOfRangeError when this is not a density operator (xi outside
-    [0, 1/2]).
-    """
-    return _same_site_matrix(local_state_entries(inp, p))
-
-
-def local_state_entries(inp: EntangledInput, p: ClonerParameter) -> SameSiteEntries:
-    """The entries of ``local_state(inp, p)``, from the same a, b and xi."""
-    return _same_site_entries(inp.alpha, inp.beta, p.xi)
-
-
-def _stack_inputs(alpha_sq, xi):
-    alpha_sq = np.asarray(alpha_sq, dtype=float)
-    if not ((alpha_sq >= 0.0) & (alpha_sq <= 1.0)).all():
-        raise ValueError("alpha^2 outside [0, 1]")
-    a = np.sqrt(alpha_sq)
-    return a, np.sqrt(np.maximum(0.0, 1.0 - a * a)), np.asarray(xi, dtype=float)
-
-
-def nonlocal_states(alpha_sq, xi):
-    """Stack of cross-site states at the points (alpha_sq[k], xi[k]).
-
-    Shape (..., 4, 4) for arrays that broadcast to shape (...); entry k equals
-    ``nonlocal_state`` at that point. ``xi`` is not held to the machine's
-    range here (``make_cloner_parameter`` does that); raises OutOfRangeError
-    at the first point where the state is not a density operator.
-    """
-    return _cross_site_matrix(nonlocal_entries(alpha_sq, xi))
-
-
-def local_states(alpha_sq, xi):
-    """Stack of same-site states at the points (alpha_sq[k], xi[k]); as
-    ``nonlocal_states``, with entry k equal to ``local_state`` there."""
-    return _same_site_matrix(local_entries(alpha_sq, xi))
-
-
 def nonlocal_entries(alpha_sq, xi) -> CrossSiteEntries:
-    """The entries of the cross-site states at the points (alpha_sq, xi), each
-    of their broadcast shape (or a float); validated as ``nonlocal_states``
-    validates, from the same arithmetic, with no matrix built."""
-    with np.errstate(over="ignore", invalid="ignore"):  # huge xi fails the check
-        return _cross_site_entries(*_stack_inputs(alpha_sq, xi))
+    """The entries of the cross-site states at the points (alpha_sq, xi):
+    floats for two floats, else arrays of their broadcast shape.
+
+    ``xi`` is not held to the machine's range here (``make_cloner_parameter``
+    does that). Raises ValueError for alpha^2 outside [0, 1], and
+    OutOfRangeError at the first point where the state is not a density
+    operator (xi outside [0, 1]).
+    """
+    return _entries(_cross_site_entries, alpha_sq, xi)
 
 
 def local_entries(alpha_sq, xi) -> SameSiteEntries:
     """The entries of the same-site states at the points (alpha_sq, xi); as
-    ``nonlocal_entries``, validated as ``local_states`` validates."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _same_site_entries(*_stack_inputs(alpha_sq, xi))
+    ``nonlocal_entries``, with the state's domain xi in [0, 1/2]."""
+    return _entries(_same_site_entries, alpha_sq, xi)
+
+
+def nonlocal_states(alpha_sq, xi):
+    """Cross-site pair states: X-form with diagonal (A, C, C, B), coherence D.
+
+    A = alpha^2 (1-2xi) + xi^2, B = beta^2 (1-2xi) + xi^2, C = xi(1-xi),
+    D = alpha beta (1-2xi)^2 between |00> and |11>. Shape (4, 4) for two
+    floats, else (..., 4, 4) for arrays that broadcast to shape (...);
+    raises as ``nonlocal_entries``.
+    """
+    e = nonlocal_entries(alpha_sq, xi)
+    return _x_stack({(0, 0): e.big_a, (3, 3): e.big_b, (1, 1): e.c, (2, 2): e.c,
+                     (0, 3): e.d, (3, 0): e.d})
+
+
+def local_states(alpha_sq, xi):
+    """Same-site clone pairs: (1-2xi)(a^2 |00><00| + b^2 |11><11|) + 2xi |+><+|;
+    shaped as ``nonlocal_states``, raising as ``local_entries``."""
+    s = local_entries(alpha_sq, xi)
+    # 2 xi |+><+| spread over |01>, |10>
+    return _x_stack({(0, 0): s.big_a, (3, 3): s.big_b, (1, 1): s.xi, (2, 2): s.xi,
+                     (1, 2): s.xi, (2, 1): s.xi})
+
+
+def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
+    """``nonlocal_states`` for one input pair and one machine parameter."""
+    return nonlocal_states(inp.alpha_sq, p.xi)
+
+
+def local_state(inp: EntangledInput, p: ClonerParameter):
+    """``local_states`` for one input pair and one machine parameter."""
+    return local_states(inp.alpha_sq, p.xi)
 
 
 def _global_vectors(a, b, p):
-    """Global pure states alpha|00> + beta|11>, each half cloned: shape (256,)
-    for floats a, b, or (..., 256) for arrays of one shape (...). The machine
+    """Global pure states alpha|00> + beta|11>, each half cloned, on factors
+    (a1, b1, m1, a2, b2, m2) of dims (2, 2, 4, 2, 2, 4): shape (256,) for
+    floats a, b, or (..., 256) for arrays of one shape (...). The machine
     isometry is built once for all of them."""
     v = machine_isometry(p, MachineKind.ABSTRACT_BH)  # 16x2, raises GramNotPSD below 1/6
     return (np.multiply.outer(a, np.kron(v[:, 0], v[:, 0]))
             + np.multiply.outer(b, np.kron(v[:, 1], v[:, 1])))
-
-
-def global_broadcast_vector(inp: EntangledInput, p: ClonerParameter):
-    """Global pure state on factors (a1, b1, m1, a2, b2, m2), dims (2,2,4,2,2,4)."""
-    return _global_vectors(inp.alpha, inp.beta, p)
 
 
 ORACLE_DIMS = [2, 2, 4, 2, 2, 4]
@@ -245,29 +234,20 @@ def _pair_reduction(psis, pair):
     return rho.reshape(psis.shape[:-1] + (4, 4))
 
 
-def _oracle_pairs(a, b, p):
-    """All four pair reductions of the global states ``_global_vectors(a, b, p)``,
-    keyed by factor names, each of shape a.shape + (4, 4)."""
-    psis = _global_vectors(a, b, p)
-    return {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
-
-
 def oracle_states(alpha_sq, p: ClonerParameter):
     """All four pair reductions of the global states at alpha^2 (a float, or
     an array), by brute-force partial tracing, keyed by factor names ("a1b1",
-    "a2b2", "a1b2", "a2b1"), each of shape alpha_sq.shape + (4, 4).
+    "a2b2", "a1b2", "a2b1"), each of shape alpha_sq.shape + (4, 4). Raises
+    ValueError for alpha^2 outside [0, 1].
 
     Independent of the closed forms above; agreement with them is the test.
     """
-    a, b, _ = _stack_inputs(alpha_sq, p.xi)
-    return _oracle_pairs(a, b, p)
+    psis = _entries(lambda a, b, _: _global_vectors(a, b, p), alpha_sq, p.xi)
+    return {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
 
 
 def oracle_broadcast(inp: EntangledInput, p: ClonerParameter):
-    """Broadcast outputs of ``global_broadcast_vector`` by brute-force partial
-    tracing: the same-site pair (a1, b1) and the cross-site pair (a1, b2).
-
-    Takes ``inp``'s own alpha and beta, not alpha^2: ``EntangledInput``
-    admits alpha up to 1 + 1e-15, whose square ``oracle_states`` rejects."""
-    pairs = _oracle_pairs(inp.alpha, inp.beta, p)
+    """Broadcast outputs by brute-force partial tracing: the same-site pair
+    (a1, b1) and the cross-site pair (a1, b2) of ``oracle_states``."""
+    pairs = oracle_states(inp.alpha_sq, p)
     return BroadcastOutputs(local_state=pairs["a1b1"], nonlocal_state=pairs["a1b2"])

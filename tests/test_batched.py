@@ -51,7 +51,6 @@ from entbroadcast.broadcast import (
     nonlocal_entries,
     CrossSiteEntries,
     nonlocal_state,
-    nonlocal_state_entries,
     nonlocal_states,
 )
 from entbroadcast.cloner import (
@@ -271,7 +270,7 @@ def _grid_search(inp, p, budget):
 def _search_grid(inp, p, budget):
     """The ratios and the M values that the search itself computes."""
     ratios = np.array([1.0]) if budget == 1 else np.logspace(-3.0, 3.0, budget)
-    m = analysis._filtered_bell_m(nonlocal_state_entries(inp, p),
+    m = analysis._filtered_bell_m(nonlocal_entries(inp.alpha_sq, p.xi),
                                   ratios[:, None], ratios[None, :])
     return ratios, m
 
@@ -344,7 +343,7 @@ def test_filtered_closed_form_matches_dense_reference(alpha_sq, xi, rm, rp):
     dense = bell_quantity_m(gisin_filter(rho, FilterParams(1.0, 1.0, 1.0, 1.0)))
     assert abs(filter_search_max_m(inp, p, budget=1)["max_m"] - dense) <= 1e-14
     dense = bell_quantity_m(gisin_filter(rho, FilterParams(rm, 1.0, rp, 1.0)))
-    got = analysis._filtered_bell_m(nonlocal_state_entries(inp, p), rm, rp)
+    got = analysis._filtered_bell_m(nonlocal_entries(inp.alpha_sq, p.xi), rm, rp)
     assert abs(got - dense) <= 1e-14
 
 

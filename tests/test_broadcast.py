@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from entbroadcast.broadcast import (
     ORACLE_DIMS,
     EntangledInput,
-    global_broadcast_vector,
+    _global_vectors,
+    local_entries,
     local_state,
+    nonlocal_entries,
     nonlocal_state,
     oracle_broadcast,
     oracle_states,
@@ -43,6 +45,14 @@ class TestEntangledInput:
             EntangledInput(1.5)
         with pytest.raises(ValueError):
             EntangledInput.from_alpha_sq(-0.1)
+
+    def test_every_route_rejects_alpha_just_above_one(self):
+        # one domain: alpha in [0, 1], alpha^2 in [0, 1], on every route
+        p = make_cloner_parameter(0.3)
+        for route in (EntangledInput, lambda x: nonlocal_entries(x, 0.2),
+                      lambda x: local_entries(x, 0.2), lambda x: oracle_states(x, p)):
+            with pytest.raises(ValueError):
+                route(1 + 1e-15)
 
 
 class TestClosedForms:
@@ -108,14 +118,36 @@ class TestClosedForms:
                     assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
 
-def _x_states(xi, alpha_sq):
-    """Cross-site and same-site states written out entry by entry."""
-    eta, a2, b2 = 1 - 2 * xi, alpha_sq, 1 - alpha_sq
-    cross = np.diag([a2 * eta + xi**2, xi * (1 - xi), xi * (1 - xi), b2 * eta + xi**2])
-    cross[0, 3] = cross[3, 0] = math.sqrt(a2 * b2) * eta**2
+def _x_states(xi, alpha):
+    """Cross-site and same-site states written out entry by entry from alpha,
+    beta = sqrt(1 - alpha^2) and xi, each product in the closed forms' order."""
+    beta, eta = math.sqrt(max(0.0, 1.0 - alpha * alpha)), 1.0 - 2.0 * xi
+    a2, b2 = alpha * alpha, beta * beta
+    cross = np.diag([a2 * eta + xi * xi, xi * (1.0 - xi), xi * (1.0 - xi), b2 * eta + xi * xi])
+    cross[0, 3] = cross[3, 0] = alpha * beta * eta * eta
     same = np.diag([a2 * eta, xi, xi, b2 * eta])
     same[1, 2] = same[2, 1] = xi
     return cross, same
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(2.0**-511, 1.0), st.floats(XI_LOWER, 0.5))
+def test_entangled_input_route_is_the_x_state_from_alpha(alpha, xi):
+    # sqrt(fl(alpha^2)) == alpha from 2**-511 up, so the alpha^2 route loses
+    # nothing of alpha
+    inp, p = EntangledInput(alpha), make_cloner_parameter(xi)
+    cross, same = _x_states(xi, alpha)
+    assert np.array_equal(nonlocal_state(inp, p), cross)
+    assert np.array_equal(local_state(inp, p), same)
+    if xi >= 1 / 6:  # the oracle's abstract machine exists
+        out = oracle_broadcast(inp, p)
+        assert np.max(np.abs(out.nonlocal_state - cross)) <= 1e-12
+        assert np.max(np.abs(out.local_state - same)) <= 1e-12
+
+
+def test_one_state_entries_are_plain_floats():
+    for entries in (nonlocal_entries(0.3, 0.2), local_entries(0.3, 0.2)):
+        assert all(type(v) is float for v in entries), entries
 
 
 def _raises_out_of_range(build, inp, p):
@@ -140,7 +172,7 @@ class TestConstructionCheck:
             p = analysis_parameter(xi)
             for a2 in np.linspace(0, 1, 21):
                 inp = EntangledInput.from_alpha_sq(float(a2))
-                cross, same = _x_states(xi, float(a2))
+                cross, same = _x_states(xi, math.sqrt(a2))
                 for build, rho in ((nonlocal_state, cross), (local_state, same)):
                     rejected = not is_density_operator(rho, 1e-9, 1e-9)
                     assert _raises_out_of_range(build, inp, p) == rejected, (
@@ -162,8 +194,7 @@ class TestConstructionCheck:
 
 class TestOracle:
     def test_global_state_normalized(self):
-        psi = global_broadcast_vector(EntangledInput.from_alpha_sq(0.4),
-                                      make_cloner_parameter(0.3))
+        psi = _global_vectors(math.sqrt(0.4), math.sqrt(0.6), make_cloner_parameter(0.3))
         assert abs(np.linalg.norm(psi) - 1) <= 1e-13
 
     def test_oracle_matches_closed_forms_at_optimal(self):
@@ -193,7 +224,7 @@ class TestOracle:
                                               (0.9, 0.5)])
     def test_reductions_match_partial_trace_of_global_density(self, alpha_sq, xi):
         inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
-        rho = outer(global_broadcast_vector(inp, p))
+        rho = outer(_global_vectors(inp.alpha, inp.beta, p))
         swap = np.eye(4)[[0, 2, 1, 3]]  # partial_trace keeps (b1, a2); read as (a2, b1)
         expected = {
             "a1b1": partial_trace(rho, ORACLE_DIMS, keep=[0, 1]),
@@ -207,16 +238,6 @@ class TestOracle:
         out = oracle_broadcast(inp, p)
         assert np.array_equal(out.local_state, pairs["a1b1"])
         assert np.array_equal(out.nonlocal_state, pairs["a1b2"])
-
-    def test_oracle_broadcast_takes_alpha_just_above_one(self):
-        # EntangledInput admits alpha = 1 + 1e-15; its square is above 1, which
-        # oracle_states rejects, so oracle_broadcast reads alpha and beta
-        inp, p = EntangledInput(1 + 1e-15), make_cloner_parameter(0.3)
-        with pytest.raises(ValueError):
-            oracle_states(inp.alpha_sq, p)
-        out = oracle_broadcast(inp, p)
-        assert np.max(np.abs(out.local_state - local_state(inp, p))) <= 1e-12
-        assert np.max(np.abs(out.nonlocal_state - nonlocal_state(inp, p))) <= 1e-12
 
     def test_single_qubit_reduction_is_shrunk_input(self):
         inp = EntangledInput.from_alpha_sq(0.3)

@@ -3,15 +3,19 @@
 No module imports another module's private (``_``-prefixed) names, no
 module imports a name it never uses, and every private name a module binds
 at its top level is used in it. The package ``__init__`` is exempt from the
-second rule: its imports are the package's public interface.
+second rule: its imports are the package's public interface. Every name the
+README lists as kept public API exists in its module.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "entbroadcast"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "entbroadcast"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -66,3 +70,21 @@ def test_every_private_module_name_is_used(path):
                if name.startswith("_") and not name.startswith("__")}
     unused = sorted(private - loaded)
     assert not unused, f"{path.name} never uses {unused}"
+
+
+def _readme_api():
+    """(module, name) for each name in the README's "## Python API" list,
+    whose items read "- `module`: `name`, `name`, ..."."""
+    section = ROOT.joinpath("README.md").read_text().split("## Python API\n")[1]
+    section = section.split("\n## ")[0]
+    for item in re.findall(r"^- (.*(?:\n  .*)*)", section, re.MULTILINE):
+        module, *names = re.findall(r"`([^`]+)`", item)
+        yield from ((module, name) for name in names)
+
+
+def test_readme_api_names_exist():
+    listed = list(_readme_api())
+    assert {module for module, _ in listed} == {"analysis", "broadcast", "cloner", "cli"}
+    missing = [f"{module}.{name}" for module, name in listed
+               if not hasattr(importlib.import_module(f"entbroadcast.{module}"), name)]
+    assert not missing, f"README lists {missing} as public API"

@@ -65,11 +65,10 @@ def test_partial_trace_bell_state():
 def test_partial_trace_six_factor_broadcast():
     # tracing out (b1, m1, a2, m2) of the full broadcast state must reproduce
     # the closed-form cross-site matrix with entries 13/36, 5/36, 2/9
-    from entbroadcast.broadcast import EntangledInput, global_broadcast_vector
-    from entbroadcast.cloner import make_cloner_parameter
+    from entbroadcast.cloner import MachineKind, machine_isometry, make_cloner_parameter
 
-    psi = global_broadcast_vector(EntangledInput.from_alpha_sq(0.5),
-                                  make_cloner_parameter(1 / 6))
+    v = machine_isometry(make_cloner_parameter(1 / 6), MachineKind.ABSTRACT_BH)
+    psi = (np.kron(v[:, 0], v[:, 0]) + np.kron(v[:, 1], v[:, 1])) / np.sqrt(2.0)
     rho = np.outer(psi, psi.conj())
     out = partial_trace(rho, [2, 2, 4, 2, 2, 4], keep=[0, 4])
     expected = np.zeros((4, 4))
