@@ -2,18 +2,18 @@
 
 Closed forms of the local (same-site clone pair) and nonlocal (cross-site
 pair) density operators, valid for any machine parameter, plus a full
-state-vector oracle that builds the global 256-dimensional pure state
-(two clones and a 4-dimensional machine per site) and obtains the same
-matrices by partial tracing. The oracle requires the abstract machine, so
-it is only defined for xi >= 1/6.
+state-vector oracle that builds the global pure state (two clones and a
+machine per site) and obtains the same matrices by partial tracing. The
+oracle takes the machine's dimension from its isometry; it uses the
+abstract machine, so it is only defined for xi >= 1/6.
 
 Both states are X-states, fixed by a few real entries. Each state has one
 entry function, ``nonlocal_entries(alpha_sq, xi)`` or
 ``local_entries(alpha_sq, xi)``, for one state (two floats) or a grid of
 them (arrays): it checks alpha^2, computes the entries and validates the
 state from its closed-form smallest eigenvalue, so no later query needs to
-check it again. ``nonlocal_states``/``local_states`` fill matrices from
-those entries; ``nonlocal_state``/``local_state`` call them with an
+check it again. The entries' ``matrix()`` fills the state's matrix or stack
+of matrices; ``nonlocal_state``/``local_state`` build it at an
 ``EntangledInput``'s alpha^2 and a ``ClonerParameter``'s xi.
 """
 
@@ -77,6 +77,13 @@ class CrossSiteEntries(NamedTuple):
     d: object
     asym: object
 
+    def matrix(self):
+        """The state: A = a^2 eta + xi^2, B = b^2 eta + xi^2, C = xi (1 - xi)
+        and D = a b eta^2, eta = 1 - 2 xi. Shape (4, 4) for float entries,
+        else (..., 4, 4) for entries of shape (...)."""
+        return _x_stack({(0, 0): self.big_a, (3, 3): self.big_b, (1, 1): self.c,
+                         (2, 2): self.c, (0, 3): self.d, (3, 0): self.d})
+
 
 class SameSiteEntries(NamedTuple):
     """The same-site state's entries: diagonal (a^2 eta, xi, xi, b^2 eta) and
@@ -85,6 +92,13 @@ class SameSiteEntries(NamedTuple):
     big_a: object
     big_b: object
     xi: object
+
+    def matrix(self):
+        """The state, (1 - 2 xi)(a^2 |00><00| + b^2 |11><11|) + 2 xi |+><+|;
+        shaped as ``CrossSiteEntries.matrix``."""
+        # 2 xi |+><+| spread over |01>, |10>
+        return _x_stack({(0, 0): self.big_a, (3, 3): self.big_b, (1, 1): self.xi,
+                         (2, 2): self.xi, (1, 2): self.xi, (2, 1): self.xi})
 
 
 def _require_physical(physical, xi, hi):
@@ -172,49 +186,26 @@ def local_entries(alpha_sq, xi) -> SameSiteEntries:
     return _entries(_same_site_entries, alpha_sq, xi)
 
 
-def nonlocal_states(alpha_sq, xi):
-    """Cross-site pair states: X-form with diagonal (A, C, C, B), coherence D.
-
-    A = alpha^2 (1-2xi) + xi^2, B = beta^2 (1-2xi) + xi^2, C = xi(1-xi),
-    D = alpha beta (1-2xi)^2 between |00> and |11>. Shape (4, 4) for two
-    floats, else (..., 4, 4) for arrays that broadcast to shape (...);
-    raises as ``nonlocal_entries``.
-    """
-    e = nonlocal_entries(alpha_sq, xi)
-    return _x_stack({(0, 0): e.big_a, (3, 3): e.big_b, (1, 1): e.c, (2, 2): e.c,
-                     (0, 3): e.d, (3, 0): e.d})
-
-
-def local_states(alpha_sq, xi):
-    """Same-site clone pairs: (1-2xi)(a^2 |00><00| + b^2 |11><11|) + 2xi |+><+|;
-    shaped as ``nonlocal_states``, raising as ``local_entries``."""
-    s = local_entries(alpha_sq, xi)
-    # 2 xi |+><+| spread over |01>, |10>
-    return _x_stack({(0, 0): s.big_a, (3, 3): s.big_b, (1, 1): s.xi, (2, 2): s.xi,
-                     (1, 2): s.xi, (2, 1): s.xi})
-
-
 def nonlocal_state(inp: EntangledInput, p: ClonerParameter):
-    """``nonlocal_states`` for one input pair and one machine parameter."""
-    return nonlocal_states(inp.alpha_sq, p.xi)
+    """The cross-site state for one input pair and one machine parameter."""
+    return nonlocal_entries(inp.alpha_sq, p.xi).matrix()
 
 
 def local_state(inp: EntangledInput, p: ClonerParameter):
-    """``local_states`` for one input pair and one machine parameter."""
-    return local_states(inp.alpha_sq, p.xi)
+    """The same-site state for one input pair and one machine parameter."""
+    return local_entries(inp.alpha_sq, p.xi).matrix()
 
 
-def _global_vectors(a, b, p):
-    """Global pure states alpha|00> + beta|11>, each half cloned, on factors
-    (a1, b1, m1, a2, b2, m2) of dims (2, 2, 4, 2, 2, 4): shape (256,) for
-    floats a, b, or (..., 256) for arrays of one shape (...). The machine
-    isometry is built once for all of them."""
-    v = machine_isometry(p, MachineKind.ABSTRACT_BH)  # 16x2, raises GramNotPSD below 1/6
-    return (np.multiply.outer(a, np.kron(v[:, 0], v[:, 0]))
-            + np.multiply.outer(b, np.kron(v[:, 1], v[:, 1])))
+def _global_states(a, b, v):
+    """Global pure states alpha|00> + beta|11>, each half cloned by the
+    isometry ``v`` ((4 d)x2, factor order (a, b, machine)), as tensors on
+    factors (a1, b1, m1, a2, b2, m2) of dims (2, 2, d, 2, 2, d): that shape
+    for floats a, b, or (...) + that shape for arrays of one shape (...)."""
+    t = v.reshape(2, 2, -1, 2)  # t[a, b, machine, k]: the image of input |k>
+    return (np.multiply.outer(a, np.multiply.outer(t[..., 0], t[..., 0]))
+            + np.multiply.outer(b, np.multiply.outer(t[..., 1], t[..., 1])))
 
 
-ORACLE_DIMS = [2, 2, 4, 2, 2, 4]
 _ORACLE_FACTORS = "abmcdn"  # (a1, b1, m1, a2, b2, m2), one letter per factor
 # name -> factor letters, in the order the reduced state reads
 _ORACLE_PAIRS = {"a1b1": "ab", "a2b2": "cd", "a1b2": "ad", "a2b1": "cb"}
@@ -222,16 +213,16 @@ _ORACLE_PAIRS = {"a1b1": "ab", "a2b2": "cd", "a1b2": "ad", "a2b1": "cb"}
 
 def _pair_reduction(psis, pair):
     """Reduced states of |psi><psi| on two qubit factors, named by their
-    letters, for a stack of global vectors of shape (..., 256).
+    letters, for a stack of global states of shape (...) + 6 factor axes.
 
     The result, of shape (..., 4, 4), reads in the order of ``pair``: "cb"
     gives (a2, b1). One einsum contracts each psi with its conjugate over
     every other factor.
     """
     bra = "".join(f.upper() if f in pair else f for f in _ORACLE_FACTORS)
-    t = psis.reshape(psis.shape[:-1] + tuple(ORACLE_DIMS))
-    rho = np.einsum(f"...{_ORACLE_FACTORS},...{bra}->...{pair}{pair.upper()}", t, t.conj())
-    return rho.reshape(psis.shape[:-1] + (4, 4))
+    rho = np.einsum(f"...{_ORACLE_FACTORS},...{bra}->...{pair}{pair.upper()}",
+                    psis, psis.conj())
+    return rho.reshape(psis.shape[:-6] + (4, 4))
 
 
 def oracle_states(alpha_sq, p: ClonerParameter):
@@ -242,7 +233,8 @@ def oracle_states(alpha_sq, p: ClonerParameter):
 
     Independent of the closed forms above; agreement with them is the test.
     """
-    psis = _entries(lambda a, b, _: _global_vectors(a, b, p), alpha_sq, p.xi)
+    v = machine_isometry(p, MachineKind.ABSTRACT_BH)  # raises GramNotPSDError below 1/6
+    psis = _entries(lambda a, b, _: _global_states(a, b, v), alpha_sq, p.xi)
     return {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
 
 

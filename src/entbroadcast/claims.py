@@ -25,7 +25,7 @@ from .analysis import (
     nonlocal_inseparability_range,
     nonlocal_inseparable_predicate,
 )
-from .broadcast import EntangledInput, local_states, nonlocal_states, oracle_states
+from .broadcast import EntangledInput, local_entries, nonlocal_entries, oracle_states
 from .cloner import (
     MachineKind,
     analysis_parameter,
@@ -171,7 +171,7 @@ def verify_claims(filter_budget=101):
     for xi in (1.0 / 6.0, 0.20, 0.30, 0.45):
         pairs = oracle_states(a2, make_cloner_parameter(xi))
         dense = dense_quantities(pairs["a1b1"], pairs["a1b2"])
-        same, cross = local_states(a2, xi), nonlocal_states(a2, xi)
+        same, cross = local_entries(a2, xi).matrix(), nonlocal_entries(a2, xi).matrix()
         want = {"a1b1": same, "a2b2": same, "a1b2": cross, "a2b1": cross,
                 **evaluate(dense.keys(), xi, a2)}
         dev = max(dev, *(float(np.max(np.abs(v - want[k]))) for k, v in (pairs | dense).items()))

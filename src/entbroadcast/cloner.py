@@ -30,11 +30,12 @@ GRAM_PSD_TOL = 1e-10
 
 
 class OutOfRangeError(ValueError):
-    """Machine parameter outside the allowed closed interval."""
+    """Machine parameter outside the allowed closed interval, or not finite."""
 
     def __init__(self, xi, lo=XI_LOWER, hi=XI_UPPER):
         self.xi, self.lo, self.hi = xi, lo, hi
-        super().__init__(f"xi={xi} outside [{lo}, {hi}]")
+        super().__init__(f"xi={xi} outside [{lo}, {hi}]" if math.isfinite(xi)
+                         else f"xi={xi} is not finite")
 
 
 class GramNotPSDError(ValueError):

@@ -422,6 +422,14 @@ class TestBoundaryBisect:
     def test_no_crossing(self):
         with pytest.raises(NoCrossingError):
             boundary_bisect(OPTIMAL, lambda a2: True, "lower")
+        # the same-site state is entangled at alpha^2 = 1/2 above xi = 1/4
+        p = make_cloner_parameter(0.3)
+        with pytest.raises(NoCrossingError, match="false at alpha"):
+            boundary_bisect(p, local_separable_predicate(p), "lower")
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be 'lower' or 'upper'"):
+            boundary_bisect(OPTIMAL, lambda a2: True, "middle")
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_tolerance_not_positive_and_finite(self, tol):

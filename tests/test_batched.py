@@ -47,11 +47,9 @@ from entbroadcast.broadcast import (
     EntangledInput,
     local_entries,
     local_state,
-    local_states,
     nonlocal_entries,
     CrossSiteEntries,
     nonlocal_state,
-    nonlocal_states,
 )
 from entbroadcast.cloner import (
     XI_LOWER,
@@ -104,7 +102,7 @@ def _check_measures(states):
 @given(_points(1.0))
 def test_nonlocal_stack_matches_scalar_path(points):
     xi, a2 = np.array(points).T
-    stack = nonlocal_states(a2, xi)
+    stack = nonlocal_entries(a2, xi).matrix()
     for k, rho in enumerate(stack):
         single = nonlocal_state(EntangledInput.from_alpha_sq(a2[k]), analysis_parameter(xi[k]))
         np.testing.assert_array_equal(rho, single)
@@ -115,7 +113,7 @@ def test_nonlocal_stack_matches_scalar_path(points):
 @given(_points(0.5))
 def test_local_stack_matches_scalar_path(points):
     xi, a2 = np.array(points).T
-    stack = local_states(a2, xi)
+    stack = local_entries(a2, xi).matrix()
     for k, rho in enumerate(stack):
         single = local_state(EntangledInput.from_alpha_sq(a2[k]), analysis_parameter(xi[k]))
         np.testing.assert_array_equal(rho, single)
@@ -158,7 +156,7 @@ def _assert_close(got, want):
 @given(_closed_points(1.0))
 def test_cross_site_closed_forms_match_dense_measures(points):
     xi, a2 = np.array(points).T
-    rho = nonlocal_states(a2, xi)
+    rho = nonlocal_entries(a2, xi).matrix()
     t = _correlation(rho).real
     _assert_close(evaluate({"pptNonlocal", "bellM", "fidelity"}, xi, a2),
                   {"pptNonlocal": _min_pt_eigenvalue(rho), "bellM": _bell_m(t),
@@ -169,7 +167,7 @@ def test_cross_site_closed_forms_match_dense_measures(points):
 @given(_closed_points(0.5))
 def test_all_closed_forms_match_dense_measures(points):
     xi, a2 = np.array(points).T
-    want = dense_quantities(local_states(a2, xi), nonlocal_states(a2, xi))
+    want = dense_quantities(local_entries(a2, xi).matrix(), nonlocal_entries(a2, xi).matrix())
     assert set(want) == {"pptNonlocal", "pptLocal", "bellM", "fidelity"}
     _assert_close(evaluate(want, xi, a2), want)
 
@@ -209,7 +207,7 @@ def test_evaluate_builds_no_matrix(monkeypatch):
     for name in ("eigvalsh", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, no_matrix)
     with pytest.raises(AssertionError):
-        nonlocal_states([0.5], [0.2])  # the patch is live
+        nonlocal_entries([0.5], [0.2]).matrix()  # the patch is live
     xi = np.linspace(XI_LOWER, 0.5, 7)[:, None]
     a2 = np.linspace(0.0, 1.0, 5)[None, :]
     values = evaluate(("pptNonlocal", "pptLocal", "bellM", "fidelity"), xi, a2)
@@ -222,7 +220,7 @@ def test_evaluate_builds_no_matrix(monkeypatch):
 def test_dense_fit_and_evaluate_agree_on_a_mixed_stack():
     a2 = np.array([0.5, 0.3, 0.5, 0.7])
     xi = np.array([1 / 6, 1 / 6, 0.3, 0.3])
-    fits = [werner_decompose(rho, 1e-8) for rho in nonlocal_states(a2, xi)]
+    fits = [werner_decompose(rho, 1e-8) for rho in nonlocal_entries(a2, xi).matrix()]
     x = np.array([math.nan if fit is None else fit.x for fit in fits])
     assert np.isnan(x).tolist() == [False, True, False, True]
     got = evaluate({"wernerX"}, xi, a2)["wernerX"]
@@ -232,20 +230,16 @@ def test_dense_fit_and_evaluate_agree_on_a_mixed_stack():
 
 
 def test_stacks_raise_at_first_unphysical_point():
+    # the entry functions, and so the matrices and evaluate, check the points in order
     xi = np.array([0.2, 0.7, -0.3, 1.5])
-    with pytest.raises(OutOfRangeError, match=r"xi=0\.7 outside \[0\.0, 0\.5\]"):
-        local_states(np.full(4, 0.3), xi)
-    with pytest.raises(OutOfRangeError, match=r"xi=-0\.3 outside \[0\.0, 1\.0\]"):
-        nonlocal_states(np.full(4, 0.3), xi)
-    with pytest.raises(OutOfRangeError):
-        nonlocal_states([0.3], [math.nan])
-    with pytest.raises(ValueError):
-        nonlocal_states([1.5], [0.2])
-    # the entry functions, and so evaluate, check the same points the same way
     with pytest.raises(OutOfRangeError, match=r"xi=0\.7 outside \[0\.0, 0\.5\]"):
         local_entries(np.full(4, 0.3), xi)
     with pytest.raises(OutOfRangeError, match=r"xi=-0\.3 outside \[0\.0, 1\.0\]"):
         nonlocal_entries(np.full(4, 0.3), xi)
+    with pytest.raises(OutOfRangeError, match=r"xi=nan is not finite"):
+        nonlocal_entries([0.3], [math.nan])
+    with pytest.raises(ValueError):
+        nonlocal_entries([1.5], [0.2])
     with pytest.raises(OutOfRangeError, match=r"xi=0\.7 outside \[0\.0, 0\.5\]"):
         evaluate({"pptLocal", "bellM"}, xi, 0.3)
     with pytest.raises(OutOfRangeError, match=r"xi=-0\.3 outside \[0\.0, 1\.0\]"):

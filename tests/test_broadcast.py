@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbroadcast.broadcast import (
-    ORACLE_DIMS,
+    _ORACLE_PAIRS,
     EntangledInput,
-    _global_vectors,
+    _global_states,
+    _pair_reduction,
     local_entries,
     local_state,
     nonlocal_entries,
@@ -19,8 +20,11 @@ from entbroadcast.broadcast import (
 from entbroadcast.cloner import (
     XI_LOWER,
     GramNotPSDError,
+    MachineKind,
     OutOfRangeError,
     analysis_parameter,
+    literal_isometry,
+    machine_isometry,
     make_cloner_parameter,
 )
 from entbroadcast.linalg import (
@@ -192,9 +196,30 @@ class TestConstructionCheck:
         nonlocal_state(inp, analysis_parameter(1.0))
 
 
+def _abstract_global_state(inp, p):
+    return _global_states(inp.alpha, inp.beta, machine_isometry(p, MachineKind.ABSTRACT_BH))
+
+
+# partial_trace keeps the factors of each pair in ascending order, and so
+# (b1, a2) for "a2b1"; the swap reads that as (a2, b1)
+_KEPT_FACTORS = {"a1b1": [0, 1], "a2b2": [3, 4], "a1b2": [0, 4], "a2b1": [1, 3]}
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def _partial_traces(psi):
+    """The four pair states of the global tensor ``psi`` by ``partial_trace``
+    of its dense density matrix, over the factor dims of its shape."""
+    rho, dims = outer(psi.reshape(-1)), list(psi.shape)
+    pairs = {name: partial_trace(rho, dims, keep) for name, keep in _KEPT_FACTORS.items()}
+    pairs["a2b1"] = _SWAP @ pairs["a2b1"] @ _SWAP
+    return pairs
+
+
 class TestOracle:
     def test_global_state_normalized(self):
-        psi = _global_vectors(math.sqrt(0.4), math.sqrt(0.6), make_cloner_parameter(0.3))
+        inp = EntangledInput.from_alpha_sq(0.4)
+        psi = _abstract_global_state(inp, make_cloner_parameter(0.3))
+        assert psi.shape == (2, 2, 4, 2, 2, 4)
         assert abs(np.linalg.norm(psi) - 1) <= 1e-13
 
     def test_oracle_matches_closed_forms_at_optimal(self):
@@ -224,14 +249,7 @@ class TestOracle:
                                               (0.9, 0.5)])
     def test_reductions_match_partial_trace_of_global_density(self, alpha_sq, xi):
         inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
-        rho = outer(_global_vectors(inp.alpha, inp.beta, p))
-        swap = np.eye(4)[[0, 2, 1, 3]]  # partial_trace keeps (b1, a2); read as (a2, b1)
-        expected = {
-            "a1b1": partial_trace(rho, ORACLE_DIMS, keep=[0, 1]),
-            "a2b2": partial_trace(rho, ORACLE_DIMS, keep=[3, 4]),
-            "a1b2": partial_trace(rho, ORACLE_DIMS, keep=[0, 4]),
-            "a2b1": swap @ partial_trace(rho, ORACLE_DIMS, keep=[1, 3]) @ swap,
-        }
+        expected = _partial_traces(_abstract_global_state(inp, p))
         pairs = oracle_states(inp.alpha_sq, p)
         for name, want in expected.items():
             assert np.max(np.abs(pairs[name] - want)) <= 1e-15, name
@@ -265,3 +283,38 @@ def test_oracle_states_equal_the_one_point_oracles(xi):
     grid = oracle_states(alpha_sq.reshape(2, -1), p)
     assert all(np.array_equal(grid[name].reshape(stack[name].shape), stack[name])
                for name in stack)
+
+
+class TestLiteralOracle:
+    """The oracle's reductions on the literal machine's isometry, whose
+    machine dimension is 2, built through the same global-state builder."""
+
+    ALPHA_SQS = np.linspace(0.0, 1.0, 11)
+
+    def _pairs(self, xi):
+        a = np.sqrt(self.ALPHA_SQS)
+        psis = _global_states(a, np.sqrt(1.0 - a * a), literal_isometry(analysis_parameter(xi)))
+        assert psis.shape == self.ALPHA_SQS.shape + (2, 2, 2, 2, 2, 2)
+        return psis, {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
+
+    @pytest.mark.parametrize("xi", [0.0, XI_LOWER, 1 / 6, 0.3, 0.5])
+    def test_reductions_match_partial_trace_of_global_density(self, xi):
+        psis, pairs = self._pairs(xi)
+        for k, psi in enumerate(psis):
+            for name, want in _partial_traces(psi).items():
+                assert np.max(np.abs(pairs[name][k] - want)) <= 1e-15, (name, k)
+
+    @pytest.mark.parametrize("xi", [0.0, XI_LOWER, 0.16, 1 / 6, 0.25, 0.4, 0.5])
+    def test_same_site_pairs_are_the_closed_form_at_every_xi(self, xi):
+        # the same-site state does not depend on <Q0|Y1>, where the readings differ
+        _, pairs = self._pairs(xi)
+        same = local_entries(self.ALPHA_SQS, xi).matrix()
+        for name in ("a1b1", "a2b2"):
+            assert np.max(np.abs(pairs[name] - same)) <= 1e-15, name
+
+    @pytest.mark.parametrize("xi", [1 / 6, 0.5])
+    def test_cross_site_pairs_are_the_closed_form_where_the_readings_agree(self, xi):
+        _, pairs = self._pairs(xi)
+        cross = nonlocal_entries(self.ALPHA_SQS, xi).matrix()
+        for name in ("a1b2", "a2b1"):
+            assert np.max(np.abs(pairs[name] - cross)) <= 1e-15, name

@@ -210,6 +210,8 @@ class TestCli:
     (["clone-audit", "--analysis-only", "--xi", "0.7"], 2),
     (["clone-audit", "--analysis-only", "--xi", "1e308", "--kind", "AbstractBH"], 2),
     (["boundary", "--xi", "0.2", "--tol", "inf"], 2),
+    (["boundary", "--xi", "0.3", "--target", "local"], 2),  # no crossing
+    (["sweep", "--xi", "0.2", "--alpha-grid", "0:1:x", "--quantity", "bellM"], 2),
 ])
 def test_exit_codes_without_traceback(argv, code, capsys):
     assert main(argv) == code
@@ -217,6 +219,17 @@ def test_exit_codes_without_traceback(argv, code, capsys):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--xi", "inf", "--alpha-sq", "0.5", "--quantity", "bellM", "--analysis-only"],
+    ["sweep", "--xi", "nan", "--alpha-sq", "0.5", "--quantity", "bellM"],
+])
+def test_non_finite_xi_is_reported_as_not_finite(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: xi={argv[2]} is not finite\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "boundary", "clone-audit"])

@@ -58,6 +58,12 @@ class TestParameter:
     def test_analysis_only_skips_validation(self):
         assert analysis_parameter(0.05).xi == 0.05
 
+    @pytest.mark.parametrize("xi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected_as_not_finite(self, xi):
+        # not against the machine's range, which an analysis-only run does not apply
+        with pytest.raises(OutOfRangeError, match=r"^xi=-?(inf|nan) is not finite$"):
+            analysis_parameter(xi)
+
     def test_endpoint_slack(self):
         make_cloner_parameter(XI_LOWER - 1e-13)
         make_cloner_parameter(0.5 + 1e-13)
@@ -372,3 +378,14 @@ class TestBatchedAudit:
 def test_literal_isometry_rejects_xi_outside_unit_half(xi):
     with pytest.raises(OutOfRangeError):
         literal_isometry(analysis_parameter(xi))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: machine_isometry(p, "Literal2D"), "unknown machine kind 'Literal2D'"),
+    (lambda p: clone_density(np.eye(3) / 3, p, MachineKind.LITERAL_2D), "2x2"),
+    (lambda p: clone_fidelity([1.0, 0.0, 0.0], p, MachineKind.LITERAL_2D), "2-vector"),
+    (lambda p: clone_fidelity([1.0, 1.0], p, MachineKind.LITERAL_2D), "not normalized"),
+])
+def test_malformed_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(make_cloner_parameter(0.2))

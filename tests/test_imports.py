@@ -3,8 +3,10 @@
 No module imports another module's private (``_``-prefixed) names, no
 module imports a name it never uses, and every private name a module binds
 at its top level is used in it. The package ``__init__`` is exempt from the
-second rule: its imports are the package's public interface. Every name the
-README lists as kept public API exists in its module.
+second rule: its imports are the package's public interface. Every public
+name a module binds at its top level is read somewhere under ``src/`` or
+``tests/``, or listed in the README as public API. Every name the README
+lists as kept public API exists in its module.
 """
 
 import ast
@@ -88,3 +90,30 @@ def test_readme_api_names_exist():
     missing = [f"{module}.{name}" for module, name in listed
                if not hasattr(importlib.import_module(f"entbroadcast.{module}"), name)]
     assert not missing, f"README lists {missing} as public API"
+
+
+def _read_names(tree):
+    """Every name ``tree`` reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+    yield from (name for _, name, _ in _imports(tree))
+
+
+def _defined_public_names(path):
+    """The public names ``path`` binds at its top level, other than by import."""
+    tree = ast.parse(path.read_text())
+    imported = {bound for _, _, bound in _imports(tree)}
+    return {name for name in _top_level_bindings(tree)
+            if not name.startswith("_") and name not in imported}
+
+
+def test_every_public_module_name_is_read():
+    read = {name for path in [*PACKAGE.rglob("*.py"), *ROOT.joinpath("tests").rglob("*.py")]
+            for name in _read_names(ast.parse(path.read_text()))}
+    read |= {name for _, name in _readme_api()}
+    unread = sorted(f"{path.stem}.{name}" for path in MODULES
+                    for name in _defined_public_names(path) - read)
+    assert not unread, f"nothing reads {unread}"

@@ -86,9 +86,14 @@ def test_partial_trace_composes():
     assert np.max(np.abs(step - direct)) <= 1e-14
 
 
-def test_partial_trace_layout_mismatch():
-    with pytest.raises(DimensionError):
-        partial_trace(np.eye(4), [2, 4], keep=[0])
+@pytest.mark.parametrize("dims, keep, error", [
+    ([2, 4], [0], DimensionError),  # the layout is not the matrix's dimension
+    ([2, 2], [], ValueError),  # nothing kept
+    ([2, 2], [2], DimensionError),  # no third factor
+])
+def test_partial_trace_layout_mismatch(dims, keep, error):
+    with pytest.raises(error):
+        partial_trace(np.eye(4), dims, keep=keep)
 
 
 def test_hermitian_eigenvalues_basic():
@@ -102,6 +107,15 @@ def test_hermitian_eigenvalues_local_broadcast_state():
     rho[0, 0] = 2 / 3
     rho[1, 1] = rho[2, 2] = rho[1, 2] = rho[2, 1] = 1 / 6
     assert np.allclose(np.linalg.eigvalsh(rho), [0, 0, 1 / 3, 2 / 3], atol=1e-12)
+
+
+@pytest.mark.parametrize("m, error", [
+    (np.ones(4) / 4, DimensionError),  # not 2-d
+    (np.diag([0.5, np.nan]), ValueError),  # a non-finite entry
+])
+def test_density_operator_check_rejects_malformed_input(m, error):
+    with pytest.raises(error):
+        is_density_operator(m)
 
 
 def test_density_operator_rejects_non_hermitian():

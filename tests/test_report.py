@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbroadcast.report import _fmt, _jsonable, table_to_csv, table_to_json
+from entbroadcast.report import _fmt, _jsonable, emit_rows, table_to_csv, table_to_json
 
 
 def as_rows(table):
@@ -90,6 +90,12 @@ def test_str_subclass_keeps_its_own_text():
 def test_columns_of_unequal_length_raise(write, table):
     with pytest.raises(ValueError):
         write(table)
+
+
+def test_unknown_format_raises(capsys):
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_rows({"x": [1.0]}, "xml", "-")
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("write, reference", [(table_to_csv, reference_csv),
