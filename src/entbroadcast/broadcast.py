@@ -216,13 +216,17 @@ def _pair_reduction(psis, pair):
     letters, for a stack of global states of shape (...) + 6 factor axes.
 
     The result, of shape (..., 4, 4), reads in the order of ``pair``: "cb"
-    gives (a2, b1). One einsum contracts each psi with its conjugate over
-    every other factor.
+    gives (a2, b1). The pair's two axes move to the front of the factors, so
+    each psi reads as a 4 x K matrix x, its rows the pair's basis states and
+    its K = 4 d^2 columns those of the other four factors; the partial trace
+    over them is then rho_ij = sum_k x_ik conj(x_jk), one 2-D contraction
+    per state (a plain einsum, with no BLAS call, so a state in a stack
+    reduces exactly as it does alone).
     """
-    bra = "".join(f.upper() if f in pair else f for f in _ORACLE_FACTORS)
-    rho = np.einsum(f"...{_ORACLE_FACTORS},...{bra}->...{pair}{pair.upper()}",
-                    psis, psis.conj())
-    return rho.reshape(psis.shape[:-6] + (4, 4))
+    lead = psis.ndim - 6
+    axes = [lead + _ORACLE_FACTORS.index(f) for f in pair]
+    x = np.moveaxis(psis, axes, [lead, lead + 1]).reshape(psis.shape[:lead] + (4, -1))
+    return np.einsum("...ik,...jk->...ij", x, x.conj())
 
 
 def oracle_states(alpha_sq, p: ClonerParameter):

@@ -16,6 +16,7 @@ eigenvalue finds.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,12 +270,15 @@ def _search_grid(inp, p, budget):
     return ratios, m
 
 
-@pytest.mark.parametrize("budget", [1, 7, 21])
-@pytest.mark.parametrize("alpha_sq, xi, tied", [
+FILTER_CASES = [
     (0.5, 0.5 - 0.5 / math.sqrt(2.0), False), (0.2, 1 / 6, False), (0.35, 0.2, False),
     (0.5, 0.2, True),  # A = B: the first and the last grid point tie
     (0.2, 0.5, True),  # eta = 0: the four grid corners tie
-])
+]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 21])
+@pytest.mark.parametrize("alpha_sq, xi, tied", FILTER_CASES)
 def test_filter_search_matches_double_loop(alpha_sq, xi, tied, budget):
     inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
     best_m, best_f, ties = _grid_search(inp, p, budget)
@@ -343,12 +347,42 @@ def test_filtered_closed_form_matches_dense_reference(alpha_sq, xi, rm, rp):
 
 def test_filter_search_reads_its_grid_row_major(monkeypatch):
     """m1/m2 indexes the rows and p1/p2 the columns; of tied maxima, the
-    earliest in row-major order wins."""
+    earliest in row-major order wins, in one block or across blocks of one
+    and of two rows."""
     monkeypatch.setattr(analysis, "_filtered_bell_m",
                         lambda e, rm, rp: np.where((rm > 1.0) & (rp < 1.0), 2.0, 0.0))
-    res = filter_search_max_m(EntangledInput.from_alpha_sq(0.3), make_cloner_parameter(0.2),
-                              budget=7)
-    assert res == {"max_m": 2.0, "argmax": FilterParams(10.0, 1.0, 1e-3, 1.0)}
+    for block_points in (analysis._FILTER_BLOCK_POINTS, 1, 14):
+        monkeypatch.setattr(analysis, "_FILTER_BLOCK_POINTS", block_points)
+        res = filter_search_max_m(EntangledInput.from_alpha_sq(0.3), make_cloner_parameter(0.2),
+                                  budget=7)
+        assert res == {"max_m": 2.0, "argmax": FilterParams(10.0, 1.0, 1e-3, 1.0)}, block_points
+
+
+@pytest.mark.parametrize("block_points", [1, 60, 101])
+@pytest.mark.parametrize("alpha_sq, xi", [(alpha_sq, xi) for alpha_sq, xi, _ in FILTER_CASES])
+def test_filter_search_blocks_give_the_one_block_result(monkeypatch, alpha_sq, xi,
+                                                         block_points):
+    """Blocks of one row, of two and of four (the last one short) find the
+    one-block max_m and argmax bit for bit, ties included."""
+    inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
+    want = filter_search_max_m(inp, p, budget=21)
+    monkeypatch.setattr(analysis, "_FILTER_BLOCK_POINTS", block_points)
+    got = filter_search_max_m(inp, p, budget=21)
+    assert got["max_m"] == want["max_m"]
+    assert got["argmax"] == want["argmax"]
+
+
+def test_filter_search_memory_is_bounded():
+    """At budget 2,000 one (budget, budget) float array alone is 32 MB; the
+    blocks keep the peak below that."""
+    inp, p = EntangledInput.from_alpha_sq(0.2), make_cloner_parameter(1 / 6)
+    tracemalloc.start()
+    try:
+        filter_search_max_m(inp, p, budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8
 
 
 def test_filter_search_builds_no_matrix(monkeypatch):
