@@ -1,8 +1,18 @@
 """Deterministic CSV/JSON emission of tables.
 
-A table is a dict that maps each column name to a list of cells, every column
-of the same length; its keys, in order, are the header. Numbers are written
-with 17 significant digits so files round-trip to the exact float64 values;
+A table is a mapping from each column name to its cells, every column of the
+same length; its keys, in order, are the header. It comes in two shapes:
+
+- a column table, a dict of lists, written cell by cell (the claims report,
+  the boundary and clone-audit rows and the study tables, at most a few
+  dozen rows each);
+- a ``GridTable``, one value per point of a product of grids (the sweep),
+  whose key columns repeat each grid point many times. It is written from
+  its grids: each grid point's text is made once, and all values are
+  formatted by one ``%`` of a template built from those texts.
+
+Both shapes give the same text for the same cells. Numbers are written with
+17 significant digits so files round-trip to the exact float64 values;
 output is fully deterministic (no timestamps).
 """
 
@@ -10,11 +20,45 @@ import csv
 import json
 import math
 import sys
-from itertools import repeat
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 from types import SimpleNamespace
 
 import numpy as np
+
+
+class GridTable(Mapping):
+    """A table of one float value per point of a product of grids.
+
+    ``axes`` maps each key column's name to its grid, outermost first;
+    ``block`` has one axis per grid, of its length, and holds the column
+    named ``value_name``. Rows run over the points as ``itertools.product``
+    of the grids does. As a mapping it is the column table of those rows,
+    each column built when it is read.
+    """
+
+    def __init__(self, axes, value_name, block):
+        self.axes = {name: tuple(grid) for name, grid in axes.items()}
+        self.value_name = value_name
+        self.block = np.asarray(block, dtype=float)
+        if self.block.shape != tuple(map(len, self.axes.values())):
+            raise ValueError(f"a block of shape {self.block.shape} for grids of "
+                             f"lengths {tuple(map(len, self.axes.values()))}")
+
+    def __getitem__(self, name):
+        if name == self.value_name:
+            return self.block.ravel().tolist()
+        grid = self.axes[name]
+        m = list(self.axes).index(name)
+        inner = math.prod(self.block.shape[m + 1:])
+        return [cell for cell in grid for _ in range(inner)] * math.prod(self.block.shape[:m])
+
+    def __iter__(self):
+        yield from self.axes
+        yield self.value_name
+
+    def __len__(self):
+        return len(self.axes) + 1
 
 
 def _fmt(v):
@@ -29,105 +73,106 @@ def _jsonable(v):
     return v
 
 
-def _csv_fields(texts, sole_field):
-    """Each text as the csv module writes it as one field of a row.
-
-    csv quotes a row's only field when that field is empty, so for a table of
-    one column each text is written alone, otherwise beside an empty field.
-    """
+def _csv_fields(texts):
+    """Each text as the csv module writes it as a field of a row of two or more."""
     lines = []
-    w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    pad = () if sole_field else ("",)
-    for t in texts:
-        w.writerow((t, *pad))
-    return [line[:-1 - len(pad)] for line in lines]
-
-
-def _is_float_column(cells):
-    return all(map(isinstance, cells, repeat(float)))
-
-
-def _float_column(cells, fmt):
-    """``fmt`` of each float cell, called once per distinct float64 bit pattern.
-
-    Not once per value: 0.0 == -0.0, yet they print "0" and "-0".
-    """
-    bits, inverse = np.unique(np.array(cells, dtype=float).view(np.int64),
-                              return_inverse=True)
-    texts = list(map(fmt, bits.view(float).tolist()))
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
-def _csv_column(cells, sole_field):
-    """The CSV field of each cell: ``_fmt`` text, quoted as csv quotes it."""
-    if _is_float_column(cells):
-        # "%.17g" % v equals format(v, ".17g"), and its digits, sign, ".", "e",
-        # "inf" and "nan" need no quotes
-        return _float_column(cells, "%.17g".__mod__)
-    # ``_fmt`` of a str (not of a subclass, whose str() may differ) is itself
-    texts = cells if set(map(type, cells)) == {str} else [_fmt(v) for v in cells]
-    distinct = dict.fromkeys(texts)
-    quoted = dict(zip(distinct, _csv_fields(distinct, sole_field)))
-    return list(map(quoted.__getitem__, texts))
-
-
-def table_to_csv(table):
-    """CSV text of ``table``: the header, then a line per row.
-
-    Built a column at a time and joined into lines once. The text equals what
-    the csv module's writer (``lineterminator="\\n"``) makes of the header and
-    then of ``_fmt`` of each cell, row by row. Raises ValueError when the
-    columns differ in length.
-    """
-    sole_field = len(table) == 1
-    columns = [_csv_column(cells, sole_field) for cells in table.values()]
-    lines = [",".join(_csv_fields(table, sole_field)),
-             *map(",".join, zip(*columns, strict=True))]
-    return "\n".join(lines) + "\n"
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        (t, "") for t in texts)
+    return [line[:-2] for line in lines]
 
 
 # JSON text of the floats whose repr is not JSON, nan as null
 _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Below this many cells a JSON float column is written cell by cell: finding
-# the distinct values costs about as much as formatting 20-30 cells of one
-# value, and more than a column of distinct values ever saves; with it the
-# one-row clone-audit table would take several times as long as json.dumps.
-_DEDUPE_MIN_CELLS = 32
+
+def _json_cell(v):
+    """The JSON text of a cell, as ``json.dumps`` writes ``_jsonable`` of it."""
+    if isinstance(v, float):
+        text = float.__repr__(v)  # as json writes it, also for np.float64
+        return _JSON_FLOATS.get(text, text)
+    if isinstance(v, str):
+        return _json_str(v)
+    return json.dumps(_jsonable(v))
 
 
-def _json_float(v):
-    text = float.__repr__(v)  # as json writes it, also for np.float64
-    return _JSON_FLOATS.get(text, text)
+def _grid_template(keys, slots, end, sep, kinds=None):
+    """The rows of a grid table as one ``%`` template, a slot for each value.
+
+    ``keys[m][i]`` is the text point ``i`` of grid ``m`` puts in each of its
+    rows, with any '%' doubled. A row is its points' texts, outermost first,
+    then ``slots[kind]`` for its value's kind (``kinds``, one per value; all
+    0 when None), then ``end``; rows are joined by ``sep``.
+    """
+    if not all(keys):
+        return ""  # no rows
+    heads = [""]
+    for texts in keys[1:]:
+        heads = [h + t for h in heads for t in texts]
+    variants = [[h + slot + end for h in heads] for slot in slots]
+    if kinds is None:
+        blocks = [variants[0]] * len(keys[0])
+    else:
+        # the rows of each outer point, each with the slot of its value's kind
+        choice = np.array(variants, dtype=object)
+        blocks = choice[kinds.reshape(len(keys[0]), -1), np.arange(len(heads))].tolist()
+    return sep.join(prefix + (sep + prefix).join(rows) for prefix, rows in zip(keys[0], blocks))
 
 
-def _json_column(cells):
-    """The JSON text of each cell, as ``json.dumps`` writes ``_jsonable`` of it."""
-    if _is_float_column(cells):
-        if len(cells) < _DEDUPE_MIN_CELLS:
-            return list(map(_json_float, cells))
-        return _float_column(cells, _json_float)
-    if all(map(isinstance, cells, repeat(str))):
-        texts = {t: _json_str(t) for t in dict.fromkeys(cells)}
-        return [texts[t] for t in cells]
-    return [json.dumps(_jsonable(v)) for v in cells]
+def _grid_to_csv(table):
+    keys = [[f"{field},".replace("%", "%%") for field in _csv_fields(map(_fmt, grid))]
+            for grid in table.axes.values()]
+    # "%.17g" % v equals format(v, ".17g"), and needs no quotes
+    return _grid_template(keys, ("%.17g",), "\n", "") % tuple(table.block.ravel().tolist())
+
+
+def _grid_to_json(table):
+    keys = [[f"    {_json_str(name)}: {_json_cell(cell)},\n".replace("%", "%%") for cell in grid]
+            for name, grid in table.axes.items()]
+    keys[0] = ["  {\n" + t for t in keys[0]]
+    keys[-1] = [t + f"    {_json_str(table.value_name)}: ".replace("%", "%%") for t in keys[-1]]
+    v = table.block
+    # "%r" of a finite float is its repr; the others are written in the template
+    kinds = np.isnan(v) + 2 * (v == math.inf) + 3 * (v == -math.inf)
+    template = _grid_template(keys, ("%r", "null", "Infinity", "-Infinity"), "\n  }", ",\n",
+                              kinds)
+    return template % tuple(v[kinds == 0].tolist())
+
+
+def table_to_csv(table):
+    """CSV text of ``table``: the header, then a line per row.
+
+    The text equals what the csv module's writer (``lineterminator="\\n"``)
+    makes of the header and then of ``_fmt`` of each cell, row by row.
+    Raises ValueError when the columns differ in length.
+    """
+    lines = []
+    w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    w.writerow(table)
+    if isinstance(table, GridTable):
+        lines.append(_grid_to_csv(table))
+    else:
+        w.writerows(zip(*(map(_fmt, cells) for cells in table.values()), strict=True))
+    return "".join(lines)
 
 
 def table_to_json(table):
     """JSON text of ``table``: a list of one object per row, nan as null.
 
-    Built a column at a time; the text equals ``json.dumps(rows, indent=2)``
-    of one dict per row, then a newline. Column names are strings. Raises
-    ValueError when the columns differ in length.
+    The text equals ``json.dumps(rows, indent=2)`` of one dict per row, then
+    a newline. Column names are strings. Raises ValueError when the columns
+    differ in length.
     """
-    columns = [_json_column(cells) for cells in table.values()]
-    fields = ",\n".join(f"    {_json_str(name)}: ".replace("%", "%%") + "%s"
-                        for name in table)
-    template = "  {\n" + fields + "\n  }"
-    objects = [template % row for row in zip(*columns, strict=True)]
+    if isinstance(table, GridTable):
+        objects = _grid_to_json(table)
+    else:
+        columns = [list(map(_json_cell, cells)) for cells in table.values()]
+        fields = ",\n".join(f"    {_json_str(name)}: ".replace("%", "%%") + "%s"
+                            for name in table)
+        template = "  {\n" + fields + "\n  }"
+        objects = ",\n".join(template % row for row in zip(*columns, strict=True))
     if not objects:
         return "[]\n"
-    return "[\n" + ",\n".join(objects) + "\n]\n"
+    return "[\n" + objects + "\n]\n"
 
 
 def emit_rows(table, fmt, destination):

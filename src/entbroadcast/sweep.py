@@ -22,6 +22,7 @@ from .cloner import (
     make_cloner_parameter,
     universality_report,
 )
+from .report import GridTable
 
 
 class ConfigError(ValueError):
@@ -55,21 +56,22 @@ class SweepConfig:
 
 
 def run_sweep(cfg: SweepConfig):
-    """The sweep table: a row per (xi, alpha^2, quantity), xi-major, then
-    alpha^2, then quantity."""
+    """The sweep table: each quantity at every point of the ``(xi, alpha^2)``
+    grid, one ``analysis.evaluate`` call over the whole grid.
+
+    A ``report.GridTable`` of the columns ``xi``, ``alpha_sq``, ``quantity``
+    and ``value``, a row per (xi, alpha^2, quantity), xi-major, then alpha^2,
+    then quantity. It keeps the grids and the ``(n_xi, n_alpha, n_q)`` value
+    block, and builds each column only when it is read.
+    """
     check = analysis_parameter if cfg.analysis_only else make_cloner_parameter
     for xi in cfg.xi_grid:
         check(float(xi))  # the machine's range, or finiteness when analysis-only
     xi = np.asarray(cfg.xi_grid, dtype=float)
     a2 = np.asarray(cfg.alpha_sq_grid, dtype=float)
     values = evaluate(cfg.quantities, xi[:, None], a2[None, :], cfg.werner_tol)
-    per_point = len(cfg.quantities)
-    return {
-        "xi": np.repeat(xi, a2.size * per_point).tolist(),
-        "alpha_sq": np.tile(np.repeat(a2, per_point), xi.size).tolist(),
-        "quantity": list(cfg.quantities) * (xi.size * a2.size),
-        "value": np.stack([values[q] for q in cfg.quantities], axis=-1).ravel().tolist(),
-    }
+    return GridTable({"xi": xi.tolist(), "alpha_sq": a2.tolist(), "quantity": cfg.quantities},
+                     "value", np.stack([values[q] for q in cfg.quantities], axis=-1))
 
 
 def parse_grid(spec):

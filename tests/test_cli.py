@@ -248,6 +248,15 @@ def test_memory_error_is_an_input_error(command, monkeypatch, capsys):
     assert err == "error: Unable to allocate 6.0 GiB for an array\n"
 
 
+
+def test_memory_error_in_the_writer_is_an_input_error(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "emit_rows", out_of_memory)
+    assert main(["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM"]) == 2
+    assert capsys.readouterr() == ("", "error: Unable to allocate 6.0 GiB for an array\n")
+
 def test_verify_takes_no_analysis_only_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["verify", "--filter-budget", "1", "--analysis-only"])

@@ -2,13 +2,21 @@ import csv
 import io
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entbroadcast.report import _fmt, _jsonable, emit_rows, table_to_csv, table_to_json
+from entbroadcast.report import (
+    GridTable,
+    _fmt,
+    _jsonable,
+    emit_rows,
+    table_to_csv,
+    table_to_json,
+)
 
 
 def as_rows(table):
@@ -44,8 +52,7 @@ CELLS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), TEXT)
 def tables(draw):
     names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
     n = draw(st.integers(0, 12))
-    # an all-float or all-str column takes a deduplicating path, any other the
-    # per-cell one
+    # columns of floats, of text, and of any mix of cells
     columns = [draw(st.lists(draw(st.sampled_from([FLOATS, TEXT, CELLS])),
                              min_size=n, max_size=n))
                for _ in names]
@@ -101,7 +108,45 @@ def test_unknown_format_raises(capsys):
 @pytest.mark.parametrize("write, reference", [(table_to_csv, reference_csv),
                                               (table_to_json, reference_json)])
 def test_long_float_columns_match_row_writer(write, reference):
-    # long enough that JSON too formats each distinct bit pattern once
+    # each special float many times in a column, as float and as np.float64
     cells = SPECIAL_FLOATS + [np.float64(v) for v in SPECIAL_FLOATS]
     table = {"x": cells * 3, "y": cells[::-1] * 3, "z": ["a,b", "c"] * (len(cells) * 3 // 2)}
     assert write(table) == reference(as_rows(table), list(table))
+
+
+def grid_case(names, xis, alpha_sqs, quantities, values):
+    """A grid table of three axes, and its rows built without it."""
+    points = list(product(xis, alpha_sqs, quantities))
+    rows = [dict(zip(names, (*point, v))) for point, v in zip(points, values, strict=True)]
+    shape = (len(xis), len(alpha_sqs), len(quantities))
+    table = GridTable(dict(zip(names, (xis, alpha_sqs, quantities))), names[3],
+                      np.array(values, dtype=float).reshape(shape))
+    return table, rows
+
+
+@st.composite
+def grid_cases(draw):
+    names = draw(st.lists(TEXT, min_size=4, max_size=4, unique=True))
+    xis = draw(st.lists(FLOATS, max_size=4))
+    alpha_sqs = draw(st.lists(FLOATS, max_size=4))
+    quantities = draw(st.lists(CELLS, min_size=1, max_size=3))
+    n = len(xis) * len(alpha_sqs) * len(quantities)
+    return grid_case(names, xis, alpha_sqs, quantities,
+                     draw(st.lists(FLOATS, min_size=n, max_size=n)))
+
+
+SWEEP_NAMES = ["xi", "alpha_sq", "quantity", "value"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_cases())
+@example(grid_case(SWEEP_NAMES, [0.2], [0.5], ["bellM"], [math.nan]))
+@example(grid_case(SWEEP_NAMES, [0.0, -0.0, 0.0], [-0.0, np.float64(0.5), -0.0],
+                   ["q", "q%s", "q"],
+                   (SPECIAL_FLOATS + [np.float64(v) for v in SPECIAL_FLOATS] * 2)[:27]))
+def test_grid_table_matches_row_writer(case):
+    # written from its grids, and as the column table its columns make
+    table, rows = case
+    for write, reference in ((table_to_csv, reference_csv), (table_to_json, reference_json)):
+        assert write(table) == reference(rows, list(table))
+        assert write(dict(table)) == reference(rows, list(table))
