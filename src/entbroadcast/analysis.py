@@ -432,8 +432,9 @@ def bisect(predicate, inside, outside, tol):
     ``predicate`` holds, and ``outside``, where it does not.
 
     The bracket is halved until it is no wider than ``tol`` or its ends are
-    adjacent floats. The predicate is not evaluated at the two ends. Raises
-    ValueError unless ``tol`` is positive and finite.
+    adjacent floats. The predicate is called once per step, in walk order, at
+    that step's midpoint ``0.5 * (lo + hi)``, and never at the two ends.
+    Raises ValueError unless ``tol`` is positive and finite.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")

@@ -17,6 +17,7 @@ from . import analysis, cloner
 from .analysis import (
     RangeUndefinedError,
     bell_violation_range,
+    bisect,
     boundary_bisect,
     dense_quantities,
     evaluate,
@@ -93,45 +94,40 @@ def _bell_violated(xi):
     return np.max(evaluate({"bellM"}, xi[:, None], _BELL_ALPHA_SQ)["bellM"], axis=1) > 1.0
 
 
-# Midpoint-tree levels ``_bisect_blocks`` decides per predicate call: 2^5 - 1
-# points. Fewer levels make more calls; more evaluate points that the walk
-# never visits. The Bell search took 0.53 ms at 5 levels, 0.53-0.61 ms at 4-7,
-# 0.87 ms at 8, and 1.4 ms one step at a time (best of 7, a 2-CPU x86-64 VM).
+# Midpoint-tree levels ``_tree_predicate`` decides per call: 2^5 - 1 points.
+# Fewer levels make more calls; more evaluate points that the walk never
+# visits. The Bell search took 0.46-0.61 ms at 5 levels, 0.45-0.71 ms at 3-7,
+# 1.15-1.19 ms at 8, and 1.0-1.2 ms one step at a time (best of 7 in each of
+# three rounds, a 2-CPU x86-64 VM).
 _TREE_LEVELS = 5
 
 
-def _bisect_blocks(decide, inside, outside, tol):
-    """``analysis.bisect(predicate, inside, outside, tol)``, for a predicate
-    ``decide`` that takes an array of points and returns a bool array.
+def _tree_predicate(decide, inside, outside):
+    """A predicate for ``bisect(predicate, inside, outside, tol)`` whose
+    verdicts come from ``decide``, which takes an array of points and returns
+    a bool array.
 
-    The loop is ``bisect``'s, step for step, but reads each step's verdict
-    from a tree of midpoints decided in one call: the next ``_TREE_LEVELS``
-    levels of bisection from the current bracket, every midpoint formed as
-    ``bisect`` forms it from its parent bracket. So the walk visits exactly
-    the midpoints ``bisect`` would and returns the same float. The predicate
-    also sees the tree's other points, all inside the bracket, and it is
-    called only at a step where ``bisect`` calls its own.
+    At a midpoint it holds no verdict for, it decides the next
+    ``_TREE_LEVELS`` levels of bisection below that midpoint's bracket in one
+    call, each midpoint formed from its parent bracket as ``bisect`` forms it.
+    ``bisect`` then re-enters at the midpoint of a bracket of the last level.
     """
-    lo, hi = outside, inside
-    held, node = (), 0
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # lo and hi are adjacent floats: no smaller bracket exists
-        if node >= len(held):  # off the decided tree: decide the next, from (lo, hi)
-            # a level's brackets are (ends[j], ends[j + 1]); taken level by
-            # level, node i's children (lo, mid) and (mid, hi) are 2i + 1 and 2i + 2
-            ends, mids = [lo, hi], []
+    held, brackets = {}, {0.5 * (outside + inside): (outside, inside)}
+
+    def predicate(mid):
+        nonlocal held, brackets
+        if mid not in held:
+            # a level's brackets are (ends[j], ends[j + 1])
+            ends, mids = list(brackets[mid]), []
             for _ in range(_TREE_LEVELS):
                 level = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
                 ends = [x for pair in zip(ends, level) for x in pair] + ends[-1:]
                 mids += level
-            held, node = decide(np.array(mids)), 0
-        if held[node]:
-            hi, node = mid, 2 * node + 1
-        else:
-            lo, node = mid, 2 * node + 2
-    return 0.5 * (lo + hi)
+            held = dict(zip(mids, decide(np.array(mids)).tolist()))
+            brackets = {0.5 * (a + b): (a, b) for a, b in zip(ends, ends[1:])}
+        return held[mid]
+
+    return predicate
 
 
 def verify_claims(filter_budget=101):
@@ -163,7 +159,8 @@ def verify_claims(filter_budget=101):
     # between xi = 0, where M exceeds 1, and 0.2, where it does not
     claims.append(_equal("bell.threshold_xi",
                          "largest xi admitting any CHSH-violating alpha^2",
-                         analysis.XI_BELL_MAX, _bisect_blocks(_bell_violated, 0.0, 0.2, 1e-9),
+                         analysis.XI_BELL_MAX,
+                         bisect(_tree_predicate(_bell_violated, 0.0, 0.2), 0.0, 0.2, 1e-9),
                          1e-9))
     in_range_empty = all(
         bell_violation_range(analysis_parameter(xi)) is None

@@ -67,12 +67,6 @@ def _fmt(v):
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, float) and math.isnan(v):
-        return None
-    return v
-
-
 def _csv_fields(texts):
     """Each text as the csv module writes it as a field of a row of two or more."""
     lines = []
@@ -86,13 +80,13 @@ _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_cell(v):
-    """The JSON text of a cell, as ``json.dumps`` writes ``_jsonable`` of it."""
+    """The JSON text of a cell, as ``json.dumps`` writes it, nan as null."""
     if isinstance(v, float):
         text = float.__repr__(v)  # as json writes it, also for np.float64
         return _JSON_FLOATS.get(text, text)
     if isinstance(v, str):
         return _json_str(v)
-    return json.dumps(_jsonable(v))
+    return json.dumps(v)
 
 
 def _grid_template(keys, slots, end, sep, kinds=None):

@@ -441,6 +441,31 @@ class TestBoundaryBisect:
         with pytest.raises(ValueError, match="tolerance"):
             bisect(lambda x: x > 0.5, 1.0, 0.0, tol)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.lists(st.booleans(), min_size=1),
+           st.sampled_from([1e-300, 1e-12, 1e-3, 1e7]))
+    def test_calls_the_predicate_at_each_bracket_midpoint(self, inside, outside, verdicts, tol):
+        """Both orders of the ends; tol 1e-300 ends at adjacent floats."""
+        assume(inside != outside)
+        calls = []
+
+        def predicate(x):
+            calls.append(x)
+            return verdicts[len(calls) % len(verdicts)]
+
+        got = bisect(predicate, inside, outside, tol)
+        lo, hi = outside, inside
+        for k, x in enumerate(calls, start=1):
+            assert x == 0.5 * (lo + hi) and x not in (lo, hi)
+            assert abs(hi - lo) > tol
+            if verdicts[k % len(verdicts)]:
+                hi = x
+            else:
+                lo = x
+        # the walk stops at the first bracket it may not halve
+        assert abs(hi - lo) <= tol or 0.5 * (lo + hi) in (lo, hi)
+        assert got == 0.5 * (lo + hi)
+
     def test_matches_closed_form_over_xi_sweep(self):
         for xi in np.linspace(XI_LOWER, XI_NONLOCAL_MAX - 1e-6, 20):
             p = make_cloner_parameter(float(xi))

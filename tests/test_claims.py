@@ -31,7 +31,7 @@ def _bell_violated(xi):
 
 def test_bell_threshold_is_the_scalar_bisection():
     want = bisect(_bell_violated, 0.0, 0.2, 1e-9)
-    assert claims._bisect_blocks(claims._bell_violated, 0.0, 0.2, 1e-9) == want
+    assert bisect(claims._tree_predicate(claims._bell_violated, 0.0, 0.2), 0.0, 0.2, 1e-9) == want
     assert _claim("bell.threshold_xi").computed == want
     xi = np.linspace(0.0, 0.2, 41)
     assert list(claims._bell_violated(xi)) == [_bell_violated(float(x)) for x in xi]
@@ -55,22 +55,23 @@ def test_block_walk_takes_the_steps_of_bisect(inside, outside, at, tol):
     """Both orders of the ends; tol 1e-300 ends at adjacent floats."""
     assume(inside != outside)
     holds = _threshold_predicate(inside, outside, at)
-    visited, decided = [], []
+    visited, calls = [], []
 
     def scalar(x):
         visited.append(x)
         return bool(holds(x))
 
     def block(xs):
-        decided.extend(xs.tolist())
+        calls.append(xs.tolist())
         return holds(xs)
 
-    assert claims._bisect_blocks(block, inside, outside, tol) == bisect(scalar, inside, outside,
-                                                                        tol)
-    assert set(visited) <= set(decided)
+    want = bisect(scalar, inside, outside, tol)
+    assert bisect(claims._tree_predicate(block, inside, outside), inside, outside, tol) == want
+    assert set(visited) <= {x for points in calls for x in points}
     # one tree of 2^levels - 1 points per up to ``levels`` steps
     levels = claims._TREE_LEVELS
-    assert len(decided) == (2**levels - 1) * -(-len(visited) // levels)
+    assert len(calls) == -(-len(visited) // levels)
+    assert all(len(points) == 2**levels - 1 for points in calls)
 
 
 @settings(max_examples=100, deadline=None)
@@ -82,7 +83,8 @@ def test_block_walk_decides_nothing_within_tol(inside, outside, widen):
     def never(x):
         raise AssertionError("the predicate was called")
 
-    assert claims._bisect_blocks(never, inside, outside, tol) == bisect(never, inside, outside, tol)
+    tree = claims._tree_predicate(never, inside, outside)
+    assert bisect(tree, inside, outside, tol) == bisect(never, inside, outside, tol)
 
 
 def test_oracle_block_deviation_is_the_per_xi_loop():

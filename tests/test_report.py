@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from entbroadcast.report import (
     GridTable,
     _fmt,
-    _jsonable,
     emit_rows,
     table_to_csv,
     table_to_json,
@@ -31,6 +30,12 @@ def reference_csv(rows, fieldnames):
     for r in rows:
         w.writerow({k: _fmt(r[k]) for k in fieldnames})
     return buf.getvalue()
+
+
+def _jsonable(v):
+    if isinstance(v, float) and math.isnan(v):
+        return None
+    return v
 
 
 def reference_json(rows, fieldnames):
@@ -150,3 +155,8 @@ def test_grid_table_matches_row_writer(case):
     for write, reference in ((table_to_csv, reference_csv), (table_to_json, reference_json)):
         assert write(table) == reference(rows, list(table))
         assert write(dict(table)) == reference(rows, list(table))
+
+
+def test_grid_table_rejects_a_block_not_of_the_grids_shape():
+    with pytest.raises(ValueError, match=r"shape \(3,\) for grids of lengths \(2,\)"):
+        GridTable({"xi": [0.1, 0.2]}, "value", [1.0, 2.0, 3.0])
