@@ -140,14 +140,23 @@ def _max_abs(*diffs):
     return functools.reduce(np.maximum, map(np.abs, diffs))
 
 
+# One state's float entries, a bisection step's case, take builtin min/abs:
+# numpy's ufuncs cost several times the arithmetic on floats. np.minimum(x, y)
+# keeps y on a tie and min its first argument, so the float route lists them
+# in reverse and gives the same float, signed zeros included. Both routes use
+# np.hypot, as math.hypot differs from it in the last bit.
+
 def _least_pt_cross(e):
     """Least eigenvalue of the cross-site partial transpose: A, B, [[C, D], [D, C]]."""
+    if isinstance(e.d, float):
+        return min(e.c - abs(e.d), e.big_b, e.big_a)
     return np.minimum(np.minimum(e.big_a, e.big_b), e.c - np.abs(e.d))
 
 
 def _least_pt_same(s):
     """Least eigenvalue of the same-site partial transpose: [[a^2 eta, xi], [xi, b^2 eta]], xi."""
-    return np.minimum(s.xi, 0.5 * (s.big_a + s.big_b) - np.hypot(0.5 * (s.big_a - s.big_b), s.xi))
+    least = 0.5 * (s.big_a + s.big_b) - np.hypot(0.5 * (s.big_a - s.big_b), s.xi)
+    return min(least, s.xi) if isinstance(s.xi, float) else np.minimum(s.xi, least)
 
 
 def _werner_x(e, tol):

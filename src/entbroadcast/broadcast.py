@@ -200,10 +200,14 @@ def _global_states(a, b, v):
     """Global pure states alpha|00> + beta|11>, each half cloned by the
     isometry ``v`` ((4 d)x2, factor order (a, b, machine)), as tensors on
     factors (a1, b1, m1, a2, b2, m2) of dims (2, 2, d, 2, 2, d): that shape
-    for floats a, b, or (...) + that shape for arrays of one shape (...)."""
-    t = v.reshape(2, 2, -1, 2)  # t[a, b, machine, k]: the image of input |k>
-    return (np.multiply.outer(a, np.multiply.outer(t[..., 0], t[..., 0]))
-            + np.multiply.outer(b, np.multiply.outer(t[..., 1], t[..., 1])))
+    for floats a, b, or (...) + that shape for arrays of one shape (...). A
+    stack of isometries, of shape (m...) + ((4 d), 2), puts (m...) first."""
+    # t[..., a, b, machine, k]: the image of input |k>, with a's axes as 1s
+    # between the stack's and the factors'
+    t = v.reshape(v.shape[:-2] + (1,) * np.ndim(a) + (2, 2, -1, 2))
+    images = t[..., None, None, None, :] * t[..., None, None, None, :, :, :, :]  # t_k x t_k
+    a, b = (np.reshape(x, np.shape(x) + (1,) * 6) for x in (a, b))
+    return a * images[..., 0] + b * images[..., 1]
 
 
 _ORACLE_FACTORS = "abmcdn"  # (a1, b1, m1, a2, b2, m2), one letter per factor
@@ -229,16 +233,21 @@ def _pair_reduction(psis, pair):
     return np.einsum("...ik,...jk->...ij", x, x.conj())
 
 
-def oracle_states(alpha_sq, p: ClonerParameter):
+def oracle_states(alpha_sq, p):
     """All four pair reductions of the global states at alpha^2 (a float, or
     an array), by brute-force partial tracing, keyed by factor names ("a1b1",
-    "a2b2", "a1b2", "a2b1"), each of shape alpha_sq.shape + (4, 4). Raises
+    "a2b2", "a1b2", "a2b1"), each of shape alpha_sq.shape + (4, 4). ``p`` is a
+    ClonerParameter, or a sequence of them, which puts a leading machine axis
+    on each state: shape (len(p),) + alpha_sq.shape + (4, 4). Raises
     ValueError for alpha^2 outside [0, 1].
 
     Independent of the closed forms above; agreement with them is the test.
     """
-    v = machine_isometry(p, MachineKind.ABSTRACT_BH)  # raises GramNotPSDError below 1/6
-    psis = _entries(lambda a, b, _: _global_states(a, b, v), alpha_sq, p.xi)
+    kind = MachineKind.ABSTRACT_BH  # its isometry raises GramNotPSDError below 1/6
+    v = (machine_isometry(p, kind) if isinstance(p, ClonerParameter)
+         else np.stack([machine_isometry(q, kind) for q in p]))
+    # xi is unused: a float keeps a float alpha^2 on the one-state path
+    psis = _entries(lambda a, b, _: _global_states(a, b, v), alpha_sq, 0.0)
     return {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
 
 

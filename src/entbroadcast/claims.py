@@ -16,7 +16,6 @@ import numpy as np
 from . import analysis, cloner
 from .analysis import (
     RangeUndefinedError,
-    bell_violation_range,
     bisect,
     boundary_bisect,
     dense_quantities,
@@ -28,7 +27,6 @@ from .analysis import (
 from .broadcast import EntangledInput, local_entries, nonlocal_entries, oracle_states
 from .cloner import (
     MachineKind,
-    analysis_parameter,
     make_cloner_parameter,
     universality_report,
 )
@@ -84,52 +82,6 @@ def _range_claims(tag, xi, lo_expect, hi_expect):
     ]
 
 
-_BELL_ALPHA_SQ = np.linspace(0.0, 1.0, 11)  # holds 1/2 exactly
-
-
-def _bell_violated(xi):
-    """Elementwise over an array of xi: True where the numeric M of the
-    cross-site state, which is not held to the machine's range, exceeds 1
-    somewhere on the alpha^2 grid."""
-    return np.max(evaluate({"bellM"}, xi[:, None], _BELL_ALPHA_SQ)["bellM"], axis=1) > 1.0
-
-
-# Midpoint-tree levels ``_tree_predicate`` decides per call: 2^5 - 1 points.
-# Fewer levels make more calls; more evaluate points that the walk never
-# visits. The Bell search took 0.46-0.61 ms at 5 levels, 0.45-0.71 ms at 3-7,
-# 1.15-1.19 ms at 8, and 1.0-1.2 ms one step at a time (best of 7 in each of
-# three rounds, a 2-CPU x86-64 VM).
-_TREE_LEVELS = 5
-
-
-def _tree_predicate(decide, inside, outside):
-    """A predicate for ``bisect(predicate, inside, outside, tol)`` whose
-    verdicts come from ``decide``, which takes an array of points and returns
-    a bool array.
-
-    At a midpoint it holds no verdict for, it decides the next
-    ``_TREE_LEVELS`` levels of bisection below that midpoint's bracket in one
-    call, each midpoint formed from its parent bracket as ``bisect`` forms it.
-    ``bisect`` then re-enters at the midpoint of a bracket of the last level.
-    """
-    held, brackets = {}, {0.5 * (outside + inside): (outside, inside)}
-
-    def predicate(mid):
-        nonlocal held, brackets
-        if mid not in held:
-            # a level's brackets are (ends[j], ends[j + 1])
-            ends, mids = list(brackets[mid]), []
-            for _ in range(_TREE_LEVELS):
-                level = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
-                ends = [x for pair in zip(ends, level) for x in pair] + ends[-1:]
-                mids += level
-            held = dict(zip(mids, decide(np.array(mids)).tolist()))
-            brackets = {0.5 * (a + b): (a, b) for a, b in zip(ends, ends[1:])}
-        return held[mid]
-
-    return predicate
-
-
 def verify_claims(filter_budget=101):
     """Recompute and check every headline claim; returns a list of ClaimResult."""
     claims = []
@@ -156,19 +108,21 @@ def verify_claims(filter_budget=101):
                                0.0, rng.width, 1e-6))
 
     # Bell threshold in xi (analysis-only; below the machine's range), bisected
-    # between xi = 0, where M exceeds 1, and 0.2, where it does not
+    # between xi = 0, where M exceeds 1, and 0.2, where it does not. Argmax
+    # certificate: T = diag(2D, -2D, t_z) with t_z = A + B - 2C = eta^2 and
+    # 4D^2 = 4 a^2 b^2 eta^4 <= eta^4, so M = eta^4 (1 + 4 a^2 b^2), which is
+    # largest over alpha^2 at alpha^2 = 1/2; some alpha^2 violates CHSH at xi
+    # exactly when alpha^2 = 1/2 does
     claims.append(_equal("bell.threshold_xi",
                          "largest xi admitting any CHSH-violating alpha^2",
                          analysis.XI_BELL_MAX,
-                         bisect(_tree_predicate(_bell_violated, 0.0, 0.2), 0.0, 0.2, 1e-9),
+                         bisect(lambda x: evaluate({"bellM"}, x, 0.5)["bellM"] > 1.0,
+                                0.0, 0.2, 1e-9),
                          1e-9))
-    in_range_empty = all(
-        bell_violation_range(analysis_parameter(xi)) is None
-        for xi in np.linspace(cloner.XI_LOWER, cloner.XI_UPPER, 20)
-    )
+    m_half = evaluate({"bellM"}, np.linspace(cloner.XI_LOWER, cloner.XI_UPPER, 20), 0.5)
     claims.append(_bool("bell.no_interval_in_machine_range",
                         "no CHSH-violating alpha^2 interval for any admissible machine",
-                        in_range_empty))
+                        not np.any(m_half["bellM"] > 1.0)))
 
     # unfiltered M never exceeds 1/2 over the admissible machines
     xi = np.linspace(cloner.XI_LOWER, cloner.XI_UPPER - 1e-12, 20)[:, None]
@@ -205,11 +159,10 @@ def verify_claims(filter_budget=101):
     # brute-force oracle agrees with the closed forms wherever it exists: its
     # four pair states with the closed-form states, and the dense measures of
     # its states with the closed-form quantities of ``evaluate``; one oracle
-    # call per xi, as each xi has its own isometry, then every measure and
-    # closed form once over the (xi, alpha^2) grid
+    # call over the four machines, then every measure and closed form once
+    # over the (xi, alpha^2) grid
     xis, a2 = (1.0 / 6.0, 0.20, 0.30, 0.45), np.arange(0.1, 0.95, 0.1)
-    per_xi = [oracle_states(a2, make_cloner_parameter(xi)) for xi in xis]
-    pairs = {name: np.stack([states[name] for states in per_xi]) for name in per_xi[0]}
+    pairs = oracle_states(a2, [make_cloner_parameter(xi) for xi in xis])
     dense = dense_quantities(pairs["a1b1"], pairs["a1b2"])
     xi = np.array(xis)[:, None]
     same, cross = local_entries(a2, xi).matrix(), nonlocal_entries(a2, xi).matrix()

@@ -469,6 +469,26 @@ def test_predicates_decide_as_evaluate(xi, alpha_sq):
             assert pred(p)(alpha_sq) is test(evaluate({quantity}, xi, alpha_sq)[quantity])
 
 
+def _route_points(xi_hi):
+    return st.lists(st.tuples(st.floats(0.0, xi_hi), st.floats(0.0, 1.0)),
+                    min_size=32, max_size=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_route_points(1.0), _route_points(0.5))
+def test_least_pt_float_route_is_the_array_route(cross, same):
+    """One state's least partial-transpose eigenvalue from float entries (the
+    bisection step's route, builtin min/abs) is, bit for bit and in the sign
+    of a zero, its value in an array of states (numpy's ufuncs). Every draw
+    holds the ends of both ranges and xi = 1/4."""
+    for quantity, points, xi_hi in (("pptNonlocal", cross, 1.0), ("pptLocal", same, 0.5)):
+        points = points + list(itertools.product((-0.0, 0.0, 0.25, xi_hi), (0.0, 0.5, 1.0)))
+        xi, a2 = np.array(points).T
+        stack = evaluate({quantity}, xi, a2)[quantity]
+        each = [evaluate({quantity}, x, a)[quantity] for x, a in points]
+        assert np.array(each).tobytes() == stack.tobytes(), quantity
+
+
 def test_bisection_builds_no_matrix(monkeypatch):
     machines = (make_cloner_parameter(1 / 6), make_cloner_parameter(XI_LOWER))
     cases = [(p, pred, side) for p in machines for pred, *_ in PREDICATES.values()

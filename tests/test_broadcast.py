@@ -285,6 +285,20 @@ def test_oracle_states_equal_the_one_point_oracles(xi):
                for name in stack)
 
 
+def test_oracle_states_over_machines_stack_the_one_machine_calls():
+    machines = [make_cloner_parameter(xi) for xi in (1 / 6, 0.2, 0.3, 0.45)]
+    for alpha_sq in (0.3, np.arange(0.1, 0.95, 0.1), np.linspace(0.0, 1.0, 12).reshape(3, 4)):
+        stacked = oracle_states(alpha_sq, machines)
+        assert list(stacked) == list(_ORACLE_PAIRS)
+        for name, rho in stacked.items():
+            assert rho.shape == (len(machines),) + np.shape(alpha_sq) + (4, 4)
+            want = np.stack([oracle_states(alpha_sq, p)[name] for p in machines])
+            assert np.array_equal(rho, want), (alpha_sq, name)
+    for below in (XI_LOWER, 0.16):
+        with pytest.raises(GramNotPSDError):
+            oracle_states(0.3, (machines[0], make_cloner_parameter(below), machines[2]))
+
+
 class TestLiteralOracle:
     """The oracle's reductions on the literal machine's isometry, whose
     machine dimension is 2, built through the same global-state builder."""
