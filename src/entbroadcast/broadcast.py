@@ -225,7 +225,8 @@ def _pair_reduction(psis, pair):
     its K = 4 d^2 columns those of the other four factors; the partial trace
     over them is then rho_ij = sum_k x_ik conj(x_jk), one 2-D contraction
     per state (a plain einsum, with no BLAS call, so a state in a stack
-    reduces exactly as it does alone).
+    reduces exactly as it does alone). The result has the dtype of ``psis``:
+    on real states conj returns x itself, and the sum runs in float64.
     """
     lead = psis.ndim - 6
     axes = [lead + _ORACLE_FACTORS.index(f) for f in pair]
@@ -236,7 +237,9 @@ def _pair_reduction(psis, pair):
 def oracle_states(alpha_sq, p):
     """All four pair reductions of the global states at alpha^2 (a float, or
     an array), by brute-force partial tracing, keyed by factor names ("a1b1",
-    "a2b2", "a1b2", "a2b1"), each of shape alpha_sq.shape + (4, 4). ``p`` is a
+    "a2b2", "a1b2", "a2b1"), each a float64 array of shape
+    alpha_sq.shape + (4, 4): the machine's isometry and the input's
+    amplitudes are real, so the global states are too. ``p`` is a
     ClonerParameter, or a sequence of them, which puts a leading machine axis
     on each state: shape (len(p),) + alpha_sq.shape + (4, 4). Raises
     ValueError for alpha^2 outside [0, 1].

@@ -133,9 +133,10 @@ def abstract_machine_vectors(p):
 def _isometry(vecs):
     """(4 d)x2 isometry, factor order (a, b, machine), of the machine vectors
     ``vecs`` (rows Q0, Y0, Q1, Y1 of dimension d): column k is the image
-    |kk> Q_k + (|01> + |10>) Y_k of the input |k>."""
+    |kk> Q_k + (|01> + |10>) Y_k of the input |k>. Float64, as the machine
+    vectors of both kinds are real."""
     q0, y0, q1, y1 = vecs
-    v = np.zeros((4, len(q0), 2), dtype=complex)  # v[ab, machine, k]
+    v = np.zeros((4, len(q0), 2))  # v[ab, machine, k]
     v[0, :, 0], v[3, :, 1] = q0, q1
     v[1, :, 0] = v[2, :, 0] = y0
     v[1, :, 1] = v[2, :, 1] = y1
@@ -143,7 +144,7 @@ def _isometry(vecs):
 
 
 def literal_isometry(p):
-    """8x2 isometry of the literal machine, factor order (a, b, machine).
+    """8x2 float64 isometry of the literal machine, factor order (a, b, machine).
 
     Column k is the image of basis input |k>:
     |0> -> sqrt(1-2xi)|00>|up> + sqrt(2xi)|+>|down>

@@ -345,6 +345,78 @@ def test_filtered_closed_form_matches_dense_reference(alpha_sq, xi, rm, rp):
     assert abs(got - dense) <= 1e-14
 
 
+def _filtered_bell_m_reference(e, rm, rp):
+    """The search's M as one out-of-place expression, the form the buffered
+    kernel replaced; it must give the same floats, bit for bit."""
+    s = rm * rp
+    big_a, c_m, c_p = e.big_a * (s * s), e.c * (rm * rm), e.c * (rp * rp)
+    n = big_a + c_m + c_p + e.big_b
+    t_x_sq, t_z = (2.0 * e.d * s / n) ** 2, (big_a + e.big_b - c_m - c_p) / n
+    return t_x_sq + np.maximum(t_x_sq, t_z * t_z)
+
+
+@st.composite
+def ratio_blocks(draw):
+    """rm and rp as two floats, a float and a row, a column and a float, two
+    rows of one length, or a column and a row (a grid block)."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+
+    def vec(size):
+        return draw(arrays(float, size, elements=log_ratios))
+
+    return draw(st.sampled_from([
+        lambda: (draw(log_ratios), draw(log_ratios)),
+        lambda: (draw(log_ratios), vec(n)),
+        lambda: (vec(k)[:, None], draw(log_ratios)),
+        lambda: (vec(n), vec(n)),
+        lambda: (vec(k)[:, None], vec(n)[None, :]),
+    ]))()
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha_sqs, st.floats(0.0, 1.0), ratio_blocks())
+def test_buffered_filter_kernel_is_the_out_of_place_expression(alpha_sq, xi, ratios):
+    rm, rp = ratios
+    e = nonlocal_entries(alpha_sq, xi)
+    got, want = analysis._filtered_bell_m(e, rm, rp), _filtered_bell_m_reference(e, rm, rp)
+    assert got.shape == np.shape(want)
+    assert got.tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 21, 101])
+@pytest.mark.parametrize("alpha_sq, xi", [(alpha_sq, xi) for alpha_sq, xi, _ in FILTER_CASES])
+def test_buffered_filter_kernel_on_the_search_grid(alpha_sq, xi, budget):
+    ratios, m = _search_grid(EntangledInput.from_alpha_sq(alpha_sq),
+                             make_cloner_parameter(xi), budget)
+    want = _filtered_bell_m_reference(nonlocal_entries(alpha_sq, xi),
+                                      ratios[:, None], ratios[None, :])
+    assert m.tobytes() == want.tobytes()
+
+
+def test_filter_search_leaves_its_ratios_alone(monkeypatch):
+    """The kernel writes only into buffers of its own: after a search over
+    several blocks, the ratio rows and columns it was handed, views of the
+    search's ratios, still hold the grid, and no M block shares their memory."""
+    kernel, handed = analysis._filtered_bell_m, []
+
+    def recording(e, rm, rp):
+        m = kernel(e, rm, rp)
+        assert not (np.shares_memory(m, rm) or np.shares_memory(m, rp))
+        handed.append((rm, rp))
+        return m
+
+    monkeypatch.setattr(analysis, "_filtered_bell_m", recording)
+    monkeypatch.setattr(analysis, "_FILTER_BLOCK_POINTS", 60)  # blocks of 2 rows
+    inp, p = EntangledInput.from_alpha_sq(0.35), make_cloner_parameter(0.2)
+    res = filter_search_max_m(inp, p, budget=21)
+    grid = np.logspace(-3.0, 3.0, 21)
+    assert len(handed) == 11
+    assert np.concatenate([rm[:, 0] for rm, _ in handed]).tobytes() == grid.tobytes()
+    assert all(rp[0].tobytes() == grid.tobytes() for _, rp in handed)
+    monkeypatch.setattr(analysis, "_filtered_bell_m", kernel)
+    assert filter_search_max_m(inp, p, budget=21) == res
+
+
 def test_filter_search_reads_its_grid_row_major(monkeypatch):
     """m1/m2 indexes the rows and p1/p2 the columns; of tied maxima, the
     earliest in row-major order wins, in one block or across blocks of one
@@ -405,6 +477,9 @@ def test_degenerate_filters_raise():
     zero = CrossSiteEntries(0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DegenerateFilterError):
         analysis._filtered_bell_m(zero, np.ones((2, 1)), np.ones((1, 3)))
+    for rm, rp in ((1.0, 1.0), (1.0, np.ones(3)), (np.ones(3), np.ones(3))):
+        with pytest.raises(DegenerateFilterError, match=r"N=0\.0"):
+            analysis._filtered_bell_m(zero, rm, rp)
     rho = nonlocal_state(EntangledInput.from_alpha_sq(0.5), make_cloner_parameter(0.2))
     with pytest.raises(DegenerateFilterError):
         gisin_filter(rho, FilterParams(1e-80, 1e-80, 1e-80, 1e-80))

@@ -299,6 +299,53 @@ def test_oracle_states_over_machines_stack_the_one_machine_calls():
             oracle_states(0.3, (machines[0], make_cloner_parameter(below), machines[2]))
 
 
+def test_oracle_runs_in_float64():
+    """Both readings' machine vectors are real, so the isometries, the global
+    states and their reductions are float64. On ``oracle.equivalence``'s
+    (4, 9) block, each float64 reduction is the complex128 reduction of the
+    same states within 2 eps: the two einsums may sum in another order."""
+    for kind, xi in ((MachineKind.LITERAL_2D, XI_LOWER), (MachineKind.LITERAL_2D, 0.3),
+                     (MachineKind.ABSTRACT_BH, 1 / 6), (MachineKind.ABSTRACT_BH, 0.3)):
+        assert machine_isometry(make_cloner_parameter(xi), kind).dtype == np.float64
+    machines = [make_cloner_parameter(xi) for xi in (1 / 6, 0.2, 0.3, 0.45)]
+    alpha_sq = np.arange(0.1, 0.95, 0.1)
+    pairs = oracle_states(alpha_sq, machines)
+    out = oracle_broadcast(EntangledInput.from_alpha_sq(0.3), machines[1])
+    assert out.local_state.dtype == out.nonlocal_state.dtype == np.float64
+    a = np.sqrt(alpha_sq)
+    psis = _global_states(a, np.sqrt(1.0 - a * a),
+                          np.stack([machine_isometry(p, MachineKind.ABSTRACT_BH) for p in machines]))
+    assert psis.dtype == np.float64
+    for name, pair in _ORACLE_PAIRS.items():
+        assert pairs[name].dtype == np.float64
+        assert np.array_equal(_pair_reduction(psis, pair), pairs[name]), name
+        want = _pair_reduction(psis.astype(complex), pair)
+        assert np.max(np.abs(pairs[name] - want)) <= 2 * np.finfo(float).eps, name
+
+
+def test_pair_reduction_conjugates_complex_states():
+    """The reduction still conjugates: global states given a local phase on
+    each basis state of each factor, one at a time and as a stack, reduce to
+    ``partial_trace``'s pair states of their dense density matrices."""
+    rng = np.random.default_rng(2024)
+    psis = np.stack([_abstract_global_state(EntangledInput.from_alpha_sq(a2),
+                                            make_cloner_parameter(xi))
+                     for a2, xi in ((0.3, 0.2), (0.5, 1 / 6), (0.9, 0.45))])
+    for axis, dim in enumerate(psis.shape[1:], start=1):
+        shape = [1] * psis.ndim
+        shape[axis] = dim
+        psis = psis * np.exp(2j * math.pi * rng.random(dim)).reshape(shape)
+    for name, pair in _ORACLE_PAIRS.items():
+        stack = _pair_reduction(psis, pair)
+        assert stack.dtype == complex
+        for k, psi in enumerate(psis):
+            want = _partial_traces(psi)[name]
+            assert np.max(np.abs(want.imag)) > 1e-3  # the phases reach the pair state
+            alone = _pair_reduction(psi, pair)
+            assert np.max(np.abs(alone - want)) <= 1e-15, (name, k)
+            assert np.array_equal(stack[k], alone), (name, k)
+
+
 class TestLiteralOracle:
     """The oracle's reductions on the literal machine's isometry, whose
     machine dimension is 2, built through the same global-state builder."""

@@ -374,6 +374,38 @@ class TestBatchedAudit:
         assert peak <= 4 * 2**20  # all samples at once would take about 70 MB
 
 
+# a machine kind and an admissible xi of it: the abstract machine exists from 1/6
+kinds_and_xis = st.sampled_from(list(MachineKind)).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.floats(XI_LOWER if kind is MachineKind.LITERAL_2D else 1 / 6, 0.5)))
+
+
+class TestRealIsometry:
+    """The isometries are float64. The audit and the clone density promote
+    them where they meet a complex state, and so give, bit for bit, what the
+    complex128 isometry of the same entries gives: the clone-audit outputs
+    and the universality claims do not move."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds_and_xis)
+    def test_fidelities_are_those_of_the_complex_isometry(self, kind_xi):
+        kind, xi = kind_xi
+        v = machine_isometry(make_cloner_parameter(xi), kind)
+        assert v.dtype == np.float64
+        states = bloch_sample_states(64)
+        assert _fidelities(states, v).tobytes() == _fidelities(states, v.astype(complex)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds_and_xis)
+    def test_clone_density_is_that_of_the_complex_isometry(self, kind_xi):
+        kind, xi = kind_xi
+        p = make_cloner_parameter(xi)
+        vc = machine_isometry(p, kind).astype(complex)
+        mixed = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        for rho in [outer(psi) for psi in bloch_sample_states(10)] + [np.eye(2) / 2, mixed]:
+            want = partial_trace(vc @ rho @ dag(vc), [2, 2, vc.shape[0] // 4], keep=[0, 1])
+            assert clone_density(rho, p, kind).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("xi", [-0.1, -1e-9, 0.5 + 1e-9, 0.7])
 def test_literal_isometry_rejects_xi_outside_unit_half(xi):
     with pytest.raises(OutOfRangeError):
