@@ -7,13 +7,13 @@ machine per site) and obtains the same matrices by partial tracing. The
 oracle takes the machine's dimension from its isometry; it uses the
 abstract machine, so it is only defined for xi >= 1/6.
 
-Both states are X-states, fixed by a few real entries. Each state has one
-entry function, ``nonlocal_entries(alpha_sq, xi)`` or
+Both states are X-states, held by one type, ``XStateEntries``. Each state
+has one entry function, ``nonlocal_entries(alpha_sq, xi)`` or
 ``local_entries(alpha_sq, xi)``, for one state (two floats) or a grid of
 them (arrays): it checks alpha^2, computes the entries and validates the
-state from its closed-form smallest eigenvalue, so no later query needs to
-check it again. The entries' ``matrix()`` fills the state's matrix or stack
-of matrices; ``nonlocal_state``/``local_state`` build it at an
+state by the one X-state eigenvalue check, so no later query needs to check
+it again. The entries' ``matrix()`` fills the state's matrix or stack of
+matrices; ``nonlocal_state``/``local_state`` build it at an
 ``EntangledInput``'s alpha^2 and a ``ClonerParameter``'s xi.
 """
 
@@ -64,62 +64,43 @@ class BroadcastOutputs:
     nonlocal_state: np.ndarray  # rho of a cross-site pair
 
 
-# The entries of one state (floats) or of a stack of states (arrays).
-
-class CrossSiteEntries(NamedTuple):
-    """The cross-site state's entries: diagonal (A, C, C, B) and the real
-    coherence D between |00> and |11>, with asym = A - B = (a^2 - b^2) eta
-    computed directly, not as the difference of the rounded A and B."""
+class XStateEntries(NamedTuple):
+    """The entries of an X-state (floats), or of a stack of them (arrays):
+    diagonal (A, C, C, B), the real coherence d between |00> and |11> and the
+    real coherence w between |01> and |10>, with asym = A - B computed
+    directly, not as the difference of the rounded A and B."""
 
     big_a: object
     big_b: object
     c: object
     d: object
+    w: object
     asym: object
 
     def matrix(self):
-        """The state: A = a^2 eta + xi^2, B = b^2 eta + xi^2, C = xi (1 - xi)
-        and D = a b eta^2, eta = 1 - 2 xi. Shape (4, 4) for float entries,
-        else (..., 4, 4) for entries of shape (...)."""
-        return _x_stack({(0, 0): self.big_a, (3, 3): self.big_b, (1, 1): self.c,
-                         (2, 2): self.c, (0, 3): self.d, (3, 0): self.d})
+        """The state: shape (4, 4) for float entries, else (..., 4, 4) for
+        entries of shape (...), the shape of A."""
+        # not np.shape, which costs about as much as the rest of a one-state build
+        rho = np.zeros(getattr(self.big_a, "shape", ()) + (4, 4), dtype=complex)
+        rho[..., 0, 0], rho[..., 3, 3] = self.big_a, self.big_b
+        rho[..., 1, 1] = rho[..., 2, 2] = self.c
+        rho[..., 0, 3] = rho[..., 3, 0] = self.d
+        rho[..., 1, 2] = rho[..., 2, 1] = self.w
+        return rho
 
 
-class SameSiteEntries(NamedTuple):
-    """The same-site state's entries: diagonal (a^2 eta, xi, xi, b^2 eta) and
-    the real coherence xi between |01> and |10>."""
-
-    big_a: object
-    big_b: object
-    xi: object
-
-    def matrix(self):
-        """The state, (1 - 2 xi)(a^2 |00><00| + b^2 |11><11|) + 2 xi |+><+|;
-        shaped as ``CrossSiteEntries.matrix``."""
-        # 2 xi |+><+| spread over |01>, |10>
-        return _x_stack({(0, 0): self.big_a, (3, 3): self.big_b, (1, 1): self.xi,
-                         (2, 2): self.xi, (1, 2): self.xi, (2, 1): self.xi})
-
-
-def _require_physical(physical, xi, hi):
-    """Raises OutOfRangeError at the first point, in order, that ``physical``
-    marks as not a density operator."""
+def _require_x_state(big_a, big_b, c, d, w, xi, hi):
+    """Raises OutOfRangeError at the first point, in order, where an eigenvalue
+    of the X-state, (A + B)/2 +- hypot((A - B)/2, d) or C +- w, is below -STATE_TOL."""
+    h = 0.5 * (big_a - big_b)
+    physical = ((c - abs(w) >= -STATE_TOL)
+                & (0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL))
     if physical is True:  # one state from floats: skip numpy's cost on a bool
         return
     physical = np.asarray(physical)
     if not physical.all():
         xi = np.broadcast_to(xi, physical.shape).flat[np.argmin(physical)]
         raise OutOfRangeError(float(xi), 0.0, hi)
-
-
-def _x_stack(entries):
-    """The states with these entries, {(i, j): value}: shape (4, 4), or
-    (..., 4, 4) for values of broadcast shape (...), the shape of A."""
-    # not np.shape, which costs about as much as the rest of a one-state build
-    rho = np.zeros(getattr(entries[0, 0], "shape", ()) + (4, 4), dtype=complex)
-    for (i, j), v in entries.items():
-        rho[..., i, j] = v
-    return rho
 
 
 def _entries(state, alpha_sq, xi):
@@ -151,24 +132,19 @@ def _cross_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta + xi * xi, b * b * eta + xi * xi
     c, d = xi * (1.0 - xi), a * b * eta * eta
-    # eigenvalues: C twice, and (A + B)/2 +- hypot((A - B)/2, D)
-    h = 0.5 * (big_a - big_b)
-    physical = ((c >= -STATE_TOL)
-                & (0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL))
-    _require_physical(physical, xi, 1.0)
-    return CrossSiteEntries(big_a, big_b, c, d, (a * a - b * b) * eta)
+    _require_x_state(big_a, big_b, c, d, 0.0, xi, 1.0)
+    return XStateEntries(big_a, big_b, c, d, 0.0, (a * a - b * b) * eta)
 
 
 def _same_site_entries(a, b, xi):
+    """(1 - 2 xi)(a^2 |00><00| + b^2 |11><11|) + 2 xi |+><+|, so C = w = xi."""
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta, b * b * eta
-    # eigenvalues: a^2 eta, b^2 eta, 2 xi, and 0 on (|01> - |10>)/sqrt(2)
-    physical = (big_a >= -STATE_TOL) & (big_b >= -STATE_TOL) & (2.0 * xi >= -STATE_TOL)
-    _require_physical(physical, xi, 0.5)
-    return SameSiteEntries(big_a, big_b, xi)
+    _require_x_state(big_a, big_b, xi, 0.0, xi, xi, 0.5)
+    return XStateEntries(big_a, big_b, xi, 0.0, xi, (a * a - b * b) * eta)
 
 
-def nonlocal_entries(alpha_sq, xi) -> CrossSiteEntries:
+def nonlocal_entries(alpha_sq, xi) -> XStateEntries:
     """The entries of the cross-site states at the points (alpha_sq, xi):
     floats for two floats, else arrays of their broadcast shape.
 
@@ -180,7 +156,7 @@ def nonlocal_entries(alpha_sq, xi) -> CrossSiteEntries:
     return _entries(_cross_site_entries, alpha_sq, xi)
 
 
-def local_entries(alpha_sq, xi) -> SameSiteEntries:
+def local_entries(alpha_sq, xi) -> XStateEntries:
     """The entries of the same-site states at the points (alpha_sq, xi); as
     ``nonlocal_entries``, with the state's domain xi in [0, 1/2]."""
     return _entries(_same_site_entries, alpha_sq, xi)

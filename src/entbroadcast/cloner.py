@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, partial_trace
+from .linalg import dag, is_density_operator, partial_trace
 
 XI_LOWER = 0.5 - 0.5 / math.sqrt(2.0)  # ~0.146447
 XI_UPPER = 0.5
@@ -182,7 +182,7 @@ def _fidelities(psis, v):
 def clone_density(rho_in, p, kind):
     """4x4 two-clone state after applying the machine and tracing it out."""
     rho_in = np.asarray(rho_in, dtype=complex)
-    if rho_in.shape != (2, 2):
+    if rho_in.shape != (2, 2) or not is_density_operator(rho_in):
         raise ValueError("input must be a 2x2 density operator")
     v = machine_isometry(p, kind)
     return partial_trace(v @ rho_in @ dag(v), [2, 2, v.shape[0] // 4], keep=[0, 1])

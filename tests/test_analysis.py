@@ -196,6 +196,17 @@ class TestCorrelationTensor:
     def test_maximally_mixed(self):
         assert np.allclose(correlation_tensor(MIXED), np.zeros((3, 3)))
 
+    def test_measures_take_every_state_the_check_accepts(self):
+        # an anti-Hermitian part of 0.9e-12, within the Hermiticity tolerance,
+        # gives t_xx an imaginary part of 1.8e-12: the measures read its real part
+        rho = MIXED.copy()
+        for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
+            rho[i, j] += 0.45e-12j
+        assert ppt_test(rho).separable
+        assert np.max(np.abs(correlation_tensor(rho))) <= 1e-11
+        assert abs(bell_quantity_m(rho)) <= 1e-11
+        assert abs(teleportation_fidelity(rho) - 0.5) <= 1e-11
+
     def test_broadcast_state_diagonal(self):
         a2 = 0.3
         p = make_cloner_parameter(0.2)

@@ -46,10 +46,10 @@ from entbroadcast.analysis import (
 )
 from entbroadcast.broadcast import (
     EntangledInput,
+    XStateEntries,
     local_entries,
     local_state,
     nonlocal_entries,
-    CrossSiteEntries,
     nonlocal_state,
 )
 from entbroadcast.cloner import (
@@ -204,7 +204,7 @@ def test_evaluate_builds_no_matrix(monkeypatch):
     def no_matrix(*args, **kwargs):
         raise AssertionError("a dense matrix was built or decomposed")
 
-    monkeypatch.setattr(broadcast, "_x_stack", no_matrix)
+    monkeypatch.setattr(broadcast.XStateEntries, "matrix", no_matrix)
     for name in ("eigvalsh", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, no_matrix)
     with pytest.raises(AssertionError):
@@ -464,7 +464,7 @@ def test_filter_search_builds_no_matrix(monkeypatch):
     def no_matrix(*args, **kwargs):
         raise AssertionError("a dense matrix was built or decomposed")
 
-    monkeypatch.setattr(broadcast, "_x_stack", no_matrix)
+    monkeypatch.setattr(broadcast.XStateEntries, "matrix", no_matrix)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_matrix)
     for name in ("_correlation", "_bell_m", "gisin_filter"):
         monkeypatch.setattr(analysis, name, no_matrix)
@@ -474,7 +474,7 @@ def test_filter_search_builds_no_matrix(monkeypatch):
 
 
 def test_degenerate_filters_raise():
-    zero = CrossSiteEntries(0.0, 0.0, 0.0, 0.0, 0.0)
+    zero = XStateEntries(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DegenerateFilterError):
         analysis._filtered_bell_m(zero, np.ones((2, 1)), np.ones((1, 3)))
     for rm, rp in ((1.0, 1.0), (1.0, np.ones(3)), (np.ones(3), np.ones(3))):
@@ -573,7 +573,7 @@ def test_bisection_builds_no_matrix(monkeypatch):
     def no_matrix(*args, **kwargs):
         raise AssertionError("a dense matrix was built or decomposed")
 
-    monkeypatch.setattr(broadcast, "_x_stack", no_matrix)
+    monkeypatch.setattr(broadcast.XStateEntries, "matrix", no_matrix)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_matrix)
     with pytest.raises(AssertionError):
         _dense_local_predicate(cases[0][0])(0.5)  # the patch is live

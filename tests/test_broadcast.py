@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entbroadcast.broadcast import (
     _ORACLE_PAIRS,
+    STATE_TOL,
     EntangledInput,
+    XStateEntries,
     _global_states,
     _pair_reduction,
+    _require_x_state,
     local_entries,
     local_state,
     nonlocal_entries,
@@ -152,6 +155,55 @@ def test_entangled_input_route_is_the_x_state_from_alpha(alpha, xi):
 def test_one_state_entries_are_plain_floats():
     for entries in (nonlocal_entries(0.3, 0.2), local_entries(0.3, 0.2)):
         assert all(type(v) is float for v in entries), entries
+
+
+# The one X-state check, on entries neither builder makes: d and w both nonzero.
+# A point within 1e-12 of the check's threshold is skipped, as the closed form
+# and eigvalsh may round to either side of it.
+_X_ENTRIES = st.tuples(*[st.floats(-0.1, 1.0)] * 3, *[st.floats(-1.0, 1.0)] * 2)  # A, B, C, d, w
+
+
+def _dense_least_eigenvalue(entries):
+    return np.linalg.eigvalsh(XStateEntries(*entries, 0.0).matrix())[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_X_ENTRIES)
+def test_x_state_check_is_the_least_eigenvalue(entries):
+    least = _dense_least_eigenvalue(entries)
+    assume(abs(least + STATE_TOL) > 1e-12)
+    if least >= -STATE_TOL:
+        assert _require_x_state(*entries, 0.2, 1.0) is None
+    else:
+        with pytest.raises(OutOfRangeError, match=r"xi=0\.2 outside \[0\.0, 1\.0\]"):
+            _require_x_state(*entries, 0.2, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_X_ENTRIES, min_size=1, max_size=8))
+def test_x_state_check_raises_at_the_first_bad_point_of_a_stack(points):
+    least = [_dense_least_eigenvalue(e) for e in points]
+    assume(all(abs(x + STATE_TOL) > 1e-12 for x in least))
+    columns = [np.array(column) for column in zip(*points)]
+    xi = np.arange(len(points), dtype=float)  # names each point by its index
+    bad = [k for k, x in enumerate(least) if x < -STATE_TOL]
+    if not bad:
+        assert _require_x_state(*columns, xi, 0.5) is None
+    else:
+        with pytest.raises(OutOfRangeError) as raised:
+            _require_x_state(*columns, xi, 0.5)
+        assert (raised.value.xi, raised.value.hi) == (bad[0], 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_X_ENTRIES)
+def test_x_state_matrix_places_every_entry(entries):
+    big_a, big_b, c, d, w = entries
+    want = np.array([[big_a, 0, 0, d], [0, c, w, 0], [0, w, c, 0], [d, 0, 0, big_b]],
+                    dtype=complex)
+    assert np.array_equal(XStateEntries(*entries, 0.0).matrix(), want)
+    stack = XStateEntries(*(np.full(3, v) for v in entries), 0.0).matrix()
+    assert stack.shape == (3, 4, 4) and all(np.array_equal(rho, want) for rho in stack)
 
 
 def _raises_out_of_range(build, inp, p):

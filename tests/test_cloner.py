@@ -415,6 +415,10 @@ def test_literal_isometry_rejects_xi_outside_unit_half(xi):
 @pytest.mark.parametrize("call, message", [
     (lambda p: machine_isometry(p, "Literal2D"), "unknown machine kind 'Literal2D'"),
     (lambda p: clone_density(np.eye(3) / 3, p, MachineKind.LITERAL_2D), "2x2"),
+    (lambda p: clone_density(np.diag([2.0, 0.0]), p, MachineKind.LITERAL_2D),  # trace 2
+     "2x2 density operator"),
+    (lambda p: single_clone_density(np.array([[0.5, 0.9], [0.9, 0.5]]), p,  # eigenvalue -0.4
+                                    MachineKind.ABSTRACT_BH), "2x2 density operator"),
     (lambda p: clone_fidelity([1.0, 0.0, 0.0], p, MachineKind.LITERAL_2D), "2-vector"),
     (lambda p: clone_fidelity([1.0, 1.0], p, MachineKind.LITERAL_2D), "not normalized"),
 ])
