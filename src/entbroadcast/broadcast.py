@@ -53,6 +53,10 @@ class EntangledInput:
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq):
+        """The input of ``alpha = sqrt(alpha_sq)``. Its ``alpha_sq`` may be an
+        ulp off, but for ``alpha_sq`` 0 or at least 2^-1022 its square root
+        is ``alpha`` again, so the states built from it are bit for bit
+        those at ``alpha_sq``."""
         if not (0.0 <= alpha_sq <= 1.0):
             raise ValueError(f"alpha^2={alpha_sq} outside [0, 1]")
         return cls(math.sqrt(alpha_sq))

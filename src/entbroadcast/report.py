@@ -1,40 +1,36 @@
 """Deterministic CSV/JSON emission of tables.
 
-A table is a mapping from each column name to its cells, every column of the
-same length; its keys, in order, are the header. It comes in two shapes:
+A table comes in two shapes, both written a line or object per row:
 
-- a column table, a dict of lists, written cell by cell (the claims report,
-  the boundary and clone-audit rows and the study tables, at most a few
-  dozen rows each);
-- a ``GridTable``, one value per point of a product of grids (the sweep),
-  whose key columns repeat each grid point many times. It is written from
-  its grids: each grid point's text is made once, and all values are
-  formatted by one ``%`` of a template built from those texts.
+- a column table, a dict from each column name to its cells, every column of
+  the same length, its keys in order the header; it is written cell by cell
+  (the claims report, the boundary and clone-audit rows and the study tables,
+  at most a few dozen rows each);
+- a ``GridTable``, its grids and its block of values, one per point of the
+  product of the grids (the sweep). Each grid point's text is made once, and
+  all values are formatted by one ``%`` of a template built from those texts.
 
-Both shapes give the same text for the same cells. Numbers are written with
+Both shapes give the same text for the same rows. Numbers are written with
 17 significant digits so files round-trip to the exact float64 values;
 output is fully deterministic (no timestamps).
 """
 
 import csv
 import json
-import math
 import sys
-from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 from types import SimpleNamespace
 
 import numpy as np
 
 
-class GridTable(Mapping):
+class GridTable:
     """A table of one float value per point of a product of grids.
 
     ``axes`` maps each key column's name to its grid, outermost first;
     ``block`` has one axis per grid, of its length, and holds the column
     named ``value_name``. Rows run over the points as ``itertools.product``
-    of the grids does. As a mapping it is the column table of those rows,
-    each column built when it is read.
+    of the grids does; ``len()`` is their number.
     """
 
     def __init__(self, axes, value_name, block):
@@ -45,20 +41,8 @@ class GridTable(Mapping):
             raise ValueError(f"a block of shape {self.block.shape} for grids of "
                              f"lengths {tuple(map(len, self.axes.values()))}")
 
-    def __getitem__(self, name):
-        if name == self.value_name:
-            return self.block.ravel().tolist()
-        grid = self.axes[name]
-        m = list(self.axes).index(name)
-        inner = math.prod(self.block.shape[m + 1:])
-        return [cell for cell in grid for _ in range(inner)] * math.prod(self.block.shape[:m])
-
-    def __iter__(self):
-        yield from self.axes
-        yield self.value_name
-
     def __len__(self):
-        return len(self.axes) + 1
+        return self.block.size
 
 
 def _fmt(v):
@@ -89,34 +73,27 @@ def _json_cell(v):
     return json.dumps(v)
 
 
-def _grid_template(keys, slots, end, sep, kinds=None):
+def _grid_template(keys, slot, end, sep):
     """The rows of a grid table as one ``%`` template, a slot for each value.
 
     ``keys[m][i]`` is the text point ``i`` of grid ``m`` puts in each of its
     rows, with any '%' doubled. A row is its points' texts, outermost first,
-    then ``slots[kind]`` for its value's kind (``kinds``, one per value; all
-    0 when None), then ``end``; rows are joined by ``sep``.
+    then ``slot``, then ``end``; rows are joined by ``sep``.
     """
     if not all(keys):
         return ""  # no rows
     heads = [""]
     for texts in keys[1:]:
         heads = [h + t for h in heads for t in texts]
-    variants = [[h + slot + end for h in heads] for slot in slots]
-    if kinds is None:
-        blocks = [variants[0]] * len(keys[0])
-    else:
-        # the rows of each outer point, each with the slot of its value's kind
-        choice = np.array(variants, dtype=object)
-        blocks = choice[kinds.reshape(len(keys[0]), -1), np.arange(len(heads))].tolist()
-    return sep.join(prefix + (sep + prefix).join(rows) for prefix, rows in zip(keys[0], blocks))
+    rows = [h + slot + end for h in heads]
+    return sep.join(prefix + (sep + prefix).join(rows) for prefix in keys[0])
 
 
 def _grid_to_csv(table):
     keys = [[f"{field},".replace("%", "%%") for field in _csv_fields(map(_fmt, grid))]
             for grid in table.axes.values()]
     # "%.17g" % v equals format(v, ".17g"), and needs no quotes
-    return _grid_template(keys, ("%.17g",), "\n", "") % tuple(table.block.ravel().tolist())
+    return _grid_template(keys, "%.17g", "\n", "") % tuple(table.block.ravel().tolist())
 
 
 def _grid_to_json(table):
@@ -124,12 +101,9 @@ def _grid_to_json(table):
             for name, grid in table.axes.items()]
     keys[0] = ["  {\n" + t for t in keys[0]]
     keys[-1] = [t + f"    {_json_str(table.value_name)}: ".replace("%", "%%") for t in keys[-1]]
-    v = table.block
-    # "%r" of a finite float is its repr; the others are written in the template
-    kinds = np.isnan(v) + 2 * (v == math.inf) + 3 * (v == -math.inf)
-    template = _grid_template(keys, ("%r", "null", "Infinity", "-Infinity"), "\n  }", ",\n",
-                              kinds)
-    return template % tuple(v[kinds == 0].tolist())
+    get = _JSON_FLOATS.get
+    texts = [get(t, t) for t in map(float.__repr__, table.block.ravel().tolist())]
+    return _grid_template(keys, "%s", "\n  }", ",\n") % tuple(texts)
 
 
 def table_to_csv(table):
@@ -141,10 +115,11 @@ def table_to_csv(table):
     """
     lines = []
     w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    w.writerow(table)
     if isinstance(table, GridTable):
+        w.writerow([*table.axes, table.value_name])
         lines.append(_grid_to_csv(table))
     else:
+        w.writerow(table)
         w.writerows(zip(*(map(_fmt, cells) for cells in table.values()), strict=True))
     return "".join(lines)
 

@@ -59,10 +59,10 @@ def run_sweep(cfg: SweepConfig):
     """The sweep table: each quantity at every point of the ``(xi, alpha^2)``
     grid, one ``analysis.evaluate`` call over the whole grid.
 
-    A ``report.GridTable`` of the columns ``xi``, ``alpha_sq``, ``quantity``
-    and ``value``, a row per (xi, alpha^2, quantity), xi-major, then alpha^2,
-    then quantity. It keeps the grids and the ``(n_xi, n_alpha, n_q)`` value
-    block, and builds each column only when it is read.
+    A ``report.GridTable``: the grids ``xi``, ``alpha_sq`` and ``quantity``
+    and the ``(n_xi, n_alpha, n_q)`` block of ``value``, a row per
+    (xi, alpha^2, quantity), xi-major, then alpha^2, then quantity; its
+    ``len()`` is the number of rows.
     """
     check = analysis_parameter if cfg.analysis_only else make_cloner_parameter
     for xi in cfg.xi_grid:

@@ -342,7 +342,7 @@ class TestWernerNearMaximallyMixed:
     def _both(xi, alpha_sq):
         by_evaluate = evaluate({"wernerX"}, xi, alpha_sq)["wernerX"]
         cfg = SweepConfig(xi_grid=(xi,), alpha_sq_grid=(alpha_sq,), quantities=("wernerX",))
-        return by_evaluate, run_sweep(cfg)["value"][0]
+        return by_evaluate, run_sweep(cfg).block.item()
 
     @pytest.mark.parametrize("xi, alpha_sq", [
         (0.49999966739011026, 0.49037851820494394),

@@ -47,6 +47,16 @@ class TestEntangledInput:
     def test_from_alpha_sq(self):
         assert math.isclose(EntangledInput.from_alpha_sq(0.25).alpha, 0.5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(0.0), st.floats(2.0**-1022, 1.0)), st.floats(0.0, 0.5))
+    def test_states_from_alpha_sq_round_trip_bit_for_bit(self, alpha_sq, xi):
+        # alpha_sq an ulp off (0.5 comes back as 0.5000000000000001) has the
+        # same square root, so both states' entries are the same floats
+        back = EntangledInput.from_alpha_sq(alpha_sq).alpha_sq
+        for entries in (nonlocal_entries, local_entries):
+            assert list(map(float.hex, entries(back, xi))) == \
+                list(map(float.hex, entries(alpha_sq, xi)))
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             EntangledInput(1.5)

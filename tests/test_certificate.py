@@ -1,0 +1,105 @@
+"""Exact certificate of the Bell claims' argmax over alpha^2.
+
+The cross-site state is derived in exact arithmetic from its definition,
+(L x L)(|psi><psi|) with |psi> = a|00> + b|11> and each site's clone map
+L(rho) = eta rho + xi Tr(rho) I, eta = 1 - 2 xi. Its correlation tensor
+T_ij = Tr(rho sigma_i x sigma_j) then gives M = eta^4 (1 + 4 a^2 b^2), whose
+largest value over alpha^2 = a^2 is at alpha^2 = 1/2 for every xi.
+"""
+
+import math
+from fractions import Fraction
+from itertools import product
+
+import pytest
+import sympy as sp
+
+from entbroadcast.broadcast import nonlocal_entries
+
+a, xi = sp.symbols("a xi", positive=True)
+b = sp.sqrt(1 - a**2)
+eta = 1 - 2 * xi
+PAULI = [sp.Matrix([[0, 1], [1, 0]]), sp.Matrix([[0, -sp.I], [sp.I, 0]]),
+         sp.Matrix([[1, 0], [0, -1]])]
+
+
+def _clone_map(rho):
+    return eta * rho + xi * rho.trace() * sp.eye(2)
+
+
+def _unit(i, j):
+    e = sp.zeros(2)
+    e[i, j] = 1
+    return e
+
+
+def _cross_site_state():
+    """(L x L)(|psi><psi|), applied to each matrix unit |i><j| x |k><m|."""
+    psi = [a, 0, 0, b]  # amplitudes of |00>, |01>, |10>, |11>
+    rho = sp.zeros(4)
+    for i, j, k, m in product((0, 1), repeat=4):
+        weight = psi[2 * i + k] * psi[2 * j + m]
+        if weight != 0:
+            rho += weight * sp.kronecker_product(_clone_map(_unit(i, j)), _clone_map(_unit(k, m)))
+    return rho.applyfunc(sp.expand)
+
+
+RHO = _cross_site_state()
+T = sp.Matrix(3, 3, lambda i, j: sp.expand(
+    (RHO * sp.kronecker_product(PAULI[i], PAULI[j])).trace()))
+
+
+def _zero(expr):
+    return sp.simplify(sp.expand(expr)) == 0
+
+
+def test_state_is_a_normalized_x_state():
+    assert _zero(RHO.trace() - 1)
+    assert RHO == RHO.T and _zero(RHO[1, 1] - RHO[2, 2])
+    assert all(RHO[i, j] == 0 for i in range(4) for j in range(4) if i != j and i + j != 3)
+
+
+def test_correlation_tensor_is_diagonal():
+    want = sp.diag(2 * a * b * eta**2, -2 * a * b * eta**2, eta**2)
+    assert all(_zero(e) for e in T - want)
+
+
+def test_bell_quantity_is_largest_at_half():
+    t_z, d = T[2, 2], RHO[0, 3]
+    assert _zero(T[0, 0] - 2 * d) and _zero(T[1, 1] + 2 * d)
+    # T^T T = diag(4d^2, 4d^2, t_z^2), and t_z^2 - 4d^2 is a square, so the
+    # two largest of its eigenvalues are t_z^2 and 4d^2
+    assert all(_zero(e) for e in T.T * T - sp.diag(4 * d**2, 4 * d**2, t_z**2))
+    assert _zero(t_z**2 - 4 * d**2 - eta**4 * (2 * a**2 - 1) ** 2)
+    m = t_z**2 + 4 * d**2
+    assert _zero(m - eta**4 * (1 + 4 * a**2 * b**2))
+    m_half = m.subs(a, 1 / sp.sqrt(2))
+    gap = sp.factor(sp.expand(m_half - m))
+    assert _zero(gap - eta**4 * (2 * a**2 - 1) ** 2)
+    assert gap.is_nonnegative
+
+
+def _ulps(got, exact, scale=0.0):
+    """|got - exact| in units of the last place of exact, or of scale when larger."""
+    return abs(got - float(exact)) / math.ulp(max(abs(float(exact)), scale))
+
+
+POINTS = [(Fraction(p), Fraction(q)) for p, q in [
+    ("0", "0"), ("1", "0"), ("1/2", "0"), ("1/2", "1/6"), ("1/2", "1/5"), ("1/2", "1/2"),
+    ("1/3", "1/6"), ("1/5", "1/6"), ("7/20", "1/5"), ("1/10", "3/20"), ("9/10", "1/4"),
+    ("1/4", "3/10"), ("3/4", "1/3"), ("2/3", "2/5"), ("1/7", "1/8"), ("5/8", "7/16"),
+    ("99/100", "1/100"), ("1/100", "49/100"), ("3/10", "1/2"), ("1", "1/6"), ("0", "1/5"),
+]]
+
+
+@pytest.mark.parametrize("alpha_sq, x", POINTS, ids=[f"{p}-{q}" for p, q in POINTS])
+def test_entries_match_the_exact_state(alpha_sq, x):
+    # the exact state at the floats the closed form is given
+    at = {a: sp.sqrt(sp.Rational(float(alpha_sq))), xi: sp.Rational(float(x))}
+    big_a, big_b, c, d, w = (sp.N(RHO[i, j].subs(at), 40)
+                             for i, j in ((0, 0), (3, 3), (1, 1), (0, 3), (1, 2)))
+    got = nonlocal_entries(float(alpha_sq), float(x))
+    for g, e in zip(got[:5], (big_a, big_b, c, d, w)):
+        assert _ulps(g, e) <= 4, (got, e)
+    # A - B cancels: its rounding is in units of A and B
+    assert _ulps(got.asym, big_a - big_b, float(max(big_a, big_b))) <= 4, got

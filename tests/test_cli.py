@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -68,29 +70,40 @@ class TestRunSweep:
         cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
                           quantities=("fidelity",))
         table = run_sweep(cfg)
-        assert [len(cells) for cells in table.values()] == [1, 1, 1, 1]
-        assert abs(table["value"][0] - 13 / 18) <= 1e-12
+        assert [len(grid) for grid in table.axes.values()] == [1, 1, 1]
+        assert table.block.shape == (1, 1, 1)
+        assert abs(table.block.item() - 13 / 18) <= 1e-12
 
     def test_single_point_bell_m(self):
         cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
                           quantities=("bellM",))
-        assert abs(run_sweep(cfg)["value"][0] - 32 / 81) <= 1e-12
+        assert abs(run_sweep(cfg).block.item() - 32 / 81) <= 1e-12
 
     def test_row_order_is_xi_major(self):
         cfg = SweepConfig(xi_grid=(1 / 6, 0.2), alpha_sq_grid=(0.3, 0.5),
                           quantities=("bellM", "fidelity"))
-        table = run_sweep(cfg)
-        assert list(table) == ["xi", "alpha_sq", "quantity", "value"]
-        keys = list(zip(table["xi"], table["alpha_sq"], table["quantity"]))
+        header, *rows = csv.reader(io.StringIO(table_to_csv(run_sweep(cfg))))
+        assert header == ["xi", "alpha_sq", "quantity", "value"]
+        keys = [(float(xi), float(a2), q) for xi, a2, q, _ in rows]
         assert keys == sorted(keys, key=lambda k: (k[0], k[1]))
         assert keys == [(xi, a2, q) for xi in (1 / 6, 0.2) for a2 in (0.3, 0.5)
                         for q in ("bellM", "fidelity")]
-        assert len(table["value"]) == 8
+        assert len(rows) == 8
+
+    @pytest.mark.parametrize("xi_grid, alpha_sq_grid, quantities", [
+        ((0.2,), (0.5,), ("bellM",)),
+        ((1 / 6, 0.2), (0.3, 0.5, 0.7), ("bellM", "fidelity")),
+        (tuple(np.linspace(0.15, 0.5, 50)), tuple(np.linspace(0.0, 1.0, 50)), QUANTITIES),
+    ])
+    def test_length_is_the_number_of_rows(self, xi_grid, alpha_sq_grid, quantities):
+        table = run_sweep(SweepConfig(xi_grid, alpha_sq_grid, quantities))
+        assert len(table) == len(xi_grid) * len(alpha_sq_grid) * len(quantities)
+        assert len(table) == table_to_csv(table).count("\n") - 1
 
     def test_werner_nan_off_center(self):
         cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.3,),
                           quantities=("wernerX",))
-        assert math.isnan(run_sweep(cfg)["value"][0])
+        assert math.isnan(run_sweep(cfg).block.item())
 
 
 class TestEmission:

@@ -49,7 +49,7 @@ SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, NAN_WITH_PAYLOAD, math.inf, -m
                   5e-324, -5e-324, 1 / 3, 0.1, 1e300]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(),
                    st.floats().map(np.float64))
-TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "0"]), max_size=4)
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "0", "%"]), max_size=4)
 CELLS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), TEXT)
 
 
@@ -150,11 +150,14 @@ SWEEP_NAMES = ["xi", "alpha_sq", "quantity", "value"]
                    ["q", "q%s", "q"],
                    (SPECIAL_FLOATS + [np.float64(v) for v in SPECIAL_FLOATS] * 2)[:27]))
 def test_grid_table_matches_row_writer(case):
-    # written from its grids, and as the column table its columns make
+    # written from its grids, and as the column table of its rows
     table, rows = case
+    names = [*table.axes, table.value_name]
+    columns = {name: [row[name] for row in rows] for name in names}
+    assert len(table) == len(rows)
     for write, reference in ((table_to_csv, reference_csv), (table_to_json, reference_json)):
-        assert write(table) == reference(rows, list(table))
-        assert write(dict(table)) == reference(rows, list(table))
+        assert write(table) == reference(rows, names)
+        assert write(columns) == reference(rows, names)
 
 
 def test_grid_table_rejects_a_block_not_of_the_grids_shape():
