@@ -143,10 +143,13 @@ def _max_abs(*diffs):
 # One state's float entries, a bisection step's case, take builtin min/abs:
 # numpy's ufuncs cost several times the arithmetic on floats. np.minimum(x, y)
 # keeps y on a tie and min its first argument, so the float route lists them
-# in reverse and gives the same float, signed zeros included. Both routes use
-# np.hypot, as math.hypot differs from it in the last bit. The partial
-# transpose of an X-state swaps d and w; a formula per state keeps np.hypot
-# off the cross-site step.
+# in reverse and gives the same float, signed zeros included. The float route
+# takes hypot(h, w) as abs(complex(h, w)): CPython's complex abs is the C
+# library's hypot, and so is np.hypot on float64, so the two agree bit for bit
+# (math.hypot, which rounds its own way, differs in the last bit). Complex abs
+# raises OverflowError where hypot overflows; validated same-site entries are
+# at most 1, so it cannot here. The partial transpose of an X-state swaps d
+# and w; a formula per state keeps hypot off the cross-site step.
 
 def _least_pt_cross(e):
     """Least eigenvalue of the cross-site partial transpose: A, B, [[C, d], [d, C]]."""
@@ -157,8 +160,10 @@ def _least_pt_cross(e):
 
 def _least_pt_same(s):
     """Least eigenvalue of the same-site partial transpose: [[A, w], [w, B]], C = w = xi."""
-    least = 0.5 * (s.big_a + s.big_b) - np.hypot(0.5 * (s.big_a - s.big_b), s.w)
-    return min(least, s.w) if isinstance(s.w, float) else np.minimum(s.w, least)
+    h, w = 0.5 * (s.big_a - s.big_b), s.w
+    if isinstance(w, float):
+        return min(0.5 * (s.big_a + s.big_b) - abs(complex(h, w)), w)
+    return np.minimum(w, 0.5 * (s.big_a + s.big_b) - np.hypot(h, w))
 
 
 def _werner_x(e, tol):
@@ -485,8 +490,10 @@ def nonlocal_inseparable_predicate(p: ClonerParameter):
     """alpha^2 -> True when the cross-site pair fails PPT (is entangled), by the
     closed form of ``evaluate``'s pptNonlocal; ``oracle.equivalence`` ties it to eigvalsh."""
 
+    xi = p.xi
+
     def pred(alpha_sq):
-        e = nonlocal_entries(alpha_sq, p.xi)
+        e = nonlocal_entries(alpha_sq, xi)
         # raw eigenvalue sign: bisection needs the exact zero crossing, not
         # the -1e-10 classification threshold
         return bool(_least_pt_cross(e) < 0.0)
@@ -498,8 +505,10 @@ def local_separable_predicate(p: ClonerParameter):
     """alpha^2 -> True when the same-site pair passes PPT (is separable), by the
     closed form of ``evaluate``'s pptLocal; ``oracle.equivalence`` ties it to eigvalsh."""
 
+    xi = p.xi
+
     def pred(alpha_sq):
-        s = local_entries(alpha_sq, p.xi)
+        s = local_entries(alpha_sq, xi)
         return bool(_least_pt_same(s) >= 0.0)
 
     return pred

@@ -130,14 +130,16 @@ def _entries(state, alpha_sq, xi):
 
 # The closed forms of the two states: plain arithmetic on floats or on arrays
 # that broadcast together, which checks each state once, from its closed-form
-# eigenvalues.
+# eigenvalues. They make the entries by tuple.__new__, as XStateEntries(...)
+# runs NamedTuple's __new__, a Python function at about twice the cost: on
+# one state's floats, a bisection step, that shows.
 
 def _cross_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta + xi * xi, b * b * eta + xi * xi
     c, d = xi * (1.0 - xi), a * b * eta * eta
     _require_x_state(big_a, big_b, c, d, 0.0, xi, 1.0)
-    return XStateEntries(big_a, big_b, c, d, 0.0, (a * a - b * b) * eta)
+    return tuple.__new__(XStateEntries, (big_a, big_b, c, d, 0.0, (a * a - b * b) * eta))
 
 
 def _same_site_entries(a, b, xi):
@@ -145,7 +147,7 @@ def _same_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta, b * b * eta
     _require_x_state(big_a, big_b, xi, 0.0, xi, xi, 0.5)
-    return XStateEntries(big_a, big_b, xi, 0.0, xi, (a * a - b * b) * eta)
+    return tuple.__new__(XStateEntries, (big_a, big_b, xi, 0.0, xi, (a * a - b * b) * eta))
 
 
 def nonlocal_entries(alpha_sq, xi) -> XStateEntries:

@@ -15,6 +15,7 @@ Both are exposed; discrepancies between them are reported, not hidden.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -220,23 +221,44 @@ _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 _AUDIT_CHUNK = 2048
 
 
+def _fibonacci_points(count, start, stop):
+    """Points start, ..., stop - 1 of the Fibonacci sphere of ``count`` points,
+    as rows (cos(theta/2), e^(i phi) sin(theta/2))."""
+    i = np.arange(start, stop)
+    z = 1.0 - 2.0 * (i + 0.5) / count
+    half_theta = 0.5 * np.arccos(np.clip(z, -1.0, 1.0))
+    phi = (2.0 * math.pi * i / _GOLDEN_RATIO) % (2.0 * math.pi)
+    return np.stack([np.cos(half_theta) + 0j, np.exp(1j * phi) * np.sin(half_theta)], axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _first_bloch_block(count, chunk):
+    """The six axis states, then the first min(count, chunk) Fibonacci points;
+    read-only, as every audit at ``count`` shares it."""
+    block = np.concatenate([_AXIS_STATES, _fibonacci_points(count, 0, min(chunk, count))])
+    block.flags.writeable = False
+    return block
+
+
 def _bloch_chunks(count):
     """The rows of ``bloch_sample_states(count)`` in consecutive blocks of at
     most _AUDIT_CHUNK Fibonacci-sphere points; the first block also holds the
-    six axis states, even when count is 0."""
-    for start in range(0, max(count, 1), _AUDIT_CHUNK):
-        i = np.arange(start, min(start + _AUDIT_CHUNK, count))
-        z = 1.0 - 2.0 * (i + 0.5) / count
-        half_theta = 0.5 * np.arccos(np.clip(z, -1.0, 1.0))
-        phi = (2.0 * math.pi * i / _GOLDEN_RATIO) % (2.0 * math.pi)
-        block = np.stack([np.cos(half_theta) + 0j, np.exp(1j * phi) * np.sin(half_theta)],
-                         axis=1)
-        yield np.concatenate([_AXIS_STATES, block]) if start == 0 else block
+    six axis states, even when count is 0.
+
+    The first block, all of it for counts up to _AUDIT_CHUNK, is built once
+    per count and shared, read-only, by the audits at that count: a process
+    audits at one count or a few (64 for ``verify``, ``--samples`` for
+    ``clone-audit`` and ``study``), so a small cache keeps every one.
+    """
+    yield _first_bloch_block(count, _AUDIT_CHUNK)
+    for start in range(_AUDIT_CHUNK, count, _AUDIT_CHUNK):
+        yield _fibonacci_points(count, start, min(start + _AUDIT_CHUNK, count))
 
 
 def bloch_sample_states(count):
     """Deterministic pure-state sweep, shape (count + 6, 2): the 6 axis states,
-    then a Fibonacci sphere of ``count`` points."""
+    then a Fibonacci sphere of ``count`` points. A new, writeable array on
+    every call."""
     return np.concatenate(list(_bloch_chunks(count)))
 
 
@@ -251,7 +273,9 @@ def universality_report(p, kind, sample_count=64):
     """Clone-fidelity spread over a deterministic Bloch-sphere sweep.
 
     The machine isometry is built once and applied to the samples a block at
-    a time, so memory stays bounded for any sample count.
+    a time, so memory stays bounded for any sample count. The first block of
+    samples is built once per sample count and reused by later reports at
+    that count; nothing that depends on ``p`` or ``kind`` is kept.
     """
     if sample_count < 2:
         raise ValueError("sample_count must be >= 2")

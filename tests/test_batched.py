@@ -20,7 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -564,11 +564,36 @@ def test_least_pt_float_route_is_the_array_route(cross, same):
         assert np.array(each).tobytes() == stack.tobytes(), quantity
 
 
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0, 0.0)
+@example(0.0, -0.0)
+@example(-0.0, -0.0)
+@example(5e-324, 5e-324)
+@example(1e308, 1e308)
+def test_complex_abs_is_np_hypot(x, y):
+    """The float route's hypot, abs(complex(x, y)), is np.hypot(x, y) in its
+    raw bytes over finite floats, signed zeros included; where the hypot
+    overflows, complex abs raises OverflowError instead of returning inf."""
+    with np.errstate(over="ignore"):
+        want = np.hypot(x, y)
+    if np.isinf(want):
+        with pytest.raises(OverflowError):
+            abs(complex(x, y))
+    else:
+        assert np.float64(abs(complex(x, y))).tobytes() == want.tobytes()
+
+
+def _bisection_ends():
+    """Both ends for both targets at xi = 1/6 and at XI_LOWER."""
+    return [boundary_bisect(p, pred(p), side)
+            for p in (make_cloner_parameter(1 / 6), make_cloner_parameter(XI_LOWER))
+            for pred, *_ in PREDICATES.values() for side in ("lower", "upper")]
+
+
 def test_bisection_builds_no_matrix(monkeypatch):
-    machines = (make_cloner_parameter(1 / 6), make_cloner_parameter(XI_LOWER))
-    cases = [(p, pred, side) for p in machines for pred, *_ in PREDICATES.values()
-             for side in ("lower", "upper")]
-    want = [boundary_bisect(p, pred(p), side) for p, pred, side in cases]
+    want = _bisection_ends()
 
     def no_matrix(*args, **kwargs):
         raise AssertionError("a dense matrix was built or decomposed")
@@ -576,5 +601,20 @@ def test_bisection_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(broadcast.XStateEntries, "matrix", no_matrix)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_matrix)
     with pytest.raises(AssertionError):
-        _dense_local_predicate(cases[0][0])(0.5)  # the patch is live
-    assert [boundary_bisect(p, pred(p), side) for p, pred, side in cases] == want
+        _dense_local_predicate(make_cloner_parameter(1 / 6))(0.5)  # the patch is live
+    assert _bisection_ends() == want
+
+
+def test_bisection_steps_call_no_numpy(monkeypatch):
+    """A step on one state's floats stays in float arithmetic: with np.hypot,
+    np.minimum and np.asarray raising, both targets' ends are unchanged."""
+    want = _bisection_ends()
+
+    def no_numpy(*args, **kwargs):
+        raise AssertionError("a numpy function was called")
+
+    for name in ("hypot", "minimum", "asarray"):
+        monkeypatch.setattr(np, name, no_numpy)
+    with pytest.raises(AssertionError):
+        local_entries(np.array([0.5]), 0.2)  # the patch is live
+    assert _bisection_ends() == want

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from entbroadcast import cli
+from entbroadcast import claims, cli
+from entbroadcast.analysis import XI_NONLOCAL_MAX, Interval
 from entbroadcast.cli import main
 from entbroadcast.report import table_to_csv, table_to_json
 from entbroadcast.sweep import QUANTITIES, ConfigError, SweepConfig, parse_grid, run_sweep
@@ -19,6 +21,12 @@ class TestSweepConfig:
     def test_rejects_empty_quantities(self):
         with pytest.raises(ConfigError):
             SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,), quantities=())
+
+    @pytest.mark.parametrize("xi_grid, alpha_sq_grid, message", [
+        ((), (0.5,), "xi grid is empty"), ((1 / 6,), (), "alpha^2 grid is empty")])
+    def test_rejects_empty_grid(self, xi_grid, alpha_sq_grid, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SweepConfig(xi_grid=xi_grid, alpha_sq_grid=alpha_sq_grid, quantities=("bellM",))
 
     def test_rejects_unknown_quantity(self):
         with pytest.raises(ConfigError):
@@ -225,6 +233,7 @@ class TestCli:
     (["boundary", "--xi", "0.2", "--tol", "inf"], 2),
     (["boundary", "--xi", "0.3", "--target", "local"], 2),  # no crossing
     (["sweep", "--xi", "0.2", "--alpha-grid", "0:1:x", "--quantity", "bellM"], 2),
+    (["sweep", "--alpha-sq", "0.5", "--quantity", "bellM"], 2),  # no xi
 ])
 def test_exit_codes_without_traceback(argv, code, capsys):
     assert main(argv) == code
@@ -408,6 +417,31 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert (args.xi, args.alpha_sq, args.quantity) == (None, None, ["pptLocal"])
 
 
+def test_negative_xi_in_exponent_form_is_given_with_equals(capsys):
+    """argparse reads "-1e-13" after "--xi" as an option, as its negative
+    numbers have no exponent; "--xi=-1e-13" reaches the command."""
+    assert main(["sweep", "--analysis-only", "--xi=-1e-13", "--alpha-sq", "0.5",
+                 "--quantity", "bellM", "--format", "json"]) == 0
+    assert [rec["xi"] for rec in json.loads(capsys.readouterr().out)] == [-1e-13]
+    # the same-site state at xi < 0 is not separable at alpha^2 = 1/2: the
+    # command's own error
+    assert main(["boundary", "--analysis-only", "--xi=-1e-13", "--target", "local"]) == 2
+    assert capsys.readouterr().err.startswith("error: predicate false at alpha^2=0.5")
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--alpha-sq", "0.5", "--quantity", "bellM"],
+    ["boundary"],
+])
+def test_bare_negative_xi_in_exponent_form_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command[0], "--analysis-only", "--xi", "-1e-13", *command[1:]])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --xi: expected one argument" in err
+    assert "Traceback" not in err
+
+
 def test_study_out_dir_is_a_file(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -430,6 +464,22 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "[PASS]" in err
         assert "warning: documented discrepancies" in err
+
+    def test_a_failed_claim_exits_1(self, monkeypatch, capsys):
+        real = claims.nonlocal_inseparability_range
+
+        def defined_above_the_bound(p):
+            if p.xi > XI_NONLOCAL_MAX:
+                return Interval(0.5, 0.5)
+            return real(p)
+
+        monkeypatch.setattr(claims, "nonlocal_inseparability_range", defined_above_the_bound)
+        assert main(["verify", "--filter-budget", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert "[FAIL] range.bound.undefined_above" in err
+        verdicts = {row["claim_id"]: row["verdict"] for row in csv.DictReader(io.StringIO(out))}
+        assert verdicts.pop("range.bound.undefined_above") == "FAIL"
+        assert "FAIL" not in verdicts.values()
 
     def test_verify_at_filter_budget_401(self, tmp_path):
         dest = tmp_path / "claims.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entbroadcast import cloner
 from entbroadcast.cloner import (
     _AUDIT_CHUNK,
     XI_LOWER,
@@ -361,6 +362,33 @@ class TestBatchedAudit:
         fids = _fidelities(bloch_sample_states(count), machine_isometry(p, MachineKind.LITERAL_2D))
         rep = universality_report(p, MachineKind.LITERAL_2D, count)
         assert (rep.min_fidelity, rep.max_fidelity) == (fids.min(), fids.max())
+
+    def test_reports_at_one_count_share_only_the_samples(self, monkeypatch):
+        """The samples at a count are built once; the fidelities, and so the
+        report, are computed afresh for each machine."""
+        first = (make_cloner_parameter(0.3), MachineKind.ABSTRACT_BH)
+        second = (make_cloner_parameter(0.2), MachineKind.LITERAL_2D)
+        cloner._first_bloch_block.cache_clear()
+        want = universality_report(*second, 64)
+        cloner._first_bloch_block.cache_clear()
+        universality_report(*first, 64)
+
+        def no_arccos(*args, **kwargs):
+            raise AssertionError("sample states built again")
+
+        monkeypatch.setattr(np, "arccos", no_arccos)
+        assert universality_report(*second, 64) == want
+        with pytest.raises(AssertionError):
+            universality_report(*first, 65)
+
+    def test_sample_states_are_the_callers_own(self):
+        p = make_cloner_parameter(0.2)
+        want = universality_report(p, MachineKind.LITERAL_2D, 64)
+        states = bloch_sample_states(64)
+        fresh = states.copy()
+        states[:] = 0.0
+        assert universality_report(p, MachineKind.LITERAL_2D, 64) == want
+        assert np.array_equal(bloch_sample_states(64), fresh)
 
     def test_memory_does_not_grow_with_the_sample_count(self):
         p = make_cloner_parameter(0.3)
