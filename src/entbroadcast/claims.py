@@ -176,13 +176,11 @@ def verify_claims(filter_budget=101):
 
     # the literal machine is not universal away from xi = 1/6 and 1/2; recorded as a
     # documented discrepancy of the two machine readings, not a failure
-    rep_opt = universality_report(make_cloner_parameter(XI_OPTIMAL),
-                                  MachineKind.LITERAL_2D, 64)
+    rep_opt = universality_report(make_cloner_parameter(XI_OPTIMAL), MachineKind.LITERAL_2D)
     claims.append(_upper_bound("universality.literal_at_optimal",
                                "fidelity spread of the literal machine at xi=1/6",
                                0.0, rep_opt.spread, 1e-12))
-    rep_low = universality_report(make_cloner_parameter(XI_BOUNDARY),
-                                  MachineKind.LITERAL_2D, 64)
+    rep_low = universality_report(make_cloner_parameter(XI_BOUNDARY), MachineKind.LITERAL_2D)
     spread_ok = abs(rep_low.spread - 0.0318) <= 1e-3
     claims.append(ClaimResult(
         "universality.literal_below_one_sixth",

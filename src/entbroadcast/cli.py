@@ -89,14 +89,14 @@ def _build_parser():
     cp.add_argument("--xi", type=float, required=True)
     cp.add_argument("--kind", choices=[k.value for k in MachineKind],
                     default=MachineKind.LITERAL_2D.value)
-    cp.add_argument("--samples", type=int, default=64)
+    cp.add_argument("--samples", type=int, default=64,
+                    help="echoed in the samples column; the audit is exact and does not use it")
     add_common(cp)
 
     tp = add_command("study", "write the four summary tables as CSV files")
     tp.add_argument("--out-dir", default="study_out")
     tp.add_argument("--xi-points", type=int, default=25)
     tp.add_argument("--filter-budget", type=int, default=41)
-    tp.add_argument("--samples", type=int, default=64)
     return ap
 
 
@@ -160,7 +160,7 @@ def _cmd_boundary(args):
 def _cmd_clone_audit(args):
     _require_at_least("--samples", args.samples, 2)
     p = (analysis_parameter if args.analysis_only else make_cloner_parameter)(args.xi)
-    rep = universality_report(p, MachineKind(args.kind), args.samples)
+    rep = universality_report(p, MachineKind(args.kind))
     table = {"xi": [args.xi], "kind": [args.kind], "samples": [args.samples],
              "min_fidelity": [rep.min_fidelity], "max_fidelity": [rep.max_fidelity],
              "spread": [rep.spread]}
@@ -171,10 +171,9 @@ def _cmd_clone_audit(args):
 def _cmd_study(args):
     _require_at_least("--xi-points", args.xi_points, 1)
     _require_at_least("--filter-budget", args.filter_budget, 1)
-    _require_at_least("--samples", args.samples, 2)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tables = study_tables(args.xi_points, args.filter_budget, args.samples)
+    tables = study_tables(args.xi_points, args.filter_budget)
     for name, table in tables.items():
         emit_rows(table, "csv", str(out / name))
     print(f"wrote {len(tables)} tables to {out}/")

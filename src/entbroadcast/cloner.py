@@ -12,16 +12,18 @@ only in <Q0|Y1> = <Q1|Y0>:
   exists only for xi >= eta/4, i.e. xi >= 1/6.
 
 Both are exposed; discrepancies between them are reported, not hidden.
+``universality_report`` reads a machine's single-clone channel as its Bloch
+matrix and gives the exact least and greatest clone fidelity over all pure
+inputs.
 """
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, is_density_operator, partial_trace
+from .linalg import PAULIS, dag, is_density_operator, partial_trace
 
 XI_LOWER = 0.5 - 0.5 / math.sqrt(2.0)  # ~0.146447
 XI_UPPER = 0.5
@@ -162,24 +164,6 @@ def machine_isometry(p, kind):
     raise ValueError(f"unknown machine kind {kind!r}")
 
 
-def _fidelities(psis, v):
-    """<psi| rho_a |psi> of each row of the (n, 2) stack ``psis`` under the
-    machine isometry ``v``, as an array of shape (n,).
-
-    Read v|psi> as out[a, r], with a the first clone and r the rest (second
-    clone and machine); the fidelity is sum_r |sum_a conj(psi_a) out[a, r]|^2.
-    Only elementwise products and sums of a fixed number of terms are used, so
-    a row's value does not depend on the other rows; einsum or @ may sum in
-    another order for another number of rows.
-    """
-    cols = v.reshape(2, -1, 2)  # cols[a, :, k]: the amplitudes of v|k> with clone a in |a>
-    p0, p1 = psis[:, 0, None], psis[:, 1, None]
-    overlap = (p0.conj() * (p0 * cols[0, :, 0] + p1 * cols[0, :, 1])
-               + p1.conj() * (p0 * cols[1, :, 0] + p1 * cols[1, :, 1]))
-    sq = overlap.real * overlap.real + overlap.imag * overlap.imag
-    return sum(sq[:, r] for r in range(sq.shape[1]))
-
-
 def clone_density(rho_in, p, kind):
     """4x4 two-clone state after applying the machine and tracing it out."""
     rho_in = np.asarray(rho_in, dtype=complex)
@@ -203,63 +187,14 @@ def clone_fidelity(psi, p, kind):
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"input not normalized (norm {nrm})")
-    return float(_fidelities(psi[None, :], machine_isometry(p, kind))[0])
+    out = (machine_isometry(p, kind) @ psi).reshape(2, -1)  # out[a, r]: clone a, rest r
+    return float(np.sum(np.abs(psi.conj() @ out) ** 2))
 
 
-_AXIS_STATES = np.array([
-    [1.0, 0.0],  # +z
-    [0.0, 1.0],  # -z
-    [1.0 / math.sqrt(2), 1.0 / math.sqrt(2)],  # +x
-    [1.0 / math.sqrt(2), -1.0 / math.sqrt(2)],  # -x
-    [1.0 / math.sqrt(2), 1.0j / math.sqrt(2)],  # +y
-    [1.0 / math.sqrt(2), -1.0j / math.sqrt(2)],  # -y
-], dtype=complex)
-_GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
-
-# Sample states per block of an audit, so that its memory does not grow with
-# the sample count.
-_AUDIT_CHUNK = 2048
-
-
-def _fibonacci_points(count, start, stop):
-    """Points start, ..., stop - 1 of the Fibonacci sphere of ``count`` points,
-    as rows (cos(theta/2), e^(i phi) sin(theta/2))."""
-    i = np.arange(start, stop)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    half_theta = 0.5 * np.arccos(np.clip(z, -1.0, 1.0))
-    phi = (2.0 * math.pi * i / _GOLDEN_RATIO) % (2.0 * math.pi)
-    return np.stack([np.cos(half_theta) + 0j, np.exp(1j * phi) * np.sin(half_theta)], axis=1)
-
-
-@functools.lru_cache(maxsize=4)
-def _first_bloch_block(count, chunk):
-    """The six axis states, then the first min(count, chunk) Fibonacci points;
-    read-only, as every audit at ``count`` shares it."""
-    block = np.concatenate([_AXIS_STATES, _fibonacci_points(count, 0, min(chunk, count))])
-    block.flags.writeable = False
-    return block
-
-
-def _bloch_chunks(count):
-    """The rows of ``bloch_sample_states(count)`` in consecutive blocks of at
-    most _AUDIT_CHUNK Fibonacci-sphere points; the first block also holds the
-    six axis states, even when count is 0.
-
-    The first block, all of it for counts up to _AUDIT_CHUNK, is built once
-    per count and shared, read-only, by the audits at that count: a process
-    audits at one count or a few (64 for ``verify``, ``--samples`` for
-    ``clone-audit`` and ``study``), so a small cache keeps every one.
-    """
-    yield _first_bloch_block(count, _AUDIT_CHUNK)
-    for start in range(_AUDIT_CHUNK, count, _AUDIT_CHUNK):
-        yield _fibonacci_points(count, start, min(start + _AUDIT_CHUNK, count))
-
-
-def bloch_sample_states(count):
-    """Deterministic pure-state sweep, shape (count + 6, 2): the 6 axis states,
-    then a Fibonacci sphere of ``count`` points. A new, writeable array on
-    every call."""
-    return np.concatenate(list(_bloch_chunks(count)))
+# _BLOCH_FORM[3 i + j] holds sigma_i[b, a] sigma_j[k, l] / 2 at index (a, k, b, l):
+# against Phi(|k><l|)[a, b] = sum_r cols[a, r, k] cols[b, r, l], cols =
+# v.reshape(2, -1, 2) of a real isometry v, it gives Tr(sigma_i Phi(sigma_j))/2.
+_BLOCH_FORM = np.einsum("iba,jkl->ijakbl", PAULIS, PAULIS).reshape(9, 16) / 2.0
 
 
 @dataclass(frozen=True)
@@ -269,19 +204,18 @@ class UniversalityReport:
     spread: float
 
 
-def universality_report(p, kind, sample_count=64):
-    """Clone-fidelity spread over a deterministic Bloch-sphere sweep.
-
-    The machine isometry is built once and applied to the samples a block at
-    a time, so memory stays bounded for any sample count. The first block of
-    samples is built once per sample count and reused by later reports at
-    that count; nothing that depends on ``p`` or ``kind`` is kept.
-    """
-    if sample_count < 2:
-        raise ValueError("sample_count must be >= 2")
-    v = machine_isometry(p, kind)
-    lo, hi = math.inf, -math.inf
-    for states in _bloch_chunks(sample_count):
-        fids = _fidelities(states, v)
-        lo, hi = min(lo, float(fids.min())), max(hi, float(fids.max()))
+def universality_report(p, kind):
+    """Exact least and greatest clone fidelity over all pure inputs, read off
+    the machine isometry through the single-clone Bloch matrix
+    Lambda_ij = Tr(sigma_i Phi(sigma_j))/2."""
+    m = machine_isometry(p, kind).reshape(2, -1, 2).transpose(0, 2, 1).reshape(4, -1)
+    bloch = (_BLOCH_FORM @ (m @ m.T).reshape(16)).real.reshape(3, 3)
+    # Both kinds are unital, Phi(I) = I, as <Q_k|Y_k> = 0 in both readings: a
+    # pure input with Bloch vector n leaves the clone with Lambda n, so its
+    # fidelity is (1 + n.Lambda n)/2, and the extremes are set by the least and
+    # greatest eigenvalue of Lambda's symmetric part. A non-unital machine would
+    # add a translation t, and the extremes of (1 + t.n + n.Lambda n)/2 on the
+    # sphere would need the secular equation instead.
+    lo, hi = np.linalg.eigvalsh((bloch + bloch.T) / 2.0)[[0, -1]]
+    lo, hi = (1.0 + float(lo)) / 2.0, (1.0 + float(hi)) / 2.0
     return UniversalityReport(min_fidelity=lo, max_fidelity=hi, spread=hi - lo)

@@ -105,14 +105,14 @@ def _range_ends(closed_form, p):
     return r.lo, r.hi
 
 
-def _abstract_spread(p, samples):
+def _abstract_spread(p):
     try:
-        return universality_report(p, MachineKind.ABSTRACT_BH, samples).spread
+        return universality_report(p, MachineKind.ABSTRACT_BH).spread
     except GramNotPSDError:
         return math.nan  # no universal machine exists here
 
 
-def study_tables(xi_points, filter_budget, samples):
+def study_tables(xi_points, filter_budget):
     """The four study tables, keyed by CSV file name, over ``xi_points``
     admissible machines; nan marks a quantity that does not exist there."""
     xis = np.linspace(XI_LOWER, 0.5, xi_points)
@@ -128,9 +128,9 @@ def study_tables(xi_points, filter_budget, samples):
         ranges[f"{pair}_lo"], ranges[f"{pair}_hi"] = list(lo), list(hi)
     cloners = {
         "xi": quality["xi"],
-        "literal_spread": [universality_report(p, MachineKind.LITERAL_2D, samples).spread
+        "literal_spread": [universality_report(p, MachineKind.LITERAL_2D).spread
                            for p in machines],
-        "abstract_spread": [_abstract_spread(p, samples) for p in machines],
+        "abstract_spread": [_abstract_spread(p) for p in machines],
     }
     alpha_sq, xi = [0.5, 0.5, 0.2, 0.35], [XI_LOWER, 1 / 6, 1 / 6, 0.2]
     filtering = {"alpha_sq": alpha_sq, "xi": xi, "max_m": [

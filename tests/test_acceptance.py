@@ -197,9 +197,9 @@ def test_10_cloner_audits():
             abstract_machine_vectors(make_cloner_parameter(xi))
     for xi in (1 / 6, 0.2):
         abstract_machine_vectors(make_cloner_parameter(xi))
-    rep_opt = universality_report(OPTIMAL, MachineKind.LITERAL_2D, 64)
+    rep_opt = universality_report(OPTIMAL, MachineKind.LITERAL_2D)
     assert rep_opt.spread <= 1e-12
-    rep_low = universality_report(WIDEST, MachineKind.LITERAL_2D, 64)
+    rep_low = universality_report(WIDEST, MachineKind.LITERAL_2D)
     assert abs(rep_low.spread - 0.0318) <= 1e-3  # documented discrepancy, not a failure
     _report(f"10 cloner audits (literal spread at lower bound {rep_low.spread:.4f})")
 

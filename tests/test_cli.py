@@ -217,7 +217,7 @@ class TestCli:
     (["boundary", "--xi", "0.2", "--tol", "nan"], 2),
     (["boundary", "--xi", "0.2", "--tol", "1e-300"], 0),
     (["study", "--xi-points", "0"], 2),
-    (["study", "--samples", "1"], 2),
+    (["study", "--samples", "2"], 2),  # a usage error: study takes no --samples
     (["study", "--filter-budget", "0"], 2),
     *[(["sweep", "--analysis-only", "--xi=-0.01", "--alpha-sq", "0.3",
         "--quantity", q], 2) for q in QUANTITIES],
@@ -234,12 +234,29 @@ class TestCli:
     (["boundary", "--xi", "0.3", "--target", "local"], 2),  # no crossing
     (["sweep", "--xi", "0.2", "--alpha-grid", "0:1:x", "--quantity", "bellM"], 2),
     (["sweep", "--alpha-sq", "0.5", "--quantity", "bellM"], 2),  # no xi
+    # a negative xi is spelled --xi=-1e-12: argparse takes a bare -1e-12 for an option
+    (["sweep", "--analysis-only", "--xi=-1e-12", "--xi", "0.5", "--xi", "0.5000000001",
+      "--alpha-grid", "0:1:11", "--quantity", "pptLocal"], 0),
+    (["sweep", "--analysis-only", "--xi=-1e-12", "--xi", "1e-300", "--xi", "0.5", "--xi", "1.0",
+      "--alpha-grid", "0:1:11", *[t for q in ("pptNonlocal", "bellM", "fidelity", "wernerX")
+                                  for t in ("--quantity", q)]], 0),
+    (["clone-audit", "--analysis-only", "--xi", "0"], 0),
+    (["clone-audit", "--analysis-only", "--xi", "0.5", "--kind", "AbstractBH"], 0),
+    (["clone-audit", "--xi", "0.2", "--samples", "64"], 0),
 ])
 def test_exit_codes_without_traceback(argv, code, capsys):
-    assert main(argv) == code
+    try:
+        rc, usage = main(argv), False
+    except SystemExit as e:  # argparse rejects a usage error with status 2
+        rc, usage = e.code, True
+    assert rc == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if code == 2:
+    if usage:  # argparse's own form: the usage, then "entbroadcast...: error: ..."
+        last = err.splitlines()[-1]
+        assert err.startswith("usage: entbroadcast ")
+        assert last.startswith("entbroadcast") and ": error: " in last
+    elif code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -317,8 +334,7 @@ FLAGS = {
                  "--side": ["lower", "upper", "both"], "--tol": FLOATS, **MACHINE},
     "clone-audit": {"--xi": FLOATS, "--kind": ["Literal2D", "AbstractBH"],
                     "--samples": COUNTS, **MACHINE},
-    "study": {"--out-dir": OUT_DIRS, "--xi-points": COUNTS, "--filter-budget": COUNTS,
-              "--samples": COUNTS},
+    "study": {"--out-dir": OUT_DIRS, "--xi-points": COUNTS, "--filter-budget": COUNTS},
 }
 # Valid arguments to start from, so that most vectors get past argparse; a
 # later flag of the same name overrides them. verify and study always start
@@ -327,8 +343,7 @@ START = {"sweep": ["--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM"],
          "verify": ["--filter-budget", "3"],
          "boundary": ["--xi", "0.2"],
          "clone-audit": ["--xi", "0.2", "--samples", "3"],
-         "study": ["--xi-points", "2", "--filter-budget", "3", "--samples", "2",
-                   "--out-dir", "TMP/study"]}
+         "study": ["--xi-points", "2", "--filter-budget", "3", "--out-dir", "TMP/study"]}
 ALL_FLAGS = sorted({f for flags in FLAGS.values() for f in flags})
 ALL_VALUES = sorted(set(FLOATS + GRIDS + COUNTS + CHOICES))
 
@@ -370,7 +385,7 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["study", "--xi-points", "2", "--filter-budget", "3", "--samples", "2", "--out", "-"],
+    ["study", "--xi-points", "2", "--filter-budget", "3", "--out", "-"],
     ["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quant", "bellM"],
     ["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM", "--form", "json"],
 ])

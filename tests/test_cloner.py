@@ -1,23 +1,18 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbroadcast import cloner
 from entbroadcast.cloner import (
-    _AUDIT_CHUNK,
     XI_LOWER,
     ClonerParameter,
     GramNotPSDError,
     MachineKind,
     OutOfRangeError,
-    _fidelities,
     abstract_machine_vectors,
     analysis_parameter,
-    bloch_sample_states,
     clone_density,
     clone_fidelity,
     gram_matrix,
@@ -135,14 +130,14 @@ class TestMachineVectors:
 
     @pytest.mark.parametrize("xi", [1 / 6, 0.5])
     def test_literal_universal_where_the_cross_products_agree(self, xi):
-        rep = universality_report(make_cloner_parameter(xi), MachineKind.LITERAL_2D, 64)
+        rep = universality_report(make_cloner_parameter(xi), MachineKind.LITERAL_2D)
         assert rep.spread <= 1e-12
 
     def test_literal_not_universal_away_from_those_points(self):
         far = [xi for xi in self.GRID if min(abs(xi - 1 / 6), abs(xi - 0.5)) >= 0.01]
         assert len(far) >= 40
         for xi in far:
-            rep = universality_report(make_cloner_parameter(xi), MachineKind.LITERAL_2D, 64)
+            rep = universality_report(make_cloner_parameter(xi), MachineKind.LITERAL_2D)
             assert rep.spread > 1e-3, xi
 
     @pytest.mark.parametrize("xi", [-1.0, -0.1, 0.0, 0.1, XI_LOWER, 0.16, 0.6, 2.0, 1e6])
@@ -261,166 +256,88 @@ class TestCloneFidelity:
 
 
 class TestUniversalityReport:
-    def test_sample_sweep_is_deterministic(self):
-        a = bloch_sample_states(32)
-        b = bloch_sample_states(32)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
     def test_literal_universal_at_optimal(self):
-        rep = universality_report(make_cloner_parameter(1 / 6),
-                                  MachineKind.LITERAL_2D, 64)
+        rep = universality_report(make_cloner_parameter(1 / 6), MachineKind.LITERAL_2D)
         assert rep.spread <= 1e-12
 
     def test_abstract_universal_everywhere_it_exists(self):
-        rep = universality_report(make_cloner_parameter(0.25),
-                                  MachineKind.ABSTRACT_BH, 64)
+        rep = universality_report(make_cloner_parameter(0.25), MachineKind.ABSTRACT_BH)
         assert rep.spread <= 1e-12
 
     def test_literal_spread_at_lower_bound(self):
-        rep = universality_report(make_cloner_parameter(XI_LOWER),
-                                  MachineKind.LITERAL_2D, 64)
+        rep = universality_report(make_cloner_parameter(XI_LOWER), MachineKind.LITERAL_2D)
         assert abs(rep.spread - 0.0318) <= 1e-3
         assert abs(rep.max_fidelity - 0.8535533905932737) <= 1e-10
-
-    def test_rejects_tiny_sample_count(self):
-        with pytest.raises(ValueError):
-            universality_report(make_cloner_parameter(1 / 6),
-                                MachineKind.LITERAL_2D, 1)
-
-    @pytest.mark.parametrize("kind, xi", [(MachineKind.LITERAL_2D, 0.2),
-                                          (MachineKind.ABSTRACT_BH, 0.3)])
-    def test_spread_is_that_of_clone_fidelity(self, kind, xi):
-        p = make_cloner_parameter(xi)
-        fids = [clone_fidelity(psi, p, kind) for psi in bloch_sample_states(16)]
-        rep = universality_report(p, kind, 16)
-        assert (rep.min_fidelity, rep.max_fidelity) == (min(fids), max(fids))
-
-
-class TestBatchedAudit:
-    """The audit evaluates its samples as stacks; these hold it to the
-    per-sample route it replaced."""
-
-    @staticmethod
-    def fidelity_by_partial_trace(psi, v):
-        """<psi| rho_a |psi> by the per-sample route: the clone pair's density
-        operator, then two checked partial traces."""
-        out = v @ outer(psi) @ dag(v)
-        rho_ab = partial_trace(out, [2, 2, v.shape[0] // 4], keep=[0, 1])
-        rho_a = partial_trace(rho_ab, [2, 2], keep=[0])
-        return float(np.real(psi.conj() @ rho_a @ psi))
-
-    @staticmethod
-    def sample_states_one_by_one(count):
-        """The sample states as the per-sample route built them, one at a time."""
-        states = [np.array(s, dtype=complex) for s in (
-            [1.0, 0.0], [0.0, 1.0], [1 / math.sqrt(2), 1 / math.sqrt(2)],
-            [1 / math.sqrt(2), -1 / math.sqrt(2)], [1 / math.sqrt(2), 1j / math.sqrt(2)],
-            [1 / math.sqrt(2), -1j / math.sqrt(2)])]
-        golden = (1.0 + math.sqrt(5.0)) / 2.0
-        for i in range(count):
-            theta = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * (i + 0.5) / count)))
-            phi = (2.0 * math.pi * i / golden) % (2.0 * math.pi)
-            states.append(np.array([math.cos(theta / 2.0),
-                                    np.exp(1j * phi) * math.sin(theta / 2.0)]))
-        return np.array(states)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(list(MachineKind)), st.floats(1 / 6, 0.5),
-           st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_each_row_of_a_stack_as_if_alone(self, kind, xi, n, seed):
-        v = machine_isometry(make_cloner_parameter(xi), kind)
-        psis = random_pure_states(n, seed)
-        fids = _fidelities(psis, v)
-        assert fids.shape == (n,)
-        for k in range(n):
-            assert fids[k].tobytes() == _fidelities(psis[k:k + 1], v).tobytes()
-
-    @pytest.mark.parametrize("kind, xi", [(MachineKind.LITERAL_2D, XI_LOWER),
-                                          (MachineKind.LITERAL_2D, 0.2),
-                                          (MachineKind.ABSTRACT_BH, 1 / 6),
-                                          (MachineKind.ABSTRACT_BH, 0.3)])
-    @pytest.mark.parametrize("samples", [2, 16, 64])
-    def test_matches_per_sample_partial_trace(self, kind, xi, samples):
-        p = make_cloner_parameter(xi)
-        v = machine_isometry(p, kind)
-        states = bloch_sample_states(samples)
-        want = [self.fidelity_by_partial_trace(psi, v) for psi in states]
-        assert np.max(np.abs(_fidelities(states, v) - want)) <= 1e-15
-        rep = universality_report(p, kind, samples)
-        assert abs(rep.min_fidelity - min(want)) <= 1e-15
-        assert abs(rep.max_fidelity - max(want)) <= 1e-15
-
-    @pytest.mark.parametrize("count", [0, 2, 64, 2 * _AUDIT_CHUNK + 5])
-    def test_sample_states_match_one_by_one_construction(self, count):
-        got = bloch_sample_states(count)
-        assert got.shape == (count + 6, 2)
-        assert np.max(np.abs(got - self.sample_states_one_by_one(count))) <= 1e-15
-
-    def test_blocks_do_not_change_the_result(self):
-        p = make_cloner_parameter(XI_LOWER)
-        count = 2 * _AUDIT_CHUNK + 5
-        fids = _fidelities(bloch_sample_states(count), machine_isometry(p, MachineKind.LITERAL_2D))
-        rep = universality_report(p, MachineKind.LITERAL_2D, count)
-        assert (rep.min_fidelity, rep.max_fidelity) == (fids.min(), fids.max())
-
-    def test_reports_at_one_count_share_only_the_samples(self, monkeypatch):
-        """The samples at a count are built once; the fidelities, and so the
-        report, are computed afresh for each machine."""
-        first = (make_cloner_parameter(0.3), MachineKind.ABSTRACT_BH)
-        second = (make_cloner_parameter(0.2), MachineKind.LITERAL_2D)
-        cloner._first_bloch_block.cache_clear()
-        want = universality_report(*second, 64)
-        cloner._first_bloch_block.cache_clear()
-        universality_report(*first, 64)
-
-        def no_arccos(*args, **kwargs):
-            raise AssertionError("sample states built again")
-
-        monkeypatch.setattr(np, "arccos", no_arccos)
-        assert universality_report(*second, 64) == want
-        with pytest.raises(AssertionError):
-            universality_report(*first, 65)
-
-    def test_sample_states_are_the_callers_own(self):
-        p = make_cloner_parameter(0.2)
-        want = universality_report(p, MachineKind.LITERAL_2D, 64)
-        states = bloch_sample_states(64)
-        fresh = states.copy()
-        states[:] = 0.0
-        assert universality_report(p, MachineKind.LITERAL_2D, 64) == want
-        assert np.array_equal(bloch_sample_states(64), fresh)
-
-    def test_memory_does_not_grow_with_the_sample_count(self):
-        p = make_cloner_parameter(0.3)
-        universality_report(p, MachineKind.ABSTRACT_BH, 2)  # first-call costs outside
-        tracemalloc.start()
-        try:
-            universality_report(p, MachineKind.ABSTRACT_BH, 100_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20  # all samples at once would take about 70 MB
 
 
 # a machine kind and an admissible xi of it: the abstract machine exists from 1/6
 kinds_and_xis = st.sampled_from(list(MachineKind)).flatmap(lambda kind: st.tuples(
     st.just(kind), st.floats(XI_LOWER if kind is MachineKind.LITERAL_2D else 1 / 6, 0.5)))
+# ... or one of the analysis-only ends of [0, 1/2] at which it exists
+audited_machines = st.one_of(kinds_and_xis, st.sampled_from([
+    (MachineKind.LITERAL_2D, 0.0), (MachineKind.LITERAL_2D, 0.5), (MachineKind.ABSTRACT_BH, 0.5)]))
+# pure states by their Bloch angles, normalized to within an ulp or two
+pure_states = st.builds(
+    lambda theta, phi: np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)]),
+    st.floats(0, math.pi), st.floats(0, 2 * math.pi))
+
+
+class TestExactAudit:
+    """The audit's extremes, computed from the Bloch matrix, against clone
+    fidelities computed state by state."""
+
+    @staticmethod
+    def fidelity_by_partial_trace(psi, v):
+        """<psi| rho_a |psi> from the clone pair's density operator and two
+        checked partial traces."""
+        out = v @ outer(psi) @ dag(v)
+        rho_ab = partial_trace(out, [2, 2, v.shape[0] // 4], keep=[0, 1])
+        rho_a = partial_trace(rho_ab, [2, 2], keep=[0])
+        return float(np.real(psi.conj() @ rho_a @ psi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(audited_machines, pure_states)
+    def test_pure_state_fidelities_lie_within_the_extremes(self, kind_xi, psi):
+        kind, xi = kind_xi
+        p = analysis_parameter(xi)
+        rep = universality_report(p, kind)
+        assert rep.spread == rep.max_fidelity - rep.min_fidelity
+        f = clone_fidelity(psi, p, kind)
+        assert rep.min_fidelity - 1e-15 <= f <= rep.max_fidelity + 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(audited_machines)
+    def test_the_z_and_x_axis_states_reach_the_extremes(self, kind_xi):
+        kind, xi = kind_xi
+        p = analysis_parameter(xi)
+        rep = universality_report(p, kind)
+        f_z = clone_fidelity([1.0, 0.0], p, kind)
+        f_x = clone_fidelity([1 / math.sqrt(2), 1 / math.sqrt(2)], p, kind)
+        assert abs(min(f_z, f_x) - rep.min_fidelity) <= 1e-15
+        assert abs(max(f_z, f_x) - rep.max_fidelity) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(audited_machines)
+    def test_single_clone_map_is_unital(self, kind_xi):
+        # the premise of the exact audit: Phi(I) = I, so the fidelity of a pure
+        # input is a quadratic form in its Bloch vector
+        kind, xi = kind_xi
+        rho_a = single_clone_density(np.eye(2) / 2, analysis_parameter(xi), kind)
+        assert np.max(np.abs(rho_a - np.eye(2) / 2)) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(audited_machines, pure_states)
+    def test_clone_fidelity_matches_partial_trace(self, kind_xi, psi):
+        kind, xi = kind_xi
+        p = analysis_parameter(xi)
+        want = self.fidelity_by_partial_trace(psi, machine_isometry(p, kind))
+        assert abs(clone_fidelity(psi, p, kind) - want) <= 1e-15
 
 
 class TestRealIsometry:
-    """The isometries are float64. The audit and the clone density promote
-    them where they meet a complex state, and so give, bit for bit, what the
-    complex128 isometry of the same entries gives: the clone-audit outputs
-    and the universality claims do not move."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(kinds_and_xis)
-    def test_fidelities_are_those_of_the_complex_isometry(self, kind_xi):
-        kind, xi = kind_xi
-        v = machine_isometry(make_cloner_parameter(xi), kind)
-        assert v.dtype == np.float64
-        states = bloch_sample_states(64)
-        assert _fidelities(states, v).tobytes() == _fidelities(states, v.astype(complex)).tobytes()
+    """The isometries are float64. The clone density promotes them where it
+    meets a complex state, and so gives, bit for bit, what the complex128
+    isometry of the same entries gives."""
 
     @settings(max_examples=40, deadline=None)
     @given(kinds_and_xis)
@@ -429,7 +346,7 @@ class TestRealIsometry:
         p = make_cloner_parameter(xi)
         vc = machine_isometry(p, kind).astype(complex)
         mixed = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-        for rho in [outer(psi) for psi in bloch_sample_states(10)] + [np.eye(2) / 2, mixed]:
+        for rho in [outer(psi) for psi in random_pure_states(10)] + [np.eye(2) / 2, mixed]:
             want = partial_trace(vc @ rho @ dag(vc), [2, 2, vc.shape[0] // 4], keep=[0, 1])
             assert clone_density(rho, p, kind).tobytes() == want.tobytes()
 
