@@ -180,13 +180,16 @@ def verify_claims(filter_budget=101):
     claims.append(_upper_bound("universality.literal_at_optimal",
                                "fidelity spread of the literal machine at xi=1/6",
                                0.0, rep_opt.spread, 1e-12))
-    rep_low = universality_report(make_cloner_parameter(XI_BOUNDARY), MachineKind.LITERAL_2D)
-    spread_ok = abs(rep_low.spread - 0.0318) <= 1e-3
+    low = make_cloner_parameter(XI_BOUNDARY)
+    rep_low = universality_report(low, MachineKind.LITERAL_2D)
+    # the literal machine's equator and pole fidelities differ by |eta - 2 sqrt(eta xi)|/2
+    spread_want = abs(low.eta - 2.0 * math.sqrt(low.eta * low.xi)) / 2.0
+    spread_ok = abs(rep_low.spread - spread_want) <= 1e-12
     claims.append(ClaimResult(
         "universality.literal_below_one_sixth",
         "literal machine is input-dependent at the lower xi bound "
         "(universal abstract machine does not exist there)",
-        0.0318, rep_low.spread, 1e-3,
+        spread_want, rep_low.spread, 1e-12,
         DISCREPANCY if spread_ok else FAIL))
 
     return claims

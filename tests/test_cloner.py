@@ -265,8 +265,10 @@ class TestUniversalityReport:
         assert rep.spread <= 1e-12
 
     def test_literal_spread_at_lower_bound(self):
-        rep = universality_report(make_cloner_parameter(XI_LOWER), MachineKind.LITERAL_2D)
-        assert abs(rep.spread - 0.0318) <= 1e-3
+        p = make_cloner_parameter(XI_LOWER)
+        rep = universality_report(p, MachineKind.LITERAL_2D)
+        # the pole and equator fidelities, 1 - xi and (1 + 2 sqrt(eta xi))/2
+        assert abs(rep.spread - abs(p.eta - 2 * math.sqrt(p.eta * p.xi)) / 2) <= 1e-12
         assert abs(rep.max_fidelity - 0.8535533905932737) <= 1e-10
 
 
@@ -275,7 +277,8 @@ kinds_and_xis = st.sampled_from(list(MachineKind)).flatmap(lambda kind: st.tuple
     st.just(kind), st.floats(XI_LOWER if kind is MachineKind.LITERAL_2D else 1 / 6, 0.5)))
 # ... or one of the analysis-only ends of [0, 1/2] at which it exists
 audited_machines = st.one_of(kinds_and_xis, st.sampled_from([
-    (MachineKind.LITERAL_2D, 0.0), (MachineKind.LITERAL_2D, 0.5), (MachineKind.ABSTRACT_BH, 0.5)]))
+    (MachineKind.LITERAL_2D, 0.0), (MachineKind.LITERAL_2D, 0.5),
+    (MachineKind.ABSTRACT_BH, 0.5)]))
 # pure states by their Bloch angles, normalized to within an ulp or two
 pure_states = st.builds(
     lambda theta, phi: np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)]),
