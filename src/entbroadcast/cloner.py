@@ -191,9 +191,9 @@ def clone_fidelity(psi, p, kind):
     return float(np.sum(np.abs(psi.conj() @ out) ** 2))
 
 
-# _BLOCH_FORM[3 i + j] holds sigma_i[b, a] sigma_j[k, l] / 2 at index (a, k, b, l):
-# against Phi(|k><l|)[a, b] = sum_r cols[a, r, k] cols[b, r, l], cols =
-# v.reshape(2, -1, 2) of a real isometry v, it gives Tr(sigma_i Phi(sigma_j))/2.
+# _BLOCH_FORM[3 i + j, (a, k, b, l)] = sigma_i[b, a] sigma_j[k, l] / 2: against
+# the single-clone channel on the input operators, Phi(|k><l|)[a, b] over
+# (a, k, b, l), it gives the Bloch matrix entry Tr(sigma_i Phi(sigma_j))/2.
 _BLOCH_FORM = np.einsum("iba,jkl->ijakbl", PAULIS, PAULIS).reshape(9, 16) / 2.0
 
 
@@ -208,6 +208,8 @@ def universality_report(p, kind):
     """Exact least and greatest clone fidelity over all pure inputs, read off
     the machine isometry through the single-clone Bloch matrix
     Lambda_ij = Tr(sigma_i Phi(sigma_j))/2."""
+    # the real isometry as a matrix m[(a, k), r], a the first clone, k the
+    # input and r the rest, so that (m m^T)[(a, k), (b, l)] = Phi(|k><l|)[a, b]
     m = machine_isometry(p, kind).reshape(2, -1, 2).transpose(0, 2, 1).reshape(4, -1)
     bloch = (_BLOCH_FORM @ (m @ m.T).reshape(16)).real.reshape(3, 3)
     # Both kinds are unital, Phi(I) = I, as <Q_k|Y_k> = 0 in both readings: a
@@ -216,6 +218,5 @@ def universality_report(p, kind):
     # greatest eigenvalue of Lambda's symmetric part. A non-unital machine would
     # add a translation t, and the extremes of (1 + t.n + n.Lambda n)/2 on the
     # sphere would need the secular equation instead.
-    lo, hi = np.linalg.eigvalsh((bloch + bloch.T) / 2.0)[[0, -1]]
-    lo, hi = (1.0 + float(lo)) / 2.0, (1.0 + float(hi)) / 2.0
+    lo, hi = ((1.0 + np.linalg.eigvalsh((bloch + bloch.T) / 2.0)[[0, -1]]) / 2.0).tolist()
     return UniversalityReport(min_fidelity=lo, max_fidelity=hi, spread=hi - lo)
