@@ -271,6 +271,33 @@ class TestUniversalityReport:
         assert abs(rep.spread - abs(p.eta - 2 * math.sqrt(p.eta * p.xi)) / 2) <= 1e-12
         assert abs(rep.max_fidelity - 0.8535533905932737) <= 1e-10
 
+    @pytest.mark.parametrize("kind, xi", [(MachineKind.LITERAL_2D, 0.2),
+                                          (MachineKind.ABSTRACT_BH, 0.3)])
+    def test_spread_is_that_of_clone_fidelity(self, kind, xi):
+        # the extremes of a unital machine lie on the eigenaxes of its Bloch
+        # matrix, for both kinds the coordinate axes
+        p = make_cloner_parameter(xi)
+        fids = [clone_fidelity(psi, p, kind) for pair in AXIS_STATES.values() for psi in pair]
+        rep = universality_report(p, kind)
+        assert abs(rep.min_fidelity - min(fids)) <= 1e-15
+        assert abs(rep.max_fidelity - max(fids)) <= 1e-15
+        assert abs(rep.spread - (max(fids) - min(fids))) <= 2e-15
+
+
+# the two poles of each Bloch axis
+AXIS_STATES = {"z": ([1.0, 0.0], [0.0, 1.0]),
+               "x": ([1 / math.sqrt(2), 1 / math.sqrt(2)], [1 / math.sqrt(2), -1 / math.sqrt(2)]),
+               "y": ([1 / math.sqrt(2), 1j / math.sqrt(2)], [1 / math.sqrt(2), -1j / math.sqrt(2)])}
+
+
+def axis_fidelity(kind, p, axis):
+    """Closed-form clone fidelity of a pole of ``axis``: the Buzek-Hillery
+    machine shrinks every input to 1 - xi; the literal machine gives 1 - xi
+    on the z poles and (1 + 2 sqrt(eta xi))/2 on the equator."""
+    if kind is MachineKind.ABSTRACT_BH or axis == "z":
+        return 1.0 - p.xi
+    return (1.0 + 2.0 * math.sqrt(p.eta * p.xi)) / 2.0
+
 
 # a machine kind and an admissible xi of it: the abstract machine exists from 1/6
 kinds_and_xis = st.sampled_from(list(MachineKind)).flatmap(lambda kind: st.tuples(
@@ -336,11 +363,51 @@ class TestExactAudit:
         want = self.fidelity_by_partial_trace(psi, machine_isometry(p, kind))
         assert abs(clone_fidelity(psi, p, kind) - want) <= 1e-15
 
+    @pytest.mark.parametrize("kind, xi", [(MachineKind.LITERAL_2D, XI_LOWER),
+                                          (MachineKind.LITERAL_2D, 0.2),
+                                          (MachineKind.ABSTRACT_BH, 1 / 6),
+                                          (MachineKind.ABSTRACT_BH, 0.3)])
+    @pytest.mark.parametrize("axis", ["z", "x", "y"])
+    def test_axis_fidelities_have_their_closed_forms(self, kind, xi, axis):
+        p = make_cloner_parameter(xi)
+        v = machine_isometry(p, kind)
+        want = axis_fidelity(kind, p, axis)
+        rep = universality_report(p, kind)
+        for psi in AXIS_STATES[axis]:
+            assert abs(self.fidelity_by_partial_trace(np.array(psi, dtype=complex), v) - want) <= 1e-15
+        assert rep.min_fidelity - 1e-15 <= want <= rep.max_fidelity + 1e-15
+
+    @pytest.mark.parametrize("kind, xi", [(MachineKind.LITERAL_2D, 0.0),
+                                          (MachineKind.LITERAL_2D, XI_LOWER),
+                                          (MachineKind.LITERAL_2D, 0.2),
+                                          (MachineKind.LITERAL_2D, 0.5),
+                                          (MachineKind.ABSTRACT_BH, 1 / 6),
+                                          (MachineKind.ABSTRACT_BH, 0.3),
+                                          (MachineKind.ABSTRACT_BH, 0.5)])
+    def test_extremes_have_their_closed_forms(self, kind, xi):
+        p = analysis_parameter(xi)
+        pole, equator = axis_fidelity(kind, p, "z"), axis_fidelity(kind, p, "x")
+        rep = universality_report(p, kind)
+        assert abs(rep.min_fidelity - min(pole, equator)) <= 1e-15
+        assert abs(rep.max_fidelity - max(pole, equator)) <= 1e-15
+
 
 class TestRealIsometry:
-    """The isometries are float64. The clone density promotes them where it
-    meets a complex state, and so gives, bit for bit, what the complex128
-    isometry of the same entries gives."""
+    """The isometries are float64. The clone density and the clone fidelity
+    promote them where they meet a complex state, and so give, bit for bit,
+    what the complex128 isometry of the same entries gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds_and_xis)
+    def test_fidelities_are_those_of_the_complex_isometry(self, kind_xi):
+        kind, xi = kind_xi
+        p = make_cloner_parameter(xi)
+        v = machine_isometry(p, kind)
+        assert v.dtype == np.float64
+        vc = v.astype(complex)
+        for psi in random_pure_states(10):
+            want = float(np.sum(np.abs(psi.conj() @ (vc @ psi).reshape(2, -1)) ** 2))
+            assert clone_fidelity(psi, p, kind) == want
 
     @settings(max_examples=40, deadline=None)
     @given(kinds_and_xis)
