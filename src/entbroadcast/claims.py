@@ -6,6 +6,11 @@ closed form) and compared against its expected value at a pinned tolerance.
 Verdicts are PASS, FAIL, or DISCREPANCY; DISCREPANCY marks documented
 internal conflicts of the protocol's two machine readings, not failures of
 this implementation.
+
+Claims come in groups, one generator each, that ``verify_claims`` lists once
+in report order. A claim is added as one group in that tuple plus its rows in
+``tests/golden/verify.{csv,json}``; its id also goes into the benchmark's own
+list, ``VERIFY_CLAIMS`` in ``perfbench/workloads.py``, a benchmark change.
 """
 
 import math
@@ -64,104 +69,96 @@ def _bool(claim_id, description, ok):
                        PASS if ok else FAIL)
 
 
-def _range_claims(tag, xi, lo_expect, hi_expect):
-    """Numeric-bisection and closed-form endpoint claims for one machine."""
-    p = make_cloner_parameter(xi)
-    pred = nonlocal_inseparable_predicate(p)
-    lo_num = boundary_bisect(p, pred, "lower", tol=1e-10)
-    hi_num = boundary_bisect(p, pred, "upper", tol=1e-10)
-    rng = nonlocal_inseparability_range(p)
-    desc = f"cross-site inseparability range of alpha^2 at xi={xi:.8f}"
-    return [
-        _equal(f"{tag}.numeric.lower", desc + " (numeric PPT bisection)",
-               lo_expect, lo_num, 1e-8),
-        _equal(f"{tag}.numeric.upper", desc + " (numeric PPT bisection)",
-               hi_expect, hi_num, 1e-8),
-        _equal(f"{tag}.closed.lower", desc + " (closed form)", lo_expect, rng.lo, 1e-12),
-        _equal(f"{tag}.closed.upper", desc + " (closed form)", hi_expect, rng.hi, 1e-12),
-    ]
+def _ranges():
+    """Inseparability ranges of the two distinguished machines, by two routes each."""
+    for tag, xi, half in (("optimal", XI_OPTIMAL, math.sqrt(39.0) / 16.0),
+                          ("widest", XI_BOUNDARY, math.sqrt(3.0) / 4.0)):
+        p = make_cloner_parameter(xi)
+        pred = nonlocal_inseparable_predicate(p)
+        numeric = [boundary_bisect(p, pred, side, tol=1e-10) for side in ("lower", "upper")]
+        closed = nonlocal_inseparability_range(p)
+        desc = f"cross-site inseparability range of alpha^2 at xi={xi:.8f}"
+        for route, how, ends, tol in (
+                ("numeric", "numeric PPT bisection", numeric, 1e-8),
+                ("closed", "closed form", (closed.lo, closed.hi), 1e-12)):
+            for side, expect, end in zip(("lower", "upper"), (0.5 - half, 0.5 + half), ends):
+                yield _equal(f"range.{tag}.{route}.{side}", f"{desc} ({how})", expect, end, tol)
 
 
-def verify_claims(filter_budget=101):
-    """Recompute and check every headline claim; returns a list of ClaimResult."""
-    claims = []
-
-    # inseparability ranges of the two distinguished machines
-    claims += _range_claims("range.optimal", XI_OPTIMAL,
-                            0.5 - math.sqrt(39.0) / 16.0, 0.5 + math.sqrt(39.0) / 16.0)
-    claims += _range_claims("range.widest", XI_BOUNDARY,
-                            0.5 - math.sqrt(3.0) / 4.0, 0.5 + math.sqrt(3.0) / 4.0)
-
-    # validity bound of the nonlocal range
+def _range_bound():
+    """Validity bound of the nonlocal range."""
     xi_bound = analysis.XI_NONLOCAL_MAX
     try:
         nonlocal_inseparability_range(make_cloner_parameter(xi_bound + 1e-6))
         above_undefined = False
     except RangeUndefinedError:
         above_undefined = True
-    claims.append(_bool("range.bound.undefined_above",
-                        "nonlocal range undefined just above xi = 1/2 - 1/(2 sqrt 3)",
-                        above_undefined))
+    yield _bool("range.bound.undefined_above",
+                "nonlocal range undefined just above xi = 1/2 - 1/(2 sqrt 3)",
+                above_undefined)
     rng = nonlocal_inseparability_range(make_cloner_parameter(xi_bound))
-    claims.append(_upper_bound("range.bound.degenerate",
-                               "nonlocal range degenerates to a point at the bound",
-                               0.0, rng.width, 1e-6))
+    yield _upper_bound("range.bound.degenerate",
+                       "nonlocal range degenerates to a point at the bound",
+                       0.0, rng.width, 1e-6)
 
+
+def _bell():
+    """Unfiltered CHSH: the Bell threshold in xi, and M at most 1/2 on admissible machines."""
     # Bell threshold in xi (analysis-only; below the machine's range), bisected
     # between xi = 0, where M exceeds 1, and 0.2, where it does not. Argmax
     # certificate: T = diag(2D, -2D, t_z) with t_z = A + B - 2C = eta^2 and
     # 4D^2 = 4 a^2 b^2 eta^4 <= eta^4, so M = eta^4 (1 + 4 a^2 b^2), which is
     # largest over alpha^2 at alpha^2 = 1/2; some alpha^2 violates CHSH at xi
     # exactly when alpha^2 = 1/2 does
-    claims.append(_equal("bell.threshold_xi",
-                         "largest xi admitting any CHSH-violating alpha^2",
-                         analysis.XI_BELL_MAX,
-                         bisect(lambda x: evaluate({"bellM"}, x, 0.5)["bellM"] > 1.0,
-                                0.0, 0.2, 1e-9),
-                         1e-9))
+    yield _equal("bell.threshold_xi",
+                 "largest xi admitting any CHSH-violating alpha^2",
+                 analysis.XI_BELL_MAX,
+                 bisect(lambda x: evaluate({"bellM"}, x, 0.5)["bellM"] > 1.0,
+                        0.0, 0.2, 1e-9),
+                 1e-9)
     m_half = evaluate({"bellM"}, np.linspace(cloner.XI_LOWER, cloner.XI_UPPER, 20), 0.5)
-    claims.append(_bool("bell.no_interval_in_machine_range",
-                        "no CHSH-violating alpha^2 interval for any admissible machine",
-                        not np.any(m_half["bellM"] > 1.0)))
-
-    # unfiltered M never exceeds 1/2 over the admissible machines
+    yield _bool("bell.no_interval_in_machine_range",
+                "no CHSH-violating alpha^2 interval for any admissible machine",
+                not np.any(m_half["bellM"] > 1.0))
     xi = np.linspace(cloner.XI_LOWER, cloner.XI_UPPER - 1e-12, 20)[:, None]
     max_m = float(np.max(evaluate({"bellM"}, xi, np.linspace(0.0, 1.0, 50))["bellM"]))
-    claims.append(_upper_bound("bell.unfiltered_max",
-                               "grid maximum of the Horodecki quantity M (no filter)",
-                               0.5, max_m, 1e-9))
+    yield _upper_bound("bell.unfiltered_max",
+                       "grid maximum of the Horodecki quantity M (no filter)",
+                       0.5, max_m, 1e-9)
 
-    # filtering cannot push M past 1
+
+def _filtering(filter_budget):
+    """Filtering cannot push M past 1."""
     for cid, a2, xi in (("bell.filtered.widest", 0.5, XI_BOUNDARY),
                         ("bell.filtered.optimal_offcenter", 0.2, XI_OPTIMAL)):
         res = filter_search_max_m(EntangledInput.from_alpha_sq(a2),
                                   make_cloner_parameter(xi), budget=filter_budget)
-        claims.append(_upper_bound(
+        yield _upper_bound(
             cid, f"max M over diagonal local filters at alpha^2={a2}, xi={xi:.8f}",
-            1.0, res["max_m"], 0.0))
+            1.0, res["max_m"], 0.0)
 
-    # Werner weights and teleportation fidelities at alpha = 1/sqrt(2)
+
+def _werner_fidelity():
+    """Werner weights and teleportation fidelities at alpha = 1/sqrt(2)."""
     half = evaluate({"wernerX", "fidelity"}, np.array([XI_OPTIMAL, XI_BOUNDARY]), 0.5)
     for k, (cid, xi, x_expect, f_expect) in enumerate((
             ("optimal", XI_OPTIMAL, 4.0 / 9.0, 13.0 / 18.0),
             ("widest", XI_BOUNDARY, 0.5, 0.75))):
-        claims.append(_equal(f"werner.x.{cid}",
-                             f"Werner weight of the cross-site state at xi={xi:.8f}",
-                             x_expect, half["wernerX"][k], 1e-12))
-        claims.append(_equal(f"fidelity.{cid}",
-                             f"teleportation fidelity of the cross-site state at xi={xi:.8f}",
-                             f_expect, half["fidelity"][k], 1e-12))
+        yield _equal(f"werner.x.{cid}",
+                     f"Werner weight of the cross-site state at xi={xi:.8f}",
+                     x_expect, half["wernerX"][k], 1e-12)
+        yield _equal(f"fidelity.{cid}",
+                     f"teleportation fidelity of the cross-site state at xi={xi:.8f}",
+                     f_expect, half["fidelity"][k], 1e-12)
     off_half = evaluate({"wernerX"}, XI_OPTIMAL, np.array([0.3, 0.45, 0.55]))
-    claims.append(_bool("werner.only_maximally_entangled",
-                        "Werner form unattainable off alpha^2 = 1/2",
-                        bool(np.all(np.isnan(off_half["wernerX"])))))
+    yield _bool("werner.only_maximally_entangled",
+                "Werner form unattainable off alpha^2 = 1/2",
+                bool(np.all(np.isnan(off_half["wernerX"]))))
 
-    # brute-force oracle agrees with the closed forms wherever it exists: its
-    # four pair states with the closed-form states, and the dense measures of
-    # its states with the closed-form quantities of ``evaluate``; one oracle
-    # call over the four machines, then every measure and closed form once
-    # over the (xi, alpha^2) grid
-    xis, a2 = (1.0 / 6.0, 0.20, 0.30, 0.45), np.arange(0.1, 0.95, 0.1)
+
+def _oracle():
+    """One oracle call: its pair states and their dense measures against the closed forms."""
+    xis, a2 = (XI_OPTIMAL, 0.20, 0.30, 0.45), np.arange(0.1, 0.95, 0.1)
     pairs = oracle_states(a2, [make_cloner_parameter(xi) for xi in xis])
     dense = dense_quantities(pairs["a1b1"], pairs["a1b2"])
     xi = np.array(xis)[:, None]
@@ -169,31 +166,33 @@ def verify_claims(filter_budget=101):
     want = {"a1b1": same, "a2b2": same, "a1b2": cross, "a2b1": cross,
             **evaluate(dense.keys(), xi, a2)}
     dev = max(float(np.max(np.abs(v - want[k]))) for k, v in (pairs | dense).items())
-    claims.append(_upper_bound("oracle.equivalence",
-                               "state-vector oracle vs closed forms: max deviation of its states, "
-                               "and of their dense measures from evaluate",
-                               0.0, dev, 1e-12))
+    yield _upper_bound("oracle.equivalence",
+                       "state-vector oracle vs closed forms: max deviation of its states, "
+                       "and of their dense measures from evaluate",
+                       0.0, dev, 1e-12)
 
-    # the literal machine is not universal away from xi = 1/6 and 1/2; recorded as a
-    # documented discrepancy of the two machine readings, not a failure
+
+def _universality():
+    """The literal machine is not universal away from xi = 1/6 and 1/2: a DISCREPANCY."""
     rep_opt = universality_report(make_cloner_parameter(XI_OPTIMAL), MachineKind.LITERAL_2D)
-    claims.append(_upper_bound("universality.literal_at_optimal",
-                               "fidelity spread of the literal machine at xi=1/6",
-                               0.0, rep_opt.spread, 1e-12))
+    yield _upper_bound("universality.literal_at_optimal",
+                       "fidelity spread of the literal machine at xi=1/6",
+                       0.0, rep_opt.spread, 1e-12)
     low = make_cloner_parameter(XI_BOUNDARY)
     rep_low = universality_report(low, MachineKind.LITERAL_2D)
     # the literal machine's equator and pole fidelities differ by |eta - 2 sqrt(eta xi)|/2
     spread_want = abs(low.eta - 2.0 * math.sqrt(low.eta * low.xi)) / 2.0
     spread_ok = abs(rep_low.spread - spread_want) <= 1e-12
-    claims.append(ClaimResult(
+    yield ClaimResult(
         "universality.literal_below_one_sixth",
         "literal machine is input-dependent at the lower xi bound "
         "(universal abstract machine does not exist there)",
         spread_want, rep_low.spread, 1e-12,
-        DISCREPANCY if spread_ok else FAIL))
-
-    return claims
+        DISCREPANCY if spread_ok else FAIL)
 
 
-def has_failures(claims):
-    return any(c.verdict == FAIL for c in claims)
+def verify_claims(filter_budget=101):
+    """Recompute and check every headline claim; returns a list of ClaimResult."""
+    groups = (_ranges(), _range_bound(), _bell(), _filtering(filter_budget),
+              _werner_fidelity(), _oracle(), _universality())
+    return [claim for group in groups for claim in group]

@@ -138,7 +138,7 @@ def _cmd_verify(args):
     table = {f.name: [getattr(c, f.name) for c in results]
              for f in fields(claims_mod.ClaimResult)}
     emit_rows(table, args.format, args.out)
-    return 1 if claims_mod.has_failures(results) else 0
+    return 1 if any(c.verdict == claims_mod.FAIL for c in results) else 0
 
 
 def _cmd_boundary(args):

@@ -1,0 +1,94 @@
+"""SHA-256 digests of the command line's outputs, to show a change byte-identical.
+
+Run from the repository root, at two commits, and compare what it prints:
+
+    PYTHONPATH=src python tests/output_digest.py
+
+Each entry of the manifest runs ``entbroadcast.cli.main`` in-process, in a fresh
+temporary working directory, so the relative paths the commands print are the
+same from run to run. One line per entry gives the SHA-256 of its standard
+output, a NUL, its standard error, a NUL and its exit code (argparse's
+``SystemExit`` counts as one); a ``study NAME`` line gives that of one table
+``study`` wrote at its defaults. The last line is the SHA-256 of the JSON dump
+(sorted keys) of the label -> digest map. The digests depend on the numpy build;
+the exit codes do not, and the script exits 1 if any entry's code differs from
+its declared code.
+
+The manifest is built from lists the tests already hold: the golden commands,
+``study``, the exit-code table of ``test_cli.py``, and ``verify`` at filter
+budgets 1 and 401 in CSV and JSON.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from test_cli import EXIT_CODE_CASES
+from test_golden import CASES, STUDY_TABLES
+
+from entbroadcast import cli
+
+MANIFEST = [
+    *[(argv, 0) for argv in CASES.values()],
+    (["study"], 0),
+    *EXIT_CODE_CASES,
+    *[(["verify", "--filter-budget", budget, "--format", fmt], 0)
+      for budget in ("1", "401") for fmt in ("csv", "json")],
+]
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv):
+    """(stdout, stderr, exit code) of one in-process run of the command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return out.getvalue().encode(), err.getvalue().encode(), code
+
+
+def digests():
+    """(label -> digest map, labels whose exit code differs from the declared one)."""
+    found, wrong = {}, []
+    for argv, declared in MANIFEST:
+        label = " ".join(argv)
+        if label in found:
+            raise ValueError(f"manifest entry listed twice: {label}")
+        out, err, code = _run(argv)
+        found[label] = _sha256(out + b"\0" + err + b"\0" + str(code).encode())
+        if code != declared:
+            wrong.append(f"{label}: exit code {code}, declared {declared}")
+        if argv == ["study"]:
+            for name in STUDY_TABLES:
+                with open(os.path.join("study_out", name), "rb") as fh:
+                    found[f"study {name}"] = _sha256(fh.read())
+    return found, wrong
+
+
+def main():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            found, wrong = digests()
+        finally:
+            os.chdir(cwd)
+    for label, digest in found.items():
+        print(f"{digest}  {label}")
+    print(f"{_sha256(json.dumps(found, sort_keys=True).encode())}  combined")
+    for line in wrong:
+        print(line, file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

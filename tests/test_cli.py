@@ -199,15 +199,21 @@ class TestCli:
         rec = json.loads(capsys.readouterr().out)[0]
         assert rec["spread"] <= 1e-12
 
-    def test_repeated_runs_byte_identical(self, tmp_path):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        for p in paths:
-            main(["sweep", "--xi-grid", "0.2:0.4:5", "--alpha-grid", "0.1:0.9:7",
-                  "--quantity", "fidelity", "--out", str(p)])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--xi-grid", "0.2:0.4:5", "--alpha-grid", "0.1:0.9:7",
+         "--quantity", "fidelity"],
+        ["verify", "--filter-budget", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_repeated_runs_byte_identical(self, argv, capsysbinary):
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append(capsysbinary.readouterr())
+        assert runs[0].out and runs[0] == runs[1]  # stdout and stderr, as bytes
 
 
-@pytest.mark.parametrize("argv, code", [
+# (argv, declared exit code); tests/output_digest.py hashes these commands too
+EXIT_CODE_CASES = [
     (["clone-audit", "--xi", "0.15", "--kind", "AbstractBH"], 2),
     (["clone-audit", "--xi", "0.2", "--out", "/nonexistent/x.csv"], 2),
     (["clone-audit", "--xi", "0.2", "--samples", "1"], 2),
@@ -243,7 +249,10 @@ class TestCli:
     (["clone-audit", "--analysis-only", "--xi", "0"], 0),
     (["clone-audit", "--analysis-only", "--xi", "0.5", "--kind", "AbstractBH"], 0),
     (["clone-audit", "--xi", "0.2", "--samples", "64"], 0),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODE_CASES)
 def test_exit_codes_without_traceback(argv, code, capsys):
     try:
         rc, usage = main(argv), False
