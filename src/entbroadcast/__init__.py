@@ -9,6 +9,7 @@ from .analysis import (
     bell_violation_range,
     boundary_bisect,
     correlation_tensor,
+    filter_certificate,
     filter_search_max_m,
     gisin_filter,
     local_separability_range,

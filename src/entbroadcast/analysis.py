@@ -326,8 +326,27 @@ def gisin_filter(rho, f: FilterParams):
     return rho_f / n
 
 
+def filter_certificate(alpha_sq, xi):
+    """min(g1, g2) of the cross-site state at (alpha_sq, xi), floats or arrays
+    as in ``nonlocal_entries``: >= 0 exactly when no diagonal local filter
+    pushes M = t_x^2 + max(t_x^2, t_z^2) past 1.
+
+    g1 = 4 C sqrt(AB) - D^2 and g2 = (sqrt(AB) + C)^2 - 2 D^2. After the
+    filter of ``filter_search_max_m``, s = rm rp and rm^2 + rp^2 >= 2s give
+    N^2 (1 - t_x^2 - t_z^2) >= 4 s^2 g1, as A s + B/s >= 2 sqrt(AB), and
+    N^2 (1 - 2 t_x^2) >= 4 s^2 g2; both are equalities at rm = rp = (B/A)^(1/4).
+    ``tests/test_certificate.py`` derives each step in exact arithmetic.
+    """
+    e = nonlocal_entries(alpha_sq, xi)
+    root_ab = np.sqrt(e.big_a * e.big_b)
+    d_sq = e.d * e.d
+    g1 = 4.0 * e.c * root_ab - d_sq
+    g2 = (root_ab + e.c) ** 2 - 2.0 * d_sq
+    return _value(np.minimum(g1, g2))
+
+
 # Grid points per block of the filter search: 2^18 keeps budgets up to 512
-# (the default 101, and 401) one block, and each of the three arrays
+# (the default 101, and study's 41) one block, and each of the three arrays
 # ``_filtered_bell_m`` fills at 2 MB.
 _FILTER_BLOCK_POINTS = 1 << 18
 
@@ -384,6 +403,9 @@ def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
 
     At every admissible point searched so far the maximum is on a grid corner
     (the product-state limit), so budgets 21, 101 and 401 give the same value.
+    ``filter_certificate`` decides whether any filter, on or off the grid,
+    pushes M past 1, exactly; ``verify`` uses it, and this search is its
+    cross-check in the tests and gives ``study``'s filtering table.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

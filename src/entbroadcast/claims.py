@@ -1,8 +1,9 @@
 """Quantitative claims report.
 
 Every headline number of the broadcast protocol is recomputed here by an
-independent route (bisection against numeric PPT, grid maxima, oracle vs
-closed form) and compared against its expected value at a pinned tolerance.
+independent route (bisection against numeric PPT, grid maxima, exact
+certificates, oracle vs closed form) and compared against its expected value
+at a pinned tolerance.
 Verdicts are PASS, FAIL, or DISCREPANCY; DISCREPANCY marks documented
 internal conflicts of the protocol's two machine readings, not failures of
 this implementation.
@@ -25,11 +26,11 @@ from .analysis import (
     boundary_bisect,
     dense_quantities,
     evaluate,
-    filter_search_max_m,
+    filter_certificate,
     nonlocal_inseparability_range,
     nonlocal_inseparable_predicate,
 )
-from .broadcast import EntangledInput, local_entries, nonlocal_entries, oracle_states
+from .broadcast import local_entries, nonlocal_entries, oracle_states
 from .cloner import (
     MachineKind,
     make_cloner_parameter,
@@ -60,6 +61,12 @@ def _equal(claim_id, description, expected, computed, tol):
 
 def _upper_bound(claim_id, description, bound, computed, tol):
     ok = computed <= bound + tol
+    return ClaimResult(claim_id, description, float(bound), float(computed), tol,
+                       PASS if ok else FAIL)
+
+
+def _lower_bound(claim_id, description, bound, computed, tol):
+    ok = computed >= bound - tol
     return ClaimResult(claim_id, description, float(bound), float(computed), tol,
                        PASS if ok else FAIL)
 
@@ -127,15 +134,17 @@ def _bell():
                        0.5, max_m, 1e-9)
 
 
-def _filtering(filter_budget):
+def _filtering():
     """Filtering cannot push M past 1."""
+    # Exact over every diagonal filter, not a grid: with s = rm rp and
+    # rm^2 + rp^2 >= 2s, 1 - t_x^2 - t_z^2 >= 0 for all filters iff g1 >= 0, and
+    # 1 - 2 t_x^2 >= 0 iff g2 >= 0, both tight at rm = rp = (B/A)^(1/4)
     for cid, a2, xi in (("bell.filtered.widest", 0.5, XI_BOUNDARY),
                         ("bell.filtered.optimal_offcenter", 0.2, XI_OPTIMAL)):
-        res = filter_search_max_m(EntangledInput.from_alpha_sq(a2),
-                                  make_cloner_parameter(xi), budget=filter_budget)
-        yield _upper_bound(
-            cid, f"max M over diagonal local filters at alpha^2={a2}, xi={xi:.8f}",
-            1.0, res["max_m"], 0.0)
+        yield _lower_bound(
+            cid, f"filter certificate min(g1, g2) at alpha^2={a2}, xi={xi:.8f} "
+                 "(>= 0: no diagonal local filter pushes M past 1)",
+            0.0, filter_certificate(a2, xi), 0.0)
 
 
 def _werner_fidelity():
@@ -191,8 +200,8 @@ def _universality():
         DISCREPANCY if spread_ok else FAIL)
 
 
-def verify_claims(filter_budget=101):
+def verify_claims():
     """Recompute and check every headline claim; returns a list of ClaimResult."""
-    groups = (_ranges(), _range_bound(), _bell(), _filtering(filter_budget),
+    groups = (_ranges(), _range_bound(), _bell(), _filtering(),
               _werner_fidelity(), _oracle(), _universality())
     return [claim for group in groups for claim in group]

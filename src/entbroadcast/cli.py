@@ -72,10 +72,8 @@ def _build_parser():
                     help="Werner reconstruction tolerance")
     add_common(sp)
 
-    vp = add_command("verify", "recompute and check every headline claim")
-    vp.add_argument("--filter-budget", type=int, default=101,
-                    help="grid points per filter-ratio axis")
-    add_common(vp, analysis_only=False)
+    add_common(add_command("verify", "recompute and check every headline claim"),
+               analysis_only=False)
 
     bp = add_command("boundary", "bisect a PPT boundary in alpha^2")
     bp.add_argument("--xi", type=float, required=True)
@@ -124,8 +122,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    _require_at_least("--filter-budget", args.filter_budget, 1)
-    results = claims_mod.verify_claims(filter_budget=args.filter_budget)
+    results = claims_mod.verify_claims()
     for c in results:
         print(f"[{c.verdict}] {c.claim_id}: expected {c.expected:.12g}, "
               f"computed {c.computed:.12g} (tol {c.tolerance:g})", file=sys.stderr)

@@ -20,6 +20,7 @@ from entbroadcast.analysis import (
     boundary_bisect,
     correlation_tensor,
     evaluate,
+    filter_certificate,
     filter_search_max_m,
     gisin_filter,
     local_separability_range,
@@ -31,7 +32,7 @@ from entbroadcast.analysis import (
     werner_decompose,
 )
 from entbroadcast.analysis import _bell_m, _fidelity, _min_pt_eigenvalue
-from entbroadcast.broadcast import EntangledInput, local_state, nonlocal_state
+from entbroadcast.broadcast import EntangledInput, local_state, nonlocal_entries, nonlocal_state
 from entbroadcast.cloner import (
     XI_LOWER,
     XI_SLACK,
@@ -307,6 +308,43 @@ class TestFilterSearch:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             filter_search_max_m(HALF, OPTIMAL, budget=0)
+
+
+class TestFilterCertificate:
+    """``filter_certificate`` against the filters themselves: the grid search
+    where it is positive, and the dense filter at its tight point, where
+    rm = rp = (B/A)^(1/4), where it is negative. Points within 1e-9 of its zero
+    set, where rounding may decide the sign, are skipped."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.01, 0.99), st.floats(0.0, 0.5))
+    @example(0.5, 0.0)
+    @example(0.2, 0.06)
+    @example(0.5, XI_LOWER)
+    def test_sign_is_the_filters_verdict(self, alpha_sq, xi):
+        cert = filter_certificate(alpha_sq, xi)
+        assume(abs(cert) > 1e-9)
+        if cert > 0.0:
+            inp = EntangledInput.from_alpha_sq(alpha_sq)
+            assert filter_search_max_m(inp, analysis_parameter(xi), budget=41)["max_m"] <= 1.0
+        else:
+            e = nonlocal_entries(alpha_sq, xi)
+            r = (e.big_b / e.big_a) ** 0.25
+            assert bell_quantity_m(gisin_filter(e.matrix(), FilterParams(r, 1.0, r, 1.0))) > 1.0
+
+    def test_threshold_at_half_is_xi_bell_max(self):
+        """At alpha^2 = 1/2, A = B and the best filter is the identity, so
+        filtering leaves the Bell threshold in xi where it is."""
+        xi = bisect(lambda x: filter_certificate(0.5, x) < 0.0, 0.0, 0.2, 1e-17)
+        assert abs(xi - XI_BELL_MAX) <= 1e-15
+
+    def test_arrays_give_the_floats(self):
+        alpha_sq, xi = np.linspace(0.0, 1.0, 11), np.linspace(0.0, 0.5, 6)[:, None]
+        got = filter_certificate(alpha_sq, xi)
+        assert got.shape == (6, 11)
+        want = [[filter_certificate(float(a), float(x)) for a in alpha_sq] for x in xi[:, 0]]
+        assert got.tolist() == want
+        assert isinstance(filter_certificate(0.3, 0.2), float)
 
 
 class TestWerner:

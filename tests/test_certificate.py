@@ -1,10 +1,13 @@
-"""Exact certificate of the Bell claims' argmax over alpha^2.
+"""Exact certificates of the Bell claims: the argmax over alpha^2, and the
+bound on M under diagonal local filtering.
 
 The cross-site state is derived in exact arithmetic from its definition,
 (L x L)(|psi><psi|) with |psi> = a|00> + b|11> and each site's clone map
 L(rho) = eta rho + xi Tr(rho) I, eta = 1 - 2 xi. Its correlation tensor
 T_ij = Tr(rho sigma_i x sigma_j) then gives M = eta^4 (1 + 4 a^2 b^2), whose
-largest value over alpha^2 = a^2 is at alpha^2 = 1/2 for every xi.
+largest value over alpha^2 = a^2 is at alpha^2 = 1/2 for every xi. Filtering
+that X-state diagonally keeps M <= 1 for every filter exactly when
+``analysis.filter_certificate``'s min(g1, g2) is >= 0.
 """
 
 import math
@@ -14,7 +17,9 @@ from itertools import product
 import pytest
 import sympy as sp
 
+from entbroadcast.analysis import filter_certificate
 from entbroadcast.broadcast import nonlocal_entries
+from entbroadcast.cloner import XI_LOWER
 
 a, xi = sp.symbols("a xi", positive=True)
 b = sp.sqrt(1 - a**2)
@@ -103,3 +108,82 @@ def test_entries_match_the_exact_state(alpha_sq, x):
         assert _ulps(g, e) <= 4, (got, e)
     # A - B cancels: its rounding is in units of A and B
     assert _ulps(got.asym, big_a - big_b, float(max(big_a, big_b))) <= 4, got
+
+
+# -- the filtering certificate ------------------------------------------------
+# A diagonal local filter diag(rm, 1) x diag(rp, 1) on an X-state with
+# diagonal (A, C, C, B) and corner D, the cross-site state's form: every
+# diagonal filter acts so, up to a scale that the normalization removes.
+
+big_a, big_b, big_c, big_d, rm, rp = sp.symbols("A B C D r_m r_p", positive=True)
+S, Q = rm * rp, rm**2 + rp**2
+ROOT_AB = sp.sqrt(big_a * big_b)
+G1 = 4 * big_c * ROOT_AB - big_d**2
+G2 = (ROOT_AB + big_c) ** 2 - 2 * big_d**2
+
+
+def _filtered():
+    """(N, N T): the trace of the unnormalized filtered state and its
+    correlation tensor, so that the filtered state's tensor is N T / N."""
+    rho = sp.diag(big_a, big_c, big_c, big_b)
+    rho[0, 3] = rho[3, 0] = big_d
+    k = sp.kronecker_product(sp.diag(rm, 1), sp.diag(rp, 1))
+    unnormalized = k * rho * k
+    n_t = sp.Matrix(3, 3, lambda i, j: sp.expand(
+        (unnormalized * sp.kronecker_product(PAULI[i], PAULI[j])).trace()))
+    return sp.expand(unnormalized.trace()), n_t
+
+
+N, N_T = _filtered()
+# M = t_x^2 + max(t_x^2, t_z^2) <= 1 exactly when both margins are >= 0
+MARGIN_XZ = N**2 - N_T[0, 0] ** 2 - N_T[2, 2] ** 2  # N^2 (1 - t_x^2 - t_z^2)
+MARGIN_XY = N**2 - 2 * N_T[0, 0] ** 2  # N^2 (1 - 2 t_x^2)
+
+
+def test_filtered_tensor_is_diagonal():
+    want = sp.diag(2 * big_d * S, -2 * big_d * S, big_a * S**2 + big_b - big_c * Q)
+    assert all(_zero(e) for e in N_T - want)
+    assert _zero(N - (big_a * S**2 + big_c * Q + big_b))
+
+
+def test_margins_are_bounded_by_the_certificate():
+    assert _zero(MARGIN_XZ - 4 * (big_c * Q * (big_a * S**2 + big_b) - big_d**2 * S**2))
+    # each margin is 4 s^2 g plus a sum of squares times positive factors:
+    # q - 2s = (rm - rp)^2 and A s^2 + B - 2 s sqrt(AB) = (sqrt(A) s - sqrt(B))^2
+    square = (sp.sqrt(big_a) * S - sp.sqrt(big_b)) ** 2
+    assert _zero(MARGIN_XZ - 4 * S**2 * G1
+                 - 4 * big_c * ((rm - rp) ** 2 * (big_a * S**2 + big_b) + 2 * S * square))
+    gap = square + big_c * (rm - rp) ** 2  # N - 2 s (sqrt(AB) + C)
+    assert _zero(MARGIN_XY - 4 * S**2 * G2 - gap * (gap + 4 * S * (ROOT_AB + big_c)))
+
+
+def test_certificate_is_tight():
+    # at rm = rp = (B/A)^(1/4), s^2 = B/A and both sums of squares vanish:
+    # each margin is 4 B/A > 0 times its g, whatever C and D
+    r = (big_b / big_a) ** sp.Rational(1, 4)
+    for margin, g in ((MARGIN_XZ, G1), (MARGIN_XY, G2)):
+        assert _zero(margin.subs({rm: r, rp: r}) - 4 * big_b / big_a * g)
+
+
+CERT_POINTS = [(p, q) for p, q in POINTS if q <= Fraction(1, 2) and 0 < p < 1]
+
+
+@pytest.mark.parametrize("alpha_sq, x", CERT_POINTS, ids=[f"{p}-{q}" for p, q in CERT_POINTS])
+def test_certificate_matches_the_exact_state(alpha_sq, x):
+    at = {a: sp.sqrt(sp.Rational(float(alpha_sq))), xi: sp.Rational(float(x))}
+    entries = {big_a: RHO[0, 0], big_b: RHO[3, 3], big_c: RHO[1, 1], big_d: RHO[0, 3]}
+    exact = sp.N(sp.Min(G1, G2).subs(entries).subs(at), 40)
+    got = filter_certificate(float(alpha_sq), float(x))
+    # g1 and g2 cancel terms of size at most 1: their rounding is in units of 1
+    assert _ulps(got, exact, 1.0) <= 8, (got, exact)
+
+
+def test_widest_certificate_is_one_eighth():
+    """At alpha^2 = 1/2 and xi = 1/2 - 1/(2 sqrt 2): A = B = 3/8, C = 1/8,
+    D = 1/4, so g1 = g2 = 1/8, the computed value of bell.filtered.widest."""
+    at = {a: 1 / sp.sqrt(2), xi: sp.Rational(1, 2) - 1 / (2 * sp.sqrt(2))}
+    entries = {big_a: RHO[0, 0], big_b: RHO[3, 3], big_c: RHO[1, 1], big_d: RHO[0, 3]}
+    assert [sp.nsimplify(sp.simplify(e.subs(at))) for e in entries.values()] == [
+        sp.Rational(3, 8), sp.Rational(3, 8), sp.Rational(1, 8), sp.Rational(1, 4)]
+    assert all(_zero(g.subs(entries).subs(at) - sp.Rational(1, 8)) for g in (G1, G2))
+    assert _ulps(filter_certificate(0.5, XI_LOWER), sp.Rational(1, 8), 1.0) <= 4

@@ -9,7 +9,7 @@ from entbroadcast.cloner import make_cloner_parameter
 
 
 def _claim(claim_id):
-    (claim,) = [c for c in claims.verify_claims(filter_budget=1) if c.claim_id == claim_id]
+    (claim,) = [c for c in claims.verify_claims() if c.claim_id == claim_id]
     return claim
 
 
@@ -18,7 +18,7 @@ def test_bell_threshold_does_not_use_the_closed_form(monkeypatch):
     # over the machine's range; both Bell claims must come from the numeric M
     # alone, so each reads the same with the closed form made to fail
     def bell_claims():
-        return [c for c in claims.verify_claims(filter_budget=1) if c.claim_id in
+        return [c for c in claims.verify_claims() if c.claim_id in
                 ("bell.threshold_xi", "bell.no_interval_in_machine_range")]
 
     expected = bell_claims()

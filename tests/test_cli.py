@@ -202,7 +202,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--xi-grid", "0.2:0.4:5", "--alpha-grid", "0.1:0.9:7",
          "--quantity", "fidelity"],
-        ["verify", "--filter-budget", "3"],
+        ["verify"],
     ], ids=lambda argv: argv[0])
     def test_repeated_runs_byte_identical(self, argv, capsysbinary):
         runs = []
@@ -217,6 +217,7 @@ EXIT_CODE_CASES = [
     (["clone-audit", "--xi", "0.15", "--kind", "AbstractBH"], 2),
     (["clone-audit", "--xi", "0.2", "--out", "/nonexistent/x.csv"], 2),
     (["clone-audit", "--xi", "0.2", "--samples", "1"], 2),
+    # verify takes no --filter-budget, its filtering claims being exact: argparse exits 2
     (["verify", "--filter-budget", "0"], 2),
     (["boundary", "--xi", "0.2", "--tol", "0"], 2),
     (["boundary", "--xi", "0.2", "--tol", "-1"], 2),
@@ -246,6 +247,9 @@ EXIT_CODE_CASES = [
     (["sweep", "--analysis-only", "--xi=-1e-12", "--xi", "1e-300", "--xi", "0.5", "--xi", "1.0",
       "--alpha-grid", "0:1:11", *[t for q in ("pptNonlocal", "bellM", "fidelity", "wernerX")
                                   for t in ("--quantity", q)]], 0),
+    # both signs of a zero xi: each state exists there, and the sign reaches the output
+    (["sweep", "--analysis-only", "--xi=-0.0", "--xi", "0.0", "--alpha-grid", "0:1:11",
+      *[t for q in QUANTITIES for t in ("--quantity", q)]], 0),
     (["clone-audit", "--analysis-only", "--xi", "0"], 0),
     (["clone-audit", "--analysis-only", "--xi", "0.5", "--kind", "AbstractBH"], 0),
     (["clone-audit", "--xi", "0.2", "--samples", "64"], 0),
@@ -307,7 +311,7 @@ def test_memory_error_in_the_writer_is_an_input_error(monkeypatch, capsys):
 
 def test_verify_takes_no_analysis_only_flag(capsys):
     with pytest.raises(SystemExit) as e:
-        main(["verify", "--filter-budget", "1", "--analysis-only"])
+        main(["verify", "--analysis-only"])
     assert e.value.code == 2
     assert "unrecognized arguments: --analysis-only" in capsys.readouterr().err
 
@@ -338,7 +342,7 @@ FLAGS = {
     "sweep": {"--xi": FLOATS, "--xi-grid": GRIDS, "--alpha-sq": FLOATS,
               "--alpha-grid": GRIDS, "--quantity": list(QUANTITIES), "--tol": FLOATS,
               **MACHINE},
-    "verify": {"--filter-budget": COUNTS, **COMMON},
+    "verify": COMMON,
     "boundary": {"--xi": FLOATS, "--target": ["nonlocal", "local"],
                  "--side": ["lower", "upper", "both"], "--tol": FLOATS, **MACHINE},
     "clone-audit": {"--xi": FLOATS, "--kind": ["Literal2D", "AbstractBH"],
@@ -346,10 +350,10 @@ FLAGS = {
     "study": {"--out-dir": OUT_DIRS, "--xi-points": COUNTS, "--filter-budget": COUNTS},
 }
 # Valid arguments to start from, so that most vectors get past argparse; a
-# later flag of the same name overrides them. verify and study always start
-# from them, since their default budgets take a large share of a second.
+# later flag of the same name overrides them. study always starts from them,
+# since its default budget takes a large share of a second.
 START = {"sweep": ["--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM"],
-         "verify": ["--filter-budget", "3"],
+         "verify": [],
          "boundary": ["--xi", "0.2"],
          "clone-audit": ["--xi", "0.2", "--samples", "3"],
          "study": ["--xi-points", "2", "--filter-budget", "3", "--out-dir", "TMP/study"]}
@@ -361,7 +365,7 @@ ALL_VALUES = sorted(set(FLOATS + GRIDS + COUNTS + CHOICES))
 def argvs(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     argv = [command]
-    if command in ("verify", "study") or draw(st.booleans()):
+    if command == "study" or draw(st.booleans()):
         argv += START[command]
     for _ in range(draw(st.integers(0, 5))):
         # one flag or value in four from outside the command's own vocabulary
@@ -476,10 +480,7 @@ def test_study_out_dir_is_a_file(tmp_path, capsys):
 class TestVerifyCommand:
     def test_verify_passes(self, tmp_path, capsys):
         dest = tmp_path / "claims.json"
-        # small filter budget keeps this test fast; the full budget runs in
-        # the acceptance suite
-        rc = main(["verify", "--filter-budget", "11", "--format", "json",
-                   "--out", str(dest)])
+        rc = main(["verify", "--format", "json", "--out", str(dest)])
         assert rc == 0
         claims = json.loads(dest.read_text())
         verdicts = {c["verdict"] for c in claims}
@@ -498,25 +499,17 @@ class TestVerifyCommand:
             return real(p)
 
         monkeypatch.setattr(claims, "nonlocal_inseparability_range", defined_above_the_bound)
-        assert main(["verify", "--filter-budget", "3"]) == 1
+        assert main(["verify"]) == 1
         out, err = capsys.readouterr()
         assert "[FAIL] range.bound.undefined_above" in err
         verdicts = {row["claim_id"]: row["verdict"] for row in csv.DictReader(io.StringIO(out))}
         assert verdicts.pop("range.bound.undefined_above") == "FAIL"
         assert "FAIL" not in verdicts.values()
 
-    def test_verify_at_filter_budget_401(self, tmp_path):
-        dest = tmp_path / "claims.json"
-        assert main(["verify", "--filter-budget", "401", "--format", "json",
-                     "--out", str(dest)]) == 0
-        verdicts = {c["claim_id"]: c["verdict"] for c in json.loads(dest.read_text())}
-        assert verdicts.pop("universality.literal_below_one_sixth") == "DISCREPANCY"
-        assert set(verdicts.values()) == {"PASS"}
-
     def test_verify_csv_json_round_trip(self, tmp_path):
         a, b = tmp_path / "c.csv", tmp_path / "c.json"
-        main(["verify", "--filter-budget", "5", "--format", "csv", "--out", str(a)])
-        main(["verify", "--filter-budget", "5", "--format", "json", "--out", str(b)])
+        main(["verify", "--format", "csv", "--out", str(a)])
+        main(["verify", "--format", "json", "--out", str(b)])
         rows_csv = list(csv.DictReader(a.read_text().splitlines()))
         rows_json = json.loads(b.read_text())
         assert len(rows_csv) == len(rows_json)
