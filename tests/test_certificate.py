@@ -120,11 +120,12 @@ S, Q = rm * rp, rm**2 + rp**2
 ROOT_AB = sp.sqrt(big_a * big_b)
 G1 = 4 * big_c * ROOT_AB - big_d**2
 G2 = (ROOT_AB + big_c) ** 2 - 2 * big_d**2
+CROSS_SITE = {big_a: RHO[0, 0], big_b: RHO[3, 3], big_c: RHO[1, 1], big_d: RHO[0, 3]}
 
 
 def _filtered():
-    """(N, N T): the trace of the unnormalized filtered state and its
-    correlation tensor, so that the filtered state's tensor is N T / N."""
+    """(N, N T): the trace of the unnormalized filtered state, and N times
+    the correlation tensor T of the filtered (normalized) state."""
     rho = sp.diag(big_a, big_c, big_c, big_b)
     rho[0, 3] = rho[3, 0] = big_d
     k = sp.kronecker_product(sp.diag(rm, 1), sp.diag(rp, 1))
@@ -165,14 +166,10 @@ def test_certificate_is_tight():
         assert _zero(margin.subs({rm: r, rp: r}) - 4 * big_b / big_a * g)
 
 
-CERT_POINTS = [(p, q) for p, q in POINTS if q <= Fraction(1, 2) and 0 < p < 1]
-
-
-@pytest.mark.parametrize("alpha_sq, x", CERT_POINTS, ids=[f"{p}-{q}" for p, q in CERT_POINTS])
+@pytest.mark.parametrize("alpha_sq, x", POINTS, ids=[f"{p}-{q}" for p, q in POINTS])
 def test_certificate_matches_the_exact_state(alpha_sq, x):
     at = {a: sp.sqrt(sp.Rational(float(alpha_sq))), xi: sp.Rational(float(x))}
-    entries = {big_a: RHO[0, 0], big_b: RHO[3, 3], big_c: RHO[1, 1], big_d: RHO[0, 3]}
-    exact = sp.N(sp.Min(G1, G2).subs(entries).subs(at), 40)
+    exact = sp.N(sp.Min(G1, G2).subs(CROSS_SITE).subs(at), 40)
     got = filter_certificate(float(alpha_sq), float(x))
     # g1 and g2 cancel terms of size at most 1: their rounding is in units of 1
     assert _ulps(got, exact, 1.0) <= 8, (got, exact)
@@ -182,8 +179,7 @@ def test_widest_certificate_is_one_eighth():
     """At alpha^2 = 1/2 and xi = 1/2 - 1/(2 sqrt 2): A = B = 3/8, C = 1/8,
     D = 1/4, so g1 = g2 = 1/8, the computed value of bell.filtered.widest."""
     at = {a: 1 / sp.sqrt(2), xi: sp.Rational(1, 2) - 1 / (2 * sp.sqrt(2))}
-    entries = {big_a: RHO[0, 0], big_b: RHO[3, 3], big_c: RHO[1, 1], big_d: RHO[0, 3]}
-    assert [sp.nsimplify(sp.simplify(e.subs(at))) for e in entries.values()] == [
+    assert [sp.nsimplify(sp.simplify(e.subs(at))) for e in CROSS_SITE.values()] == [
         sp.Rational(3, 8), sp.Rational(3, 8), sp.Rational(1, 8), sp.Rational(1, 4)]
-    assert all(_zero(g.subs(entries).subs(at) - sp.Rational(1, 8)) for g in (G1, G2))
+    assert all(_zero(g.subs(CROSS_SITE).subs(at) - sp.Rational(1, 8)) for g in (G1, G2))
     assert _ulps(filter_certificate(0.5, XI_LOWER), sp.Rational(1, 8), 1.0) <= 4
