@@ -10,7 +10,6 @@ from .analysis import (
     boundary_bisect,
     correlation_tensor,
     filter_certificate,
-    filter_search_max_m,
     gisin_filter,
     local_separability_range,
     nonlocal_inseparability_range,

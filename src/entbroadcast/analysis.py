@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .broadcast import STATE_TOL, EntangledInput, local_entries, nonlocal_entries
+from .broadcast import STATE_TOL, local_entries, nonlocal_entries
 from .cloner import XI_SLACK, ClonerParameter, OutOfRangeError
 from .linalg import PAULIS, is_density_operator
 
@@ -332,7 +332,8 @@ def filter_certificate(alpha_sq, xi):
     pushes M = t_x^2 + max(t_x^2, t_z^2) past 1.
 
     g1 = 4 C sqrt(AB) - D^2 and g2 = (sqrt(AB) + C)^2 - 2 D^2. After the
-    filter of ``filter_search_max_m``, s = rm rp and rm^2 + rp^2 >= 2s give
+    diagonal filter of ``gisin_filter``, with rm = m1/m2 and rp = p1/p2,
+    s = rm rp and rm^2 + rp^2 >= 2s give
     N^2 (1 - t_x^2 - t_z^2) >= 4 s^2 g1, as A s + B/s >= 2 sqrt(AB), and
     N^2 (1 - 2 t_x^2) >= 4 s^2 g2; both are equalities at rm = rp = (B/A)^(1/4).
     ``tests/test_certificate.py`` derives each step in exact arithmetic.
@@ -343,83 +344,6 @@ def filter_certificate(alpha_sq, xi):
     g1 = 4.0 * e.c * root_ab - d_sq
     g2 = (root_ab + e.c) ** 2 - 2.0 * d_sq
     return _value(np.minimum(g1, g2))
-
-
-# Grid points per block of the filter search: 2^18 keeps budgets up to 512
-# (the default 101, and study's 41) one block, and each of the three arrays
-# ``_filtered_bell_m`` fills at 2 MB.
-_FILTER_BLOCK_POINTS = 1 << 18
-
-
-def _filtered_bell_m(e, rm, rp):
-    """``filter_search_max_m``'s M, elementwise over entries ``e`` and ratios rm, rp.
-
-    The block is evaluated in three buffers of the broadcast shape of the
-    entries and the ratios, with the operations, and so the roundings, of
-    N = A s^2 + C rm^2 + C rp^2 + B, t_x^2 = (2 D s / N)^2,
-    t_z = (A s^2 + B - C rm^2 - C rp^2) / N and M = t_x^2 + max(t_x^2, t_z^2),
-    s = rm rp, in that order: ``s`` turns into t_x^2, ``a_s2`` (A s^2) into
-    t_z and then max(t_x^2, t_z^2), and ``n`` into M.
-    """
-    shape = np.broadcast(e.big_a, rm, rp).shape  # not broadcast_shapes, at four times the cost
-    s, a_s2, n = np.empty(shape), np.empty(shape), np.empty(shape)
-    c_m, c_p = e.c * (rm * rm), e.c * (rp * rp)  # a column and a row on a grid block
-    np.multiply(rm, rp, out=s)
-    np.multiply(e.big_a, np.multiply(s, s, out=a_s2), out=a_s2)
-    np.add(a_s2, c_m, out=n)
-    n += c_p
-    n += e.big_b
-    if np.any(n <= 1e-300):
-        raise DegenerateFilterError(f"filter trace underflow N={np.min(n)}")
-    np.multiply(2.0 * e.d, s, out=s)
-    s /= n
-    s *= s
-    a_s2 += e.big_b
-    a_s2 -= c_m
-    a_s2 -= c_p
-    a_s2 /= n
-    a_s2 *= a_s2
-    np.maximum(s, a_s2, out=a_s2)
-    return np.add(s, a_s2, out=n)
-
-
-def filter_search_max_m(inp: EntangledInput, p: ClonerParameter, budget=101):
-    """Maximize M over a deterministic log grid of filter ratios.
-
-    Only rm = m1/m2 and rp = p1/p2 matter (overall scales cancel): the grid
-    is [1e-3, 1e3]^2 with ``budget`` points per axis, or (1, 1) at budget 1.
-    ``argmax`` is the earliest grid point, row-major, where M is ``max_m``.
-
-    A diagonal filter keeps an X-state, so M comes from the entries,
-    elementwise, with no matrix (``gisin_filter`` and ``bell_quantity_m`` are
-    the dense reference). The scale (rm rp, rm, rp, 1) gives the diagonal
-    (A rm^2 rp^2, C rm^2, C rp^2, B)/N and the corner D rm rp/N, with
-    N = A rm^2 rp^2 + C (rm^2 + rp^2) + B, so t_x = 2 D rm rp/N,
-    t_z = (A rm^2 rp^2 + B - C rm^2 - C rp^2)/N and M = t_x^2 + max(t_x^2, t_z^2).
-    M is evaluated over blocks of whole grid rows, each of at most
-    ``_FILTER_BLOCK_POINTS`` points (or one row, where a row is longer), so
-    the time grows as budget^2 but the memory does not: the traced peak is
-    about 4 MB at budget 401 (one block) and 8.5 MB at 2,000.
-
-    At every admissible point searched so far the maximum is on a grid corner
-    (the product-state limit), so budgets 21, 101 and 401 give the same value.
-    ``filter_certificate`` decides whether any filter, on or off the grid,
-    pushes M past 1, exactly; ``verify`` uses it, and this search is its
-    cross-check in the tests and gives ``study``'s filtering table.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    ratios = np.array([1.0]) if budget == 1 else np.logspace(-3.0, 3.0, budget)
-    e = nonlocal_entries(inp.alpha_sq, p.xi)
-    rows = max(1, _FILTER_BLOCK_POINTS // budget)
-    max_m = None
-    for start in range(0, budget, rows):
-        m = _filtered_bell_m(e, ratios[start:start + rows, None], ratios[None, :])
-        k = int(np.argmax(m))  # C order: the block's earliest maximum
-        if max_m is None or m.flat[k] > max_m:  # a tie keeps the earlier block's
-            max_m, (row, col) = float(m.flat[k]), divmod(start * budget + k, budget)
-    return {"max_m": max_m,
-            "argmax": FilterParams(float(ratios[row]), 1.0, float(ratios[col]), 1.0)}
 
 
 _BELL_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)

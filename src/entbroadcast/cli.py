@@ -94,7 +94,6 @@ def _build_parser():
     tp = add_command("study", "write the four summary tables as CSV files")
     tp.add_argument("--out-dir", default="study_out")
     tp.add_argument("--xi-points", type=int, default=25)
-    tp.add_argument("--filter-budget", type=int, default=41)
     return ap
 
 
@@ -167,10 +166,9 @@ def _cmd_clone_audit(args):
 
 def _cmd_study(args):
     _require_at_least("--xi-points", args.xi_points, 1)
-    _require_at_least("--filter-budget", args.filter_budget, 1)
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tables = study_tables(args.xi_points, args.filter_budget)
+    tables = study_tables(args.xi_points)
     for name, table in tables.items():
         emit_rows(table, "csv", str(out / name))
     print(f"wrote {len(tables)} tables to {out}/")

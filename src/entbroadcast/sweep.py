@@ -9,11 +9,10 @@ from .analysis import (
     QUANTITIES,
     RangeUndefinedError,
     evaluate,
-    filter_search_max_m,
+    filter_certificate,
     local_separability_range,
     nonlocal_inseparability_range,
 )
-from .broadcast import EntangledInput
 from .cloner import (
     XI_LOWER,
     GramNotPSDError,
@@ -112,7 +111,7 @@ def _abstract_spread(p):
         return math.nan  # no universal machine exists here
 
 
-def study_tables(xi_points, filter_budget):
+def study_tables(xi_points):
     """The four study tables, keyed by CSV file name, over ``xi_points``
     admissible machines; nan marks a quantity that does not exist there."""
     xis = np.linspace(XI_LOWER, 0.5, xi_points)
@@ -133,9 +132,7 @@ def study_tables(xi_points, filter_budget):
         "abstract_spread": [_abstract_spread(p) for p in machines],
     }
     alpha_sq, xi = [0.5, 0.5, 0.2, 0.35], [XI_LOWER, 1 / 6, 1 / 6, 0.2]
-    filtering = {"alpha_sq": alpha_sq, "xi": xi, "max_m": [
-        filter_search_max_m(EntangledInput.from_alpha_sq(a), make_cloner_parameter(x),
-                            budget=filter_budget)["max_m"]
-        for a, x in zip(alpha_sq, xi)]}
+    filtering = {"alpha_sq": alpha_sq, "xi": xi,
+                 "certificate": filter_certificate(np.array(alpha_sq), np.array(xi)).tolist()}
     return {"ranges.csv": ranges, "quality.csv": quality,
             "filtering.csv": filtering, "cloners.csv": cloners}

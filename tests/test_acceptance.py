@@ -12,11 +12,13 @@ import pytest
 
 from entbroadcast.analysis import (
     XI_NONLOCAL_MAX,
+    FilterParams,
     RangeUndefinedError,
     bell_quantity_m,
     bell_violation_range,
     boundary_bisect,
-    filter_search_max_m,
+    filter_certificate,
+    gisin_filter,
     local_separability_range,
     local_separable_predicate,
     nonlocal_inseparability_range,
@@ -142,14 +144,14 @@ def test_06_bell_non_violation_and_threshold():
 
 
 def test_07_filtering_cannot_rescue_bell():
-    cases = [
-        (EntangledInput.from_alpha_sq(0.5), WIDEST),
-        (EntangledInput.from_alpha_sq(0.2), OPTIMAL),
-    ]
-    for inp, p in cases:
-        res = filter_search_max_m(inp, p, budget=101)
-        assert res["max_m"] <= 1.0
-    _report("07 filtering cannot induce Bell violation (101x101 grid)")
+    # filter_certificate >= 0: no diagonal local filter pushes M past 1; the
+    # dense filter rm = rp = (B/A)^(1/4), where the bound is tight, agrees
+    for alpha_sq, p in ((0.5, WIDEST), (0.2, OPTIMAL)):
+        assert filter_certificate(alpha_sq, p.xi) >= 0.0
+        rho = nonlocal_state(EntangledInput.from_alpha_sq(alpha_sq), p)
+        r = (rho[3, 3].real / rho[0, 0].real) ** 0.25
+        assert bell_quantity_m(gisin_filter(rho, FilterParams(r, 1.0, r, 1.0))) <= 1.0
+    _report("07 filtering cannot induce Bell violation (filter certificate >= 0)")
 
 
 def test_08_werner_decomposition():

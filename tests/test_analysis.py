@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_batched import _filtered_bell_m_reference
 
 from entbroadcast.analysis import (
     QUANTITIES,
@@ -21,7 +22,6 @@ from entbroadcast.analysis import (
     correlation_tensor,
     evaluate,
     filter_certificate,
-    filter_search_max_m,
     gisin_filter,
     local_separability_range,
     local_separable_predicate,
@@ -293,28 +293,13 @@ class TestGisinFilter:
             FilterParams(0.0, 1, 1, 1)
 
 
-class TestFilterSearch:
-    def test_budget_one_is_identity_point(self):
-        inp = EntangledInput.from_alpha_sq(0.4)
-        res = filter_search_max_m(inp, OPTIMAL, budget=1)
-        assert abs(res["max_m"] - bell_quantity_m(nonlocal_state(inp, OPTIMAL))) <= 1e-12
-
-    def test_no_violation_at_optimal(self):
-        # extreme ratios push M toward (but never past) 1, so the grid
-        # maximum sits at a corner, not at the unit ratio
-        res = filter_search_max_m(HALF, OPTIMAL, budget=21)
-        assert 32 / 81 <= res["max_m"] <= 1.0
-
-    def test_rejects_zero_budget(self):
-        with pytest.raises(ValueError):
-            filter_search_max_m(HALF, OPTIMAL, budget=0)
-
-
 class TestFilterCertificate:
-    """``filter_certificate`` against the filters themselves: the grid search
-    where it is positive, and the dense filter at its tight point, where
-    rm = rp = (B/A)^(1/4), where it is negative. Points within 1e-9 of its zero
-    set, where rounding may decide the sign, are skipped."""
+    """``filter_certificate`` against the filters themselves. Where it is
+    positive, M stays <= 1 on the 41x41 log grid of filter ratios over
+    [1e-3, 1e3] and at the dense filter rm = rp = (B/A)^(1/4), the one the
+    certificate is tight at; where it is negative, that dense filter gives
+    M > 1. Points within 1e-9 of its zero set, where rounding may decide the
+    sign, are skipped."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.01, 0.99), st.floats(0.0, 0.5))
@@ -324,13 +309,15 @@ class TestFilterCertificate:
     def test_sign_is_the_filters_verdict(self, alpha_sq, xi):
         cert = filter_certificate(alpha_sq, xi)
         assume(abs(cert) > 1e-9)
+        e = nonlocal_entries(alpha_sq, xi)
+        r = (e.big_b / e.big_a) ** 0.25
+        tight = bell_quantity_m(gisin_filter(e.matrix(), FilterParams(r, 1.0, r, 1.0)))
         if cert > 0.0:
-            inp = EntangledInput.from_alpha_sq(alpha_sq)
-            assert filter_search_max_m(inp, analysis_parameter(xi), budget=41)["max_m"] <= 1.0
+            ratios = np.logspace(-3.0, 3.0, 41)
+            assert _filtered_bell_m_reference(e, ratios[:, None], ratios[None, :]).max() <= 1.0
+            assert tight <= 1.0
         else:
-            e = nonlocal_entries(alpha_sq, xi)
-            r = (e.big_b / e.big_a) ** 0.25
-            assert bell_quantity_m(gisin_filter(e.matrix(), FilterParams(r, 1.0, r, 1.0))) > 1.0
+            assert tight > 1.0
 
     def test_threshold_at_half_is_xi_bell_max(self):
         """At alpha^2 = 1/2, A = B and the best filter is the identity, so

@@ -6,17 +6,15 @@ on the dense states built from the same entries, the dense measures must
 give the same values within a stated absolute tolerance, and ``wernerX``
 must follow the analytic rule. Every dense measure but the Werner fit, which
 fits one matrix, takes one state or a stack of states; on a stack it must
-give, for each state, exactly the value it gives for that state alone. The
-filter search, which computes M over its grid from the entries, must find
-what a plain double loop over the dense filter and the dense M finds; the
-bisection predicates, which decide from the entries by ``evaluate``'s
+give, for each state, exactly the value it gives for that state alone. M
+after a diagonal filter, computed from the entries, must match the dense
+filter and the dense M; the bisection predicates, which decide from the entries by ``evaluate``'s
 partial-transpose eigenvalue, must find the boundaries that the dense
 eigenvalue finds.
 """
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entbroadcast import analysis, broadcast
+from entbroadcast import broadcast
 from entbroadcast.analysis import (
     XI_LOCAL_MAX,
     XI_NONLOCAL_MAX,
@@ -38,7 +36,6 @@ from entbroadcast.analysis import (
     boundary_bisect,
     dense_quantities,
     evaluate,
-    filter_search_max_m,
     gisin_filter,
     local_separable_predicate,
     nonlocal_inseparable_predicate,
@@ -46,7 +43,6 @@ from entbroadcast.analysis import (
 )
 from entbroadcast.broadcast import (
     EntangledInput,
-    XStateEntries,
     local_entries,
     local_state,
     nonlocal_entries,
@@ -247,107 +243,14 @@ def test_stacks_raise_at_first_unphysical_point():
         evaluate({"wernerX"}, xi, 0.3)
 
 
-def _grid_search(inp, p, budget):
-    """The filter search as a plain double loop over the public dense measures."""
-    rho = nonlocal_state(inp, p)
-    ratios = [1.0] if budget == 1 else np.logspace(-3.0, 3.0, budget).tolist()
-    best_m, best_f, ties = -math.inf, None, 0
-    for rm in ratios:
-        for rp in ratios:
-            m = bell_quantity_m(gisin_filter(rho, FilterParams(rm, 1.0, rp, 1.0)))
-            if m > best_m:
-                best_m, best_f, ties = m, FilterParams(rm, 1.0, rp, 1.0), 1
-            elif m == best_m:
-                ties += 1
-    return best_m, best_f, ties
-
-
-def _search_grid(inp, p, budget):
-    """The ratios and the M values that the search itself computes."""
-    ratios = np.array([1.0]) if budget == 1 else np.logspace(-3.0, 3.0, budget)
-    m = analysis._filtered_bell_m(nonlocal_entries(inp.alpha_sq, p.xi),
-                                  ratios[:, None], ratios[None, :])
-    return ratios, m
-
-
-FILTER_CASES = [
-    (0.5, 0.5 - 0.5 / math.sqrt(2.0), False), (0.2, 1 / 6, False), (0.35, 0.2, False),
-    (0.5, 0.2, True),  # A = B: the first and the last grid point tie
-    (0.2, 0.5, True),  # eta = 0: the four grid corners tie
-]
-
-
-@pytest.mark.parametrize("budget", [1, 7, 21])
-@pytest.mark.parametrize("alpha_sq, xi, tied", FILTER_CASES)
-def test_filter_search_matches_double_loop(alpha_sq, xi, tied, budget):
-    inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
-    best_m, best_f, ties = _grid_search(inp, p, budget)
-    res = filter_search_max_m(inp, p, budget=budget)
-    assert abs(res["max_m"] - best_m) <= 1e-15
-    if not (tied and budget > 1):
-        assert res["argmax"] == best_f  # the earliest grid point of the maximum
-        return
-    assert ties >= 2  # the tie is exact on the dense route
-    # rounding may break the tie either way on the search's route: its point
-    # must attain the dense maximum, and be the earliest of its own maximum
-    rho = nonlocal_state(inp, p)
-    assert abs(bell_quantity_m(gisin_filter(rho, res["argmax"])) - best_m) <= 1e-15
-    ratios, m = _search_grid(inp, p, budget)
-    row, col = divmod(int(np.flatnonzero(m == m.max())[0]), budget)
-    assert res["max_m"] == m.max()
-    assert res["argmax"] == FilterParams(ratios[row], 1.0, ratios[col], 1.0)
-
-
-# The maxima of the dense route, bit for bit, pinned while it was the search;
-# the dense double loop must still reproduce them at budget 101.
-FILTER_PINS = [
-    (0.5, 0.5 - 0.5 / math.sqrt(2.0), "0x1.ffffa6858db6ap-1", 1e3, 1e3),
-    (0.2, 1 / 6, "0x1.ffffbd8e3fb2dp-1", 1e-3, 1e-3),
-    (0.2, 0.5, "0x1.fffef390cc533p-1", 1e-3, 1e3),
-]
-
-
-@pytest.mark.parametrize("alpha_sq, xi, max_m, m1, p1", FILTER_PINS)
-def test_dense_double_loop_keeps_the_pinned_results(alpha_sq, xi, max_m, m1, p1):
-    best_m, best_f, _ = _grid_search(EntangledInput.from_alpha_sq(alpha_sq),
-                                     make_cloner_parameter(xi), 101)
-    assert best_m == float.fromhex(max_m)
-    assert best_f == FilterParams(m1, 1.0, p1, 1.0)
-
-
-@pytest.mark.parametrize("budget", [101, 401])
-@pytest.mark.parametrize("alpha_sq, xi, max_m, m1, p1", FILTER_PINS)
-def test_filter_search_keeps_its_results(alpha_sq, xi, max_m, m1, p1, budget):
-    """The search from the entries stays within 4 ulps of the dense pins."""
-    res = filter_search_max_m(EntangledInput.from_alpha_sq(alpha_sq),
-                              make_cloner_parameter(xi), budget=budget)
-    pin = float.fromhex(max_m)
-    assert abs(res["max_m"] - pin) <= 4 * math.ulp(pin)
-    if xi == 0.5:  # eta = 0: the four corners tie, and rounding picks one
-        assert {res["argmax"].m1, res["argmax"].p1} <= {1e-3, 1e3}
-    else:
-        assert res["argmax"] == FilterParams(m1, 1.0, p1, 1.0)
-
-
 log_ratios = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
 
 
-@settings(max_examples=300, deadline=None)
-@given(alpha_sqs, st.floats(0.0, 1.0), log_ratios, log_ratios)
-def test_filtered_closed_form_matches_dense_reference(alpha_sq, xi, rm, rp):
-    inp, p = EntangledInput.from_alpha_sq(alpha_sq), analysis_parameter(xi)
-    rho = nonlocal_state(inp, p)
-    # unfiltered, through the public search at its one-point grid
-    dense = bell_quantity_m(gisin_filter(rho, FilterParams(1.0, 1.0, 1.0, 1.0)))
-    assert abs(filter_search_max_m(inp, p, budget=1)["max_m"] - dense) <= 1e-14
-    dense = bell_quantity_m(gisin_filter(rho, FilterParams(rm, 1.0, rp, 1.0)))
-    got = analysis._filtered_bell_m(nonlocal_entries(inp.alpha_sq, p.xi), rm, rp)
-    assert abs(got - dense) <= 1e-14
-
-
 def _filtered_bell_m_reference(e, rm, rp):
-    """The search's M as one out-of-place expression, the form the buffered
-    kernel replaced; it must give the same floats, bit for bit."""
+    """M of the X-state with entries ``e`` after the diagonal filter with
+    ratios rm = m1/m2, rp = p1/p2, elementwise over floats or arrays: the
+    scale (rm rp, rm, rp, 1) gives N = A s^2 + C rm^2 + C rp^2 + B,
+    t_x = 2 D s / N and t_z = (A s^2 + B - C rm^2 - C rp^2) / N, s = rm rp."""
     s = rm * rp
     big_a, c_m, c_p = e.big_a * (s * s), e.c * (rm * rm), e.c * (rp * rp)
     n = big_a + c_m + c_p + e.big_b
@@ -355,131 +258,19 @@ def _filtered_bell_m_reference(e, rm, rp):
     return t_x_sq + np.maximum(t_x_sq, t_z * t_z)
 
 
-@st.composite
-def ratio_blocks(draw):
-    """rm and rp as two floats, a float and a row, a column and a float, two
-    rows of one length, or a column and a row (a grid block)."""
-    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 6))
-
-    def vec(size):
-        return draw(arrays(float, size, elements=log_ratios))
-
-    return draw(st.sampled_from([
-        lambda: (draw(log_ratios), draw(log_ratios)),
-        lambda: (draw(log_ratios), vec(n)),
-        lambda: (vec(k)[:, None], draw(log_ratios)),
-        lambda: (vec(n), vec(n)),
-        lambda: (vec(k)[:, None], vec(n)[None, :]),
-    ]))()
-
-
 @settings(max_examples=300, deadline=None)
-@given(alpha_sqs, st.floats(0.0, 1.0), ratio_blocks())
-def test_buffered_filter_kernel_is_the_out_of_place_expression(alpha_sq, xi, ratios):
-    rm, rp = ratios
-    e = nonlocal_entries(alpha_sq, xi)
-    got, want = analysis._filtered_bell_m(e, rm, rp), _filtered_bell_m_reference(e, rm, rp)
-    assert got.shape == np.shape(want)
-    assert got.tobytes() == np.asarray(want).tobytes()
-
-
-@pytest.mark.parametrize("budget", [1, 21, 101])
-@pytest.mark.parametrize("alpha_sq, xi", [(alpha_sq, xi) for alpha_sq, xi, _ in FILTER_CASES])
-def test_buffered_filter_kernel_on_the_search_grid(alpha_sq, xi, budget):
-    ratios, m = _search_grid(EntangledInput.from_alpha_sq(alpha_sq),
-                             make_cloner_parameter(xi), budget)
-    want = _filtered_bell_m_reference(nonlocal_entries(alpha_sq, xi),
-                                      ratios[:, None], ratios[None, :])
-    assert m.tobytes() == want.tobytes()
-
-
-def test_filter_search_leaves_its_ratios_alone(monkeypatch):
-    """The kernel writes only into buffers of its own: after a search over
-    several blocks, the ratio rows and columns it was handed, views of the
-    search's ratios, still hold the grid, and no M block shares their memory."""
-    kernel, handed = analysis._filtered_bell_m, []
-
-    def recording(e, rm, rp):
-        m = kernel(e, rm, rp)
-        assert not (np.shares_memory(m, rm) or np.shares_memory(m, rp))
-        handed.append((rm, rp))
-        return m
-
-    monkeypatch.setattr(analysis, "_filtered_bell_m", recording)
-    monkeypatch.setattr(analysis, "_FILTER_BLOCK_POINTS", 60)  # blocks of 2 rows
-    inp, p = EntangledInput.from_alpha_sq(0.35), make_cloner_parameter(0.2)
-    res = filter_search_max_m(inp, p, budget=21)
-    grid = np.logspace(-3.0, 3.0, 21)
-    assert len(handed) == 11
-    assert np.concatenate([rm[:, 0] for rm, _ in handed]).tobytes() == grid.tobytes()
-    assert all(rp[0].tobytes() == grid.tobytes() for _, rp in handed)
-    monkeypatch.setattr(analysis, "_filtered_bell_m", kernel)
-    assert filter_search_max_m(inp, p, budget=21) == res
-
-
-def test_filter_search_reads_its_grid_row_major(monkeypatch):
-    """m1/m2 indexes the rows and p1/p2 the columns; of tied maxima, the
-    earliest in row-major order wins, in one block or across blocks of one
-    and of two rows."""
-    monkeypatch.setattr(analysis, "_filtered_bell_m",
-                        lambda e, rm, rp: np.where((rm > 1.0) & (rp < 1.0), 2.0, 0.0))
-    for block_points in (analysis._FILTER_BLOCK_POINTS, 1, 14):
-        monkeypatch.setattr(analysis, "_FILTER_BLOCK_POINTS", block_points)
-        res = filter_search_max_m(EntangledInput.from_alpha_sq(0.3), make_cloner_parameter(0.2),
-                                  budget=7)
-        assert res == {"max_m": 2.0, "argmax": FilterParams(10.0, 1.0, 1e-3, 1.0)}, block_points
-
-
-@pytest.mark.parametrize("block_points", [1, 60, 101])
-@pytest.mark.parametrize("alpha_sq, xi", [(alpha_sq, xi) for alpha_sq, xi, _ in FILTER_CASES])
-def test_filter_search_blocks_give_the_one_block_result(monkeypatch, alpha_sq, xi,
-                                                         block_points):
-    """Blocks of one row, of two and of four (the last one short) find the
-    one-block max_m and argmax bit for bit, ties included."""
-    inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
-    want = filter_search_max_m(inp, p, budget=21)
-    monkeypatch.setattr(analysis, "_FILTER_BLOCK_POINTS", block_points)
-    got = filter_search_max_m(inp, p, budget=21)
-    assert got["max_m"] == want["max_m"]
-    assert got["argmax"] == want["argmax"]
-
-
-def test_filter_search_memory_is_bounded():
-    """At budget 2,000 one (budget, budget) float array alone is 32 MB; the
-    blocks keep the peak below that."""
-    inp, p = EntangledInput.from_alpha_sq(0.2), make_cloner_parameter(1 / 6)
-    tracemalloc.start()
-    try:
-        filter_search_max_m(inp, p, budget=2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2000 * 2000 * 8
-
-
-def test_filter_search_builds_no_matrix(monkeypatch):
-    inp, p = EntangledInput.from_alpha_sq(0.2), make_cloner_parameter(1 / 6)
-    want = filter_search_max_m(inp, p, budget=101)
-
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("a dense matrix was built or decomposed")
-
-    monkeypatch.setattr(broadcast.XStateEntries, "matrix", no_matrix)
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_matrix)
-    for name in ("_correlation", "_bell_m", "gisin_filter"):
-        monkeypatch.setattr(analysis, name, no_matrix)
-    with pytest.raises(AssertionError):
-        nonlocal_state(inp, p)  # the patch is live
-    assert filter_search_max_m(inp, p, budget=101) == want
+@given(alpha_sqs, st.floats(0.0, 1.0), log_ratios, log_ratios)
+def test_filtered_closed_form_matches_dense_reference(alpha_sq, xi, rm, rp):
+    inp, p = EntangledInput.from_alpha_sq(alpha_sq), analysis_parameter(xi)
+    rho, e = nonlocal_state(inp, p), nonlocal_entries(inp.alpha_sq, p.xi)
+    # unfiltered: the identity filter
+    dense = bell_quantity_m(gisin_filter(rho, FilterParams(1.0, 1.0, 1.0, 1.0)))
+    assert abs(_filtered_bell_m_reference(e, 1.0, 1.0) - dense) <= 1e-14
+    dense = bell_quantity_m(gisin_filter(rho, FilterParams(rm, 1.0, rp, 1.0)))
+    assert abs(_filtered_bell_m_reference(e, rm, rp) - dense) <= 1e-14
 
 
 def test_degenerate_filters_raise():
-    zero = XStateEntries(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(DegenerateFilterError):
-        analysis._filtered_bell_m(zero, np.ones((2, 1)), np.ones((1, 3)))
-    for rm, rp in ((1.0, 1.0), (1.0, np.ones(3)), (np.ones(3), np.ones(3))):
-        with pytest.raises(DegenerateFilterError, match=r"N=0\.0"):
-            analysis._filtered_bell_m(zero, rm, rp)
     rho = nonlocal_state(EntangledInput.from_alpha_sq(0.5), make_cloner_parameter(0.2))
     with pytest.raises(DegenerateFilterError):
         gisin_filter(rho, FilterParams(1e-80, 1e-80, 1e-80, 1e-80))

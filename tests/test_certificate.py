@@ -5,8 +5,10 @@ The cross-site state is derived in exact arithmetic from its definition,
 (L x L)(|psi><psi|) with |psi> = a|00> + b|11> and each site's clone map
 L(rho) = eta rho + xi Tr(rho) I, eta = 1 - 2 xi. Its correlation tensor
 T_ij = Tr(rho sigma_i x sigma_j) then gives M = eta^4 (1 + 4 a^2 b^2), whose
-largest value over alpha^2 = a^2 is at alpha^2 = 1/2 for every xi. Filtering
-that X-state diagonally keeps M <= 1 for every filter exactly when
+largest value over alpha^2 = a^2 is at alpha^2 = 1/2 for every xi, and the
+teleportation fidelity F, with F - 2/3 = (2/3)(|D| - C): the pair beats the
+classical bound 2/3 exactly when it fails the PPT test. Filtering that
+X-state diagonally keeps M <= 1 for every filter exactly when
 ``analysis.filter_certificate``'s min(g1, g2) is >= 0.
 """
 
@@ -17,7 +19,7 @@ from itertools import product
 import pytest
 import sympy as sp
 
-from entbroadcast.analysis import filter_certificate
+from entbroadcast.analysis import evaluate, filter_certificate
 from entbroadcast.broadcast import nonlocal_entries
 from entbroadcast.cloner import XI_LOWER
 
@@ -108,6 +110,33 @@ def test_entries_match_the_exact_state(alpha_sq, x):
         assert _ulps(g, e) <= 4, (got, e)
     # A - B cancels: its rounding is in units of A and B
     assert _ulps(got.asym, big_a - big_b, float(max(big_a, big_b))) <= 4, got
+
+
+# F = (1 + (sum of the singular values of T) / 3) / 2; T is diagonal, so its
+# singular values are |T_ii|
+FIDELITY = (1 + sum(sp.Abs(sp.factor(T[i, i])) for i in range(3)) / 3) / 2
+
+
+def test_fidelity_gap_is_the_entanglement_margin():
+    d, c = RHO[0, 3], RHO[1, 1]
+    assert _zero(T[2, 2] - eta**2)  # t_z = eta^2 >= 0
+    assert _zero(1 - eta**2 - 4 * c)  # 1 - eta^2 = 4 xi (1 - xi) = 4C
+    # so F - 2/3 = (4|D| + eta^2 - 1)/6 = (2/3)(|D| - C). As A, B >= 0, the
+    # least partial-transpose eigenvalue min(A, B, C - |D|) is negative
+    # exactly when |D| > C, that is when F > 2/3
+    gap = FIDELITY - sp.Rational(2, 3) - sp.Rational(2, 3) * (sp.Abs(sp.factor(d)) - c)
+    assert _zero(gap)
+
+
+@pytest.mark.parametrize("alpha_sq, x", POINTS, ids=[f"{p}-{q}" for p, q in POINTS])
+def test_fidelity_matches_the_exact_state(alpha_sq, x):
+    at = {a: sp.sqrt(sp.Rational(float(alpha_sq))), xi: sp.Rational(float(x))}
+    exact = sp.N(FIDELITY.subs(at), 40)
+    got = evaluate({"fidelity", "pptNonlocal"}, float(x), float(alpha_sq))
+    assert _ulps(got["fidelity"], exact) <= 4, (got, exact)
+    # useful for teleportation exactly when inseparable, away from the PPT edge
+    if abs(got["pptNonlocal"]) > 1e-12:
+        assert (got["fidelity"] > 2 / 3) == (got["pptNonlocal"] < 0.0), got
 
 
 # -- the filtering certificate ------------------------------------------------
