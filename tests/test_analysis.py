@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_batched import _filtered_bell_m_reference
+from test_batched import _filtered_bell_m_reference, _grid_search
 
 from entbroadcast.analysis import (
     QUANTITIES,
@@ -291,6 +291,13 @@ class TestGisinFilter:
     def test_rejects_nonpositive_params(self):
         with pytest.raises(ValueError):
             FilterParams(0.0, 1, 1, 1)
+
+    def test_no_filter_on_the_grid_violates_at_optimal(self):
+        # extreme ratios push M toward (but never past) 1, so the maximum over
+        # the 21x21 grid sits at a corner, not at the identity, where M = 32/81
+        best_m, best_f, _ = _grid_search(HALF, OPTIMAL, 21)
+        assert 32 / 81 < best_m <= 1.0
+        assert {best_f.m1, best_f.p1} <= {1e-3, 1e3}
 
 
 class TestFilterCertificate:

@@ -8,7 +8,8 @@ must follow the analytic rule. Every dense measure but the Werner fit, which
 fits one matrix, takes one state or a stack of states; on a stack it must
 give, for each state, exactly the value it gives for that state alone. M
 after a diagonal filter, computed from the entries, must match the dense
-filter and the dense M; the bisection predicates, which decide from the entries by ``evaluate``'s
+filter and the dense M, and obey the filter certificate's bound; the
+bisection predicates, which decide from the entries by ``evaluate``'s
 partial-transpose eigenvalue, must find the boundaries that the dense
 eigenvalue finds.
 """
@@ -36,6 +37,7 @@ from entbroadcast.analysis import (
     boundary_bisect,
     dense_quantities,
     evaluate,
+    filter_certificate,
     gisin_filter,
     local_separable_predicate,
     nonlocal_inseparable_predicate,
@@ -268,6 +270,113 @@ def test_filtered_closed_form_matches_dense_reference(alpha_sq, xi, rm, rp):
     assert abs(_filtered_bell_m_reference(e, 1.0, 1.0) - dense) <= 1e-14
     dense = bell_quantity_m(gisin_filter(rho, FilterParams(rm, 1.0, rp, 1.0)))
     assert abs(_filtered_bell_m_reference(e, rm, rp) - dense) <= 1e-14
+
+
+def _ratio_grid(budget):
+    """The filter ratios: the identity alone, or a log grid over [1e-3, 1e3]."""
+    return np.array([1.0]) if budget == 1 else np.logspace(-3.0, 3.0, budget)
+
+
+def _grid_search(inp, p, budget):
+    """M over the ratio grid as a plain double loop over the public dense
+    measures: the maximum, the earliest filter in row-major order (m1/m2 the
+    row, p1/p2 the column) that attains it, and how many filters attain it."""
+    rho = nonlocal_state(inp, p)
+    best_m, best_f, ties = -math.inf, None, 0
+    for rm in _ratio_grid(budget).tolist():
+        for rp in _ratio_grid(budget).tolist():
+            m = bell_quantity_m(gisin_filter(rho, FilterParams(rm, 1.0, rp, 1.0)))
+            if m > best_m:
+                best_m, best_f, ties = m, FilterParams(rm, 1.0, rp, 1.0), 1
+            elif m == best_m:
+                ties += 1
+    return best_m, best_f, ties
+
+
+def _closed_form_grid(alpha_sq, xi, budget):
+    """The ratios and M over the whole grid from the entries, in one call."""
+    ratios = _ratio_grid(budget)
+    e = nonlocal_entries(alpha_sq, xi)
+    return ratios, _filtered_bell_m_reference(e, ratios[:, None], ratios[None, :])
+
+
+FILTER_CASES = [
+    (0.5, 0.5 - 0.5 / math.sqrt(2.0), False), (0.2, 1 / 6, False), (0.35, 0.2, False),
+    (0.5, 0.2, True),  # A = B: the first and the last grid point tie
+    (0.2, 0.5, True),  # eta = 0: the four grid corners tie
+]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 21])
+@pytest.mark.parametrize("alpha_sq, xi, tied", FILTER_CASES)
+def test_closed_form_grid_matches_dense_double_loop(alpha_sq, xi, tied, budget):
+    inp, p = EntangledInput.from_alpha_sq(alpha_sq), make_cloner_parameter(xi)
+    best_m, best_f, ties = _grid_search(inp, p, budget)
+    ratios, m = _closed_form_grid(alpha_sq, p.xi, budget)
+    row, col = divmod(int(np.argmax(m)), budget)  # the earliest of the maxima
+    found = FilterParams(ratios[row], 1.0, ratios[col], 1.0)
+    assert abs(m.max() - best_m) <= 1e-15
+    if not (tied and budget > 1):
+        assert found == best_f
+        return
+    assert ties >= 2  # the tie is exact on the dense route
+    # rounding may break the tie either way on the closed form: its filter
+    # must attain the dense maximum
+    rho = nonlocal_state(inp, p)
+    assert abs(bell_quantity_m(gisin_filter(rho, found)) - best_m) <= 1e-15
+
+
+# The maxima of the dense route at budget 101, bit for bit, with the filter
+# that attains them.
+FILTER_PINS = [
+    (0.5, 0.5 - 0.5 / math.sqrt(2.0), "0x1.ffffa6858db6ap-1", 1e3, 1e3),
+    (0.2, 1 / 6, "0x1.ffffbd8e3fb2dp-1", 1e-3, 1e-3),
+    (0.2, 0.5, "0x1.fffef390cc533p-1", 1e-3, 1e3),
+]
+
+
+@pytest.mark.parametrize("alpha_sq, xi, max_m, m1, p1", FILTER_PINS)
+def test_dense_double_loop_keeps_the_pinned_results(alpha_sq, xi, max_m, m1, p1):
+    best_m, best_f, _ = _grid_search(EntangledInput.from_alpha_sq(alpha_sq),
+                                     make_cloner_parameter(xi), 101)
+    assert best_m == float.fromhex(max_m)
+    assert best_f == FilterParams(m1, 1.0, p1, 1.0)
+
+
+@pytest.mark.parametrize("budget", [101, 401])
+@pytest.mark.parametrize("alpha_sq, xi, max_m, m1, p1", FILTER_PINS)
+def test_closed_form_grid_keeps_the_pinned_results(alpha_sq, xi, max_m, m1, p1, budget):
+    """The closed form stays within 4 ulps of the dense pins, on their grid
+    and on the finer one that holds it."""
+    ratios, m = _closed_form_grid(alpha_sq, make_cloner_parameter(xi).xi, budget)
+    row, col = divmod(int(np.argmax(m)), budget)
+    pin = float.fromhex(max_m)
+    assert abs(m.max() - pin) <= 4 * math.ulp(pin)
+    if xi == 0.5:  # eta = 0: the four corners tie, and rounding picks one
+        assert {ratios[row], ratios[col]} <= {1e-3, 1e3}
+    else:
+        assert (ratios[row], ratios[col]) == (m1, p1)
+
+
+@pytest.mark.parametrize("budget", [1, 21, 101])
+@pytest.mark.parametrize("alpha_sq, xi", [(alpha_sq, xi) for alpha_sq, xi, _ in FILTER_CASES])
+def test_certificate_bounds_m_on_the_filter_grid(alpha_sq, xi, budget):
+    """1 - M >= 4 s^2 min(g1, g2) / N^2, s = rm rp, at every filter of the
+    grid, with equality at the tight filter rm = rp = (B/A)^(1/4); at these
+    points the certificate is >= 0, so no filter of the grid gives M > 1."""
+    p = make_cloner_parameter(xi)
+    cert, e = filter_certificate(alpha_sq, p.xi), nonlocal_entries(alpha_sq, p.xi)
+    assert cert >= 0.0
+    ratios, m = _closed_form_grid(alpha_sq, p.xi, budget)
+    rm, rp = ratios[:, None], ratios[None, :]
+    s = rm * rp
+    n = e.big_a * s * s + e.c * (rm * rm + rp * rp) + e.big_b
+    assert np.all(1.0 - m >= 4.0 * s * s * cert / (n * n) - 1e-15)
+    assert m.max() <= 1.0
+    r = (e.big_b / e.big_a) ** 0.25
+    n = e.big_a * r**4 + 2.0 * e.c * r * r + e.big_b
+    tight = bell_quantity_m(gisin_filter(e.matrix(), FilterParams(r, 1.0, r, 1.0)))
+    assert abs((1.0 - tight) - 4.0 * r**4 * cert / (n * n)) <= 1e-14
 
 
 def test_degenerate_filters_raise():
