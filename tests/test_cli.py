@@ -259,7 +259,8 @@ EXIT_CODE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, code", EXIT_CODE_CASES)
+@pytest.mark.parametrize("argv, code", EXIT_CODE_CASES,
+                         ids=[" ".join(argv) for argv, _ in EXIT_CODE_CASES])
 def test_exit_codes_without_traceback(argv, code, capsys):
     try:
         rc, usage = main(argv), False
