@@ -19,6 +19,7 @@ from .cloner import XI_SLACK, ClonerParameter, OutOfRangeError
 from .linalg import PAULIS, is_density_operator
 
 PPT_TOL = 1e-10
+WERNER_TOL = 1e-8  # evaluate's wernerX, and werner_decompose's default
 
 # Machine-parameter bounds of the closed-form ranges
 XI_NONLOCAL_MAX = 0.5 - 0.5 / math.sqrt(3.0)  # radicand of the nonlocal range
@@ -166,9 +167,9 @@ def _least_pt_same(s):
     return np.minimum(w, 0.5 * (s.big_a + s.big_b) - np.hypot(h, w))
 
 
-def _werner_x(e, tol):
+def _werner_x(e):
     """The Werner weight of cross-site states from their entries, nan where
-    there is no Werner form within ``tol``; the rule is ``evaluate``'s.
+    there is no Werner form within ``WERNER_TOL``; the rule is ``evaluate``'s.
 
     The top eigenpair of an X-state with diagonal (A, C, C, B) and corner D
     lies in the {|00>, |11>} block when its eigenvalue (A + B)/2 + h, with
@@ -184,15 +185,15 @@ def _werner_x(e, tol):
     base = 0.25 * (1.0 - x)
     dev = _max_abs(base + x * (0.5 + tilt) - e.big_a, base + x * (0.5 - tilt) - e.big_b,
                    base - e.c, x * e.d * inv_2h - e.d)
-    ok = (np.abs(tilt) <= tol) & (top >= e.c) & (dev <= tol)
+    ok = (np.abs(tilt) <= WERNER_TOL) & (top >= e.c) & (dev <= WERNER_TOL)
     # maximally mixed: the pure part carries no weight, any psi works
     mixed = np.abs(x) <= _MIXED_ULPS
-    quarter = _max_abs(e.big_a - 0.25, e.big_b - 0.25, e.c - 0.25, e.d) <= tol
+    quarter = _max_abs(e.big_a - 0.25, e.big_b - 0.25, e.c - 0.25, e.d) <= WERNER_TOL
     ok = np.where(mixed, quarter, ok)
     return np.where(ok, np.where(mixed, np.maximum(x, 0.0), x), math.nan)
 
 
-def evaluate(quantities, xi, alpha_sq, werner_tol=1e-8):
+def evaluate(quantities, xi, alpha_sq):
     """The named quantities at the points (xi, alpha_sq), as {name: values}.
 
     ``xi`` and ``alpha_sq`` are floats or arrays that broadcast together; each
@@ -207,11 +208,11 @@ def evaluate(quantities, xi, alpha_sq, werner_tol=1e-8):
     ``wernerX`` is the weight x of the cross-site state written as
     ((1-x)/4) I + x |psi><psi| with psi maximally entangled, and nan where it
     has no such form: psi is the top eigenvector, which must be maximally
-    entangled within ``werner_tol`` (|cos^2 - 1/2| <= werner_tol), and the
-    reconstruction must match every entry within ``werner_tol``. When x is 0
+    entangled within ``WERNER_TOL`` (|cos^2 - 1/2| <= WERNER_TOL), and the
+    reconstruction must match every entry within ``WERNER_TOL``. When x is 0
     up to rounding (a few ulps), the state is taken as maximally mixed, and
     it is accepted, with weight max(x, 0), if every entry lies within
-    ``werner_tol`` of I/4. A state near I/4 with a weight above rounding,
+    ``WERNER_TOL`` of I/4. A state near I/4 with a weight above rounding,
     however small, must pass the first test: only alpha^2 = 1/2 gives it.
     """
     wanted = set(quantities)
@@ -233,7 +234,7 @@ def evaluate(quantities, xi, alpha_sq, werner_tol=1e-8):
         if "fidelity" in wanted:
             values["fidelity"] = 0.5 * (1.0 + (4.0 * np.abs(e.d) + np.abs(t_z)) / 3.0)
         if "wernerX" in wanted:
-            values["wernerX"] = _werner_x(e, werner_tol)
+            values["wernerX"] = _werner_x(e)
     return {q: _value(v) for q, v in values.items()}
 
 
@@ -350,7 +351,7 @@ _BELL_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 _HALF = np.eye(2) / 2.0
 
 
-def werner_decompose(rho, tol=1e-8) -> Optional[WernerDecomposition]:
+def werner_decompose(rho, tol=WERNER_TOL) -> Optional[WernerDecomposition]:
     """Try to write rho as ((1-x)/4) I + x |psi><psi| with psi maximally entangled.
 
     psi is taken from the top eigenvector; x from its eigenvalue. Returns

@@ -68,8 +68,6 @@ def _build_parser():
     sp.add_argument("--alpha-grid", help="alpha^2 grid, lo:hi:n")
     sp.add_argument("--quantity", action="append", choices=list(analysis.QUANTITIES),
                     help="repeatable; at least one required")
-    sp.add_argument("--tol", type=float, default=1e-8,
-                    help="Werner reconstruction tolerance")
     add_common(sp)
 
     add_common(add_command("verify", "recompute and check every headline claim"),
@@ -114,7 +112,6 @@ def _cmd_sweep(args):
         alpha_sq_grid=a2_grid,
         quantities=tuple(args.quantity or ()),
         analysis_only=args.analysis_only,
-        werner_tol=args.tol,
     )
     emit_rows(run_sweep(cfg), args.format, args.out)
     return 0

@@ -34,7 +34,6 @@ class SweepConfig:
     alpha_sq_grid: tuple
     quantities: tuple
     analysis_only: bool = False
-    werner_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.xi_grid:
@@ -49,9 +48,6 @@ class SweepConfig:
         for a2 in self.alpha_sq_grid:
             if not (0.0 <= a2 <= 1.0):
                 raise ConfigError(f"alpha^2={a2} outside [0, 1]")
-        if not (self.werner_tol > 0.0 and math.isfinite(self.werner_tol)):
-            raise ConfigError(f"Werner tolerance must be positive and finite, "
-                              f"got {self.werner_tol}")
 
 
 def run_sweep(cfg: SweepConfig):
@@ -68,7 +64,7 @@ def run_sweep(cfg: SweepConfig):
         check(float(xi))  # the machine's range, or finiteness when analysis-only
     xi = np.asarray(cfg.xi_grid, dtype=float)
     a2 = np.asarray(cfg.alpha_sq_grid, dtype=float)
-    values = evaluate(cfg.quantities, xi[:, None], a2[None, :], cfg.werner_tol)
+    values = evaluate(cfg.quantities, xi[:, None], a2[None, :])
     return GridTable({"xi": xi.tolist(), "alpha_sq": a2.tolist(), "quantity": cfg.quantities},
                      "value", np.stack([values[q] for q in cfg.quantities], axis=-1))
 

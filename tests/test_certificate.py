@@ -1,13 +1,14 @@
-"""Exact certificates of the Bell claims: the argmax over alpha^2, and the
-bound on M under diagonal local filtering.
+"""Exact certificates of the Bell claims: the argmax of M over the admissible
+machines, and the bound on M under diagonal local filtering.
 
 The cross-site state is derived in exact arithmetic from its definition,
 (L x L)(|psi><psi|) with |psi> = a|00> + b|11> and each site's clone map
 L(rho) = eta rho + xi Tr(rho) I, eta = 1 - 2 xi. Its correlation tensor
 T_ij = Tr(rho sigma_i x sigma_j) then gives M = eta^4 (1 + 4 a^2 b^2), whose
-largest value over alpha^2 = a^2 is at alpha^2 = 1/2 for every xi, and the
-teleportation fidelity F, with F - 2/3 = (2/3)(|D| - C): the pair beats the
-classical bound 2/3 exactly when it fails the PPT test. Filtering that
+largest value over alpha^2 = a^2 is at alpha^2 = 1/2 for every xi, and over
+the admissible machines at the lower xi bound, and the teleportation
+fidelity F, with F - 2/3 = (2/3)(|D| - C): the pair beats the classical
+bound 2/3 exactly when it fails the PPT test. Filtering that
 X-state diagonally keeps M <= 1 for every filter exactly when
 ``analysis.filter_certificate``'s min(g1, g2) is >= 0.
 """
@@ -84,6 +85,17 @@ def test_bell_quantity_is_largest_at_half():
     gap = sp.factor(sp.expand(m_half - m))
     assert _zero(gap - eta**4 * (2 * a**2 - 1) ** 2)
     assert gap.is_nonnegative
+
+
+def test_bell_quantity_is_largest_at_the_lower_xi_bound():
+    # M at alpha^2 = 1/2 is 2 eta^4, which falls on [0, 1/2] as eta = 1 - 2 xi
+    # does; with the gap above, (XI_LOWER, 1/2) is the argmax of M over the
+    # admissible box XI_LOWER <= xi <= 1/2, 0 <= alpha^2 <= 1
+    m_half = (T[2, 2] ** 2 + 4 * RHO[0, 3] ** 2).subs(a, 1 / sp.sqrt(2))
+    assert _zero(m_half - 2 * eta**4)
+    slope = sp.diff(m_half, xi)
+    assert _zero(slope + 16 * eta**3)
+    assert sp.maximum(slope, xi, sp.Interval(0, sp.Rational(1, 2))) == 0
 
 
 def _ulps(got, exact, scale=0.0):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from entbroadcast import analysis, claims
 from entbroadcast.analysis import bisect, dense_quantities, evaluate
 from entbroadcast.broadcast import local_entries, nonlocal_entries, oracle_states
-from entbroadcast.cloner import make_cloner_parameter
+from entbroadcast.cloner import XI_LOWER, XI_UPPER, make_cloner_parameter
 
 
 def _claim(claim_id):
@@ -58,6 +58,15 @@ def test_bell_m_is_largest_at_half(xi):
     evenly spaced xi, M on this grid exceeds M at 1/2 by up to 2 eps."""
     m = evaluate({"bellM"}, xi, _ARGMAX_ALPHA_SQ)["bellM"]
     assert np.max(m) <= evaluate({"bellM"}, xi, 0.5)["bellM"] + 8 * np.finfo(float).eps
+
+
+def test_unfiltered_max_is_the_admissible_maximum():
+    """bell.unfiltered_max reads M at its certified argmax: no point of a
+    401x2001 admissible (xi, alpha^2) grid, ends included, exceeds it by more
+    than rounding (the grid holds the argmax, and its maximum is that M)."""
+    xi = np.linspace(XI_LOWER, XI_UPPER, 401)[:, None]
+    grid_max = np.max(evaluate({"bellM"}, xi, np.linspace(0.0, 1.0, 2001))["bellM"])
+    assert _claim("bell.unfiltered_max").computed >= grid_max - 8 * np.finfo(float).eps
 
 
 def test_oracle_block_deviation_is_the_per_xi_loop():

@@ -235,8 +235,10 @@ EXIT_CODE_CASES = [
       "--quantity", "bellM"], 0),
     (["sweep", "--analysis-only", "--xi", "0.7", "--alpha-sq", "0.3",
       "--quantity", "pptLocal"], 2),
-    *[(["sweep", "--xi", "0.2", "--alpha-sq", "0.3", "--quantity", "wernerX",
-        "--tol", tol], 2) for tol in ("0", "-1", "nan", "inf")],
+    # sweep takes no --tol, the Werner fit using analysis.WERNER_TOL: argparse
+    # exits 2, at the old default too
+    (["sweep", "--xi", "0.2", "--alpha-sq", "0.3", "--quantity", "wernerX",
+      "--tol", "1e-8"], 2),
     (["clone-audit", "--analysis-only", "--xi=-0.1"], 2),
     (["clone-audit", "--analysis-only", "--xi", "0.7"], 2),
     (["clone-audit", "--analysis-only", "--xi", "1e308", "--kind", "AbstractBH"], 2),
@@ -244,6 +246,12 @@ EXIT_CODE_CASES = [
     (["boundary", "--xi", "0.3", "--target", "local"], 2),  # no crossing
     (["sweep", "--xi", "0.2", "--alpha-grid", "0:1:x", "--quantity", "bellM"], 2),
     (["sweep", "--alpha-sq", "0.5", "--quantity", "bellM"], 2),  # no xi
+    (["sweep", "--xi", "0.2", "--quantity", "bellM"], 2),  # no alpha^2
+    (["sweep", "--xi", "0.2", "--alpha-sq", "0.5"], 2),  # no quantity
+    (["sweep", "--xi", "0.2", "--alpha-sq", "1.5", "--quantity", "bellM"], 2),
+    *[(["sweep", "--xi-grid", grid, "--alpha-sq", "0.5", "--quantity", "bellM"], 2)
+      for grid in ("0.2:0.3", "0.2:0.3:0", "0.2:inf:2")],
+    (["sweep", "--xi-grid", "0.2:0.3:1", "--alpha-sq", "0.5", "--quantity", "bellM"], 0),
     # a negative xi is spelled --xi=-1e-12: argparse takes a bare -1e-12 for an option
     (["sweep", "--analysis-only", "--xi=-1e-12", "--xi", "0.5", "--xi", "0.5000000001",
       "--alpha-grid", "0:1:11", "--quantity", "pptLocal"], 0),
@@ -344,8 +352,7 @@ COMMON = {"--format": ["csv", "json"], "--out": OUTS}
 MACHINE = {**COMMON, "--analysis-only": None}  # the commands that take an xi
 FLAGS = {
     "sweep": {"--xi": FLOATS, "--xi-grid": GRIDS, "--alpha-sq": FLOATS,
-              "--alpha-grid": GRIDS, "--quantity": list(QUANTITIES), "--tol": FLOATS,
-              **MACHINE},
+              "--alpha-grid": GRIDS, "--quantity": list(QUANTITIES), **MACHINE},
     "verify": COMMON,
     "boundary": {"--xi": FLOATS, "--target": ["nonlocal", "local"],
                  "--side": ["lower", "upper", "both"], "--tol": FLOATS, **MACHINE},
