@@ -261,6 +261,10 @@ EXIT_CODE_CASES = [
     # both signs of a zero xi: each state exists there, and the sign reaches the output
     (["sweep", "--analysis-only", "--xi=-0.0", "--xi", "0.0", "--alpha-grid", "0:1:11",
       *[t for q in QUANTITIES for t in ("--quantity", q)]], 0),
+    # every class of CSV value: 1e-4 <= |v| < 1 of both signs and with trailing
+    # zeros, |v| >= 1, 0 < |v| < 1e-4, zeros and nans
+    (["sweep", "--analysis-only", "--xi-grid", "0:0.5:41", "--alpha-grid", "0:1:41",
+      *[t for q in QUANTITIES for t in ("--quantity", q)]], 0),
     (["clone-audit", "--analysis-only", "--xi", "0"], 0),
     (["clone-audit", "--analysis-only", "--xi", "0.5", "--kind", "AbstractBH"], 0),
     (["clone-audit", "--xi", "0.2", "--samples", "64"], 0),

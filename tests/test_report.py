@@ -10,12 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entbroadcast.report import (
+    _SCALES,
+    _SCALES_HI,
+    _SCALES_LO,
     GridTable,
     _fmt,
     emit_rows,
     table_to_csv,
     table_to_json,
 )
+from entbroadcast.sweep import QUANTITIES, SweepConfig, parse_grid, run_sweep
 
 
 def as_rows(table):
@@ -47,8 +51,11 @@ def reference_json(rows, fieldnames):
 NAN_WITH_PAYLOAD = np.array(0x7FF8000000000001, dtype=np.int64).view(np.float64).item()
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, NAN_WITH_PAYLOAD, math.inf, -math.inf,
                   5e-324, -5e-324, 1 / 3, 0.1, 1e300]
+# the last two reach the CSV writer's exact route for 1e-4 <= |v| < 1
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(),
-                   st.floats().map(np.float64))
+                   st.floats().map(np.float64),
+                   st.floats(1e-4, 1, exclude_max=True),
+                   st.floats(-1, -1e-4, exclude_min=True))
 TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "0", "%"]), max_size=4)
 CELLS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), TEXT)
 
@@ -163,3 +170,73 @@ def test_grid_table_matches_row_writer(case):
 def test_grid_table_rejects_a_block_not_of_the_grids_shape():
     with pytest.raises(ValueError, match=r"shape \(3,\) for grids of lengths \(2,\)"):
         GridTable({"xi": [0.1, 0.2]}, "value", [1.0, 2.0, 3.0])
+
+
+# -- the CSV writer's exact route for 1e-4 <= |v| < 1 --------------------------
+
+def assert_written_as_dtoa(values):
+    """Each value's text in a sweep-shaped CSV is ``"%.17g" % v``, byte for byte."""
+    values = np.asarray(values, dtype=float)
+    text = table_to_csv(GridTable({"i": range(values.size)}, "v", values))
+    want = "".join(f"{i},{'%.17g' % v}\n" for i, v in enumerate(values.tolist()))
+    if text != "i,v\n" + want:
+        got = [line.split(",")[1] for line in text.splitlines()[1:]]
+        bad = [(v, g, "%.17g" % v) for v, g in zip(values.tolist(), got) if g != "%.17g" % v]
+        pytest.fail(f"{len(bad)} values written wrong, first (value, text, want): {bad[:3]}")
+
+
+def both_signs(values):
+    return np.concatenate([values, -values])
+
+
+def test_every_scale_is_its_power_of_ten_and_splits_exactly():
+    for k, scale, hi, lo in zip(range(-4, 0), _SCALES, _SCALES_HI, _SCALES_LO):
+        assert int(scale) == 10**(16 - k)
+        assert int(hi) + int(lo) == 10**(16 - k)
+        for half in (hi, lo):  # at most 26 bits each, so their products are exact
+            assert math.frexp(half)[0] * 2**26 == int(math.frexp(half)[0] * 2**26)
+
+
+@pytest.mark.parametrize("j", [18, 19, 20, 21])
+def test_half_way_candidates_round_half_to_even(j):
+    # every c / 2^j in [10^k, 10^(k+1)), k = 17 - j: its decimal expansion has
+    # 18 significant digits, so an odd c is an exact tie at the 17th digit
+    k = 17 - j
+    c = np.arange(math.ceil(10.0**k * 2**j), 2**j * 10**(k + 1), dtype=float)
+    assert_written_as_dtoa(both_signs(c / 2**j))
+
+
+@pytest.mark.parametrize("center", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 0.5, 0.25, 0.125])
+def test_ulp_neighbourhoods(center):
+    # where k and the class bounds switch, and where up to 16 zeros are stripped
+    bits = np.array(center).view(np.int64) + np.arange(-3000, 3001)
+    assert_written_as_dtoa(both_signs(bits.view(np.float64)))
+
+
+def test_random_bit_patterns():
+    # nan, inf, subnormals, zeros and huge values among them
+    rng = np.random.default_rng(20260131)
+    assert_written_as_dtoa(rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64))
+
+
+def test_random_uniform_values():
+    assert_written_as_dtoa(np.random.default_rng(31).uniform(-1, 1, 200_000))
+
+
+def test_sweep_of_every_value_class_matches_row_writer():
+    # kernel values of both signs and with trailing zeros, values at or above
+    # 1 and below 1e-4, zeros and nans
+    table = run_sweep(SweepConfig(xi_grid=parse_grid("0:0.5:41"),
+                                  alpha_sq_grid=parse_grid("0:1:41"),
+                                  quantities=QUANTITIES, analysis_only=True))
+    values = table.block.ravel()
+    a = np.abs(values)
+    kernel = (a >= 1e-4) & (a < 1)
+    for present in (kernel & (values > 0), kernel & (values < 0), a >= 1,
+                    (a > 0) & (a < 1e-4), a == 0, np.isnan(values)):
+        assert present.any()
+    assert any(len(("%.17g" % v).lstrip("-0.")) < 17 for v in values[kernel].tolist())
+    names = [*table.axes, table.value_name]
+    rows = [dict(zip(names, (*point, v)))
+            for point, v in zip(product(*table.axes.values()), values.tolist(), strict=True)]
+    assert table_to_csv(table) == reference_csv(rows, names)
