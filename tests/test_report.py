@@ -194,7 +194,7 @@ def test_every_scale_is_its_power_of_ten_and_splits_exactly():
         assert int(scale) == 10**(16 - k)
         assert int(hi) + int(lo) == 10**(16 - k)
         for half in (hi, lo):  # at most 26 bits each, so their products are exact
-            assert math.frexp(half)[0] * 2**26 == int(math.frexp(half)[0] * 2**26)
+            assert (math.frexp(half)[0] * 2**26).is_integer()
 
 
 @pytest.mark.parametrize("j", [18, 19, 20, 21])
@@ -214,9 +214,9 @@ def test_ulp_neighbourhoods(center):
 
 
 def test_random_bit_patterns():
-    # nan, inf, subnormals, zeros and huge values among them
-    rng = np.random.default_rng(20260131)
-    assert_written_as_dtoa(rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64))
+    # nans of both signs, subnormals and huge values among them, and the special floats
+    bits = np.random.default_rng(20260131).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert_written_as_dtoa(np.concatenate([SPECIAL_FLOATS, bits.view(np.float64)]))
 
 
 def test_random_uniform_values():
@@ -224,18 +224,18 @@ def test_random_uniform_values():
 
 
 def test_sweep_of_every_value_class_matches_row_writer():
-    # kernel values of both signs and with trailing zeros, values at or above
-    # 1 and below 1e-4, zeros and nans
+    # values with 1e-4 <= |v| < 1 of both signs and with trailing zeros, values
+    # at or above 1 and below 1e-4, zeros and nans
     table = run_sweep(SweepConfig(xi_grid=parse_grid("0:0.5:41"),
                                   alpha_sq_grid=parse_grid("0:1:41"),
                                   quantities=QUANTITIES, analysis_only=True))
     values = table.block.ravel()
     a = np.abs(values)
-    kernel = (a >= 1e-4) & (a < 1)
-    for present in (kernel & (values > 0), kernel & (values < 0), a >= 1,
+    exact = (a >= 1e-4) & (a < 1)
+    for present in (exact & (values > 0), exact & (values < 0), a >= 1,
                     (a > 0) & (a < 1e-4), a == 0, np.isnan(values)):
         assert present.any()
-    assert any(len(("%.17g" % v).lstrip("-0.")) < 17 for v in values[kernel].tolist())
+    assert any(len(("%.17g" % v).lstrip("-0.")) < 17 for v in values[exact].tolist())
     names = [*table.axes, table.value_name]
     rows = [dict(zip(names, (*point, v)))
             for point, v in zip(product(*table.axes.values()), values.tolist(), strict=True)]
