@@ -14,19 +14,19 @@ A table comes in two shapes, both written a line or object per row:
 A CSV value ``v`` with ``1e-4 <= |v| < 1`` (most of a sweep) is written
 without a dtoa call. ``"%.17g" % v`` is its sign, ``"0."``, ``-k - 1``
 zeros, where ``k = floor(log10 |v|)``, and the digits of
-``n = round_half_even(|v| 10^(16 - k))`` without trailing zeros. ``k`` comes
-from comparisons with 1e-3, 1e-2 and 0.1, which is exact, as each of those
-doubles is the nearest to its power of ten and lies above it. ``n`` is exact: the scale ``10^(16 - k)``
-is at most 1e20, an exact double; Dekker's two-product (Numer. Math. 18, 224
-(1971)) gives ``hi + lo`` equal to ``|v| 10^(16 - k)`` exactly; and ``hi``,
-at least ``10^16 > 2^53``, is an even integer, so ``int64(hi) + rint(lo)``
-rounds half to even. The slots take ``(lead, n)``, the lead being the sign,
-``"0."`` and the zeros; a nan takes ``("nan", "")``; every other value takes
-``("%.17g" % v, "")``, as would one whose ``n`` rounded up to ``10^17``
-(printed with one zero fewer). No double does: the largest double below
-each of 1e-3, 1e-2, 0.1 and 1 is smaller by more than 8e-17 of it, and
-rounding up needs less than 5e-18. The check is kept, so that exactness
-does not rest on that.
+``n = round_half_even(|v| 10^(16 - k))`` without trailing zeros. ``k`` is
+read exactly from comparisons with 1e-3, 1e-2 and 0.1, as each of those
+doubles is the nearest to its power of ten and lies above it. ``n`` is
+exact: the scale ``10^(16 - k)`` is at most 1e20, an exact double;
+Dekker's two-product (Numer. Math. 18, 224 (1971)) gives ``hi + lo`` equal
+to ``|v| 10^(16 - k)`` exactly; and ``hi``, at least ``10^16 > 2^53``, is
+an even integer, so ``int64(hi) + rint(lo)`` rounds half to even. The
+slots take ``(lead, n)``, the lead being the sign, ``"0."`` and the zeros;
+a nan takes ``("nan", "")``; every other value takes ``("%.17g" % v, "")``,
+as would one whose ``n`` rounded up to ``10^17`` (printed with one zero
+fewer). No double does: the largest double below each of 1e-3, 1e-2, 0.1
+and 1 is smaller by more than 8e-17 of it, and rounding up needs less than
+5e-18. The check is kept, so that exactness does not rest on that.
 
 Both shapes give the same text for the same rows. Numbers are written with
 17 significant digits so files round-trip to the exact float64 values;
