@@ -139,12 +139,11 @@ def _value_codes(values):
     kept = n < 10**17  # n >= 10^16, as k is exact
     at, i, n = at[kept], i[kept], n[kept]
     tens = np.flatnonzero(n % 10 == 0)
-    if tens.size:
-        m = n[tens]
-        for p in (10**16, 10**8, 10**4, 10**2, 10):  # up to 16 zeros
-            q, r = np.divmod(m, p)
-            m = np.where(r == 0, q, m)
-        n[tens] = m
+    m = n[tens]
+    for p in (10**16, 10**8, 10**4, 10**2, 10):  # up to 16 zeros
+        q, r = np.divmod(m, p)
+        m = np.where(r == 0, q, m)
+    n[tens] = m
     codes = np.full(values.size, _OTHER)
     codes[np.isnan(values)] = _NAN
     codes[at] = i + 4 * np.signbit(values[at])
