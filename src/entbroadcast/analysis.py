@@ -7,7 +7,6 @@ bisection, and ``evaluate``, which computes the sweep quantities at many
 (xi, alpha^2) points at once.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +18,7 @@ from .cloner import XI_SLACK, ClonerParameter, OutOfRangeError
 from .linalg import PAULIS, is_density_operator
 
 PPT_TOL = 1e-10
-WERNER_TOL = 1e-8  # evaluate's wernerX, and werner_decompose's default
+WERNER_TOL = 1e-8  # werner_decompose's default
 
 # Machine-parameter bounds of the closed-form ranges
 XI_NONLOCAL_MAX = 0.5 - 0.5 / math.sqrt(3.0)  # radicand of the nonlocal range
@@ -131,16 +130,6 @@ def _fidelity(t):
 
 QUANTITIES = ("pptNonlocal", "pptLocal", "bellM", "fidelity", "wernerX")
 
-# A Werner weight this close to 0 is 0 up to the rounding of (4 lambda - 1)/3
-# with lambda near 1/4: a few ulps of 1.
-_MIXED_ULPS = 8 * np.finfo(float).eps
-
-
-def _max_abs(*diffs):
-    """max |d| over ``diffs``, elementwise over their broadcast shape."""
-    return functools.reduce(np.maximum, map(np.abs, diffs))
-
-
 # One state's float entries, a bisection step's case, take builtin min/abs:
 # numpy's ufuncs cost several times the arithmetic on floats. np.minimum(x, y)
 # keeps y on a tie and min its first argument, so the float route lists them
@@ -167,32 +156,6 @@ def _least_pt_same(s):
     return np.minimum(w, 0.5 * (s.big_a + s.big_b) - np.hypot(h, w))
 
 
-def _werner_x(e):
-    """The Werner weight of cross-site states from their entries, nan where
-    there is no Werner form within ``WERNER_TOL``; the rule is ``evaluate``'s.
-
-    The top eigenpair of an X-state with diagonal (A, C, C, B) and corner D
-    lies in the {|00>, |11>} block when its eigenvalue (A + B)/2 + h, with
-    h = hypot((A - B)/2, D), is at least C; the eigenvector is
-    cos|00> + sin|11> with cos^2 = 1/2 + (A - B)/(4h) and cos sin = D/(2h).
-    """
-    h = np.hypot(0.5 * e.asym, e.d)
-    top = 0.5 * (e.big_a + e.big_b) + h
-    x = (4.0 * top - 1.0) / 3.0
-    inv_2h = 0.5 / np.where(h > 0.0, h, 1.0)  # h = 0 only at I/4, where x = 0
-    tilt = 0.5 * e.asym * inv_2h  # cos^2 - 1/2
-    # (1-x)/4 I + x psi psi^dag, entry by entry against the state
-    base = 0.25 * (1.0 - x)
-    dev = _max_abs(base + x * (0.5 + tilt) - e.big_a, base + x * (0.5 - tilt) - e.big_b,
-                   base - e.c, x * e.d * inv_2h - e.d)
-    ok = (np.abs(tilt) <= WERNER_TOL) & (top >= e.c) & (dev <= WERNER_TOL)
-    # maximally mixed: the pure part carries no weight, any psi works
-    mixed = np.abs(x) <= _MIXED_ULPS
-    quarter = _max_abs(e.big_a - 0.25, e.big_b - 0.25, e.c - 0.25, e.d) <= WERNER_TOL
-    ok = np.where(mixed, quarter, ok)
-    return np.where(ok, np.where(mixed, np.maximum(x, 0.0), x), math.nan)
-
-
 def evaluate(quantities, xi, alpha_sq):
     """The named quantities at the points (xi, alpha_sq), as {name: values}.
 
@@ -205,15 +168,9 @@ def evaluate(quantities, xi, alpha_sq):
     where a needed state is not a density operator. The same-site state is
     checked first: wherever the cross-site state fails, it fails too.
 
-    ``wernerX`` is the weight x of the cross-site state written as
-    ((1-x)/4) I + x |psi><psi| with psi maximally entangled, and nan where it
-    has no such form: psi is the top eigenvector, which must be maximally
-    entangled within ``WERNER_TOL`` (|cos^2 - 1/2| <= WERNER_TOL), and the
-    reconstruction must match every entry within ``WERNER_TOL``. When x is 0
-    up to rounding (a few ulps), the state is taken as maximally mixed, and
-    it is accepted, with weight max(x, 0), if every entry lies within
-    ``WERNER_TOL`` of I/4. A state near I/4 with a weight above rounding,
-    however small, must pass the first test: only alpha^2 = 1/2 gives it.
+    ``wernerX`` is the weight x = (4 lambda_max - 1)/3 of the cross-site state
+    written as ((1-x)/4) I + x |phi+><phi+|. A - B = (a^2 - b^2) eta gives that
+    form exactly where alpha_sq == 1/2 or xi == 1/2; elsewhere it is nan.
     """
     wanted = set(quantities)
     if not wanted <= set(QUANTITIES):
@@ -234,7 +191,11 @@ def evaluate(quantities, xi, alpha_sq):
         if "fidelity" in wanted:
             values["fidelity"] = 0.5 * (1.0 + (4.0 * np.abs(e.d) + np.abs(t_z)) / 3.0)
         if "wernerX" in wanted:
-            values["wernerX"] = _werner_x(e)
+            # decided from the inputs, not the entries: asym rounds away from
+            # 0 at alpha^2 = 1/2, and the next float up gives the same entries
+            top = 0.5 * (e.big_a + e.big_b) + np.hypot(0.5 * e.asym, e.d)
+            on_line = np.equal(alpha_sq, 0.5) | np.equal(xi, 0.5)
+            values["wernerX"] = np.where(on_line, (4.0 * top - 1.0) / 3.0, math.nan)
     return {q: _value(v) for q, v in values.items()}
 
 
@@ -357,14 +318,6 @@ def werner_decompose(rho, tol=WERNER_TOL) -> Optional[WernerDecomposition]:
     psi is taken from the top eigenvector; x from its eigenvalue. Returns
     None unless psi's reduced states are both I/2 within tol and the
     reconstruction matches rho entrywise within tol.
-
-    Within tol of I/4 this dense fit is looser than ``evaluate``'s
-    ``wernerX``: it takes any rho with x < tol as maximally mixed, and
-    accepts it, with weight max(x, 0), when rho lies within tol of I/4
-    entrywise. So a cross-site state near xi = 1/2 but off alpha^2 = 1/2
-    gets a small weight here and nan from ``evaluate``. The dense fit cannot
-    take ``evaluate``'s narrower rule: so near I/4 the top eigenvalue is
-    nearly degenerate, and the error of eigh's eigenvector exceeds tol.
     """
     rho = _require_state(rho)
     w, v = np.linalg.eigh(rho)

@@ -158,10 +158,11 @@ def _werner_fidelity():
         yield _equal(f"fidelity.{cid}",
                      f"teleportation fidelity of the cross-site state at xi={xi:.8f}",
                      f_expect, half["fidelity"][k], 1e-12)
-    off_half = evaluate({"wernerX"}, XI_OPTIMAL, np.array([0.3, 0.45, 0.55]))
+    # certificate: a Werner state has A = B, and asym = A - B = (a^2 - b^2) eta
+    off_half = nonlocal_entries(np.array([0.3, 0.45, 0.55]), XI_OPTIMAL)
     yield _bool("werner.only_maximally_entangled",
                 "Werner form unattainable off alpha^2 = 1/2",
-                bool(np.all(np.isnan(off_half["wernerX"]))))
+                bool(np.all(off_half.asym != 0.0)))
 
 
 def _oracle():

@@ -367,8 +367,9 @@ class TestWerner:
 
 
 class TestWernerNearMaximallyMixed:
-    """``wernerX`` within 1e-6 of xi = 1/2, where the state lies within the
-    Werner tolerance of I/4, through ``evaluate`` and the sweep table."""
+    """``wernerX`` within 1e-6 of xi = 1/2, where the state lies within about
+    1e-8 of I/4, through ``evaluate`` and the sweep table: nan off the lines
+    alpha^2 = 1/2 and xi = 1/2, however near I/4."""
 
     @staticmethod
     def _both(xi, alpha_sq):
@@ -381,9 +382,8 @@ class TestWernerNearMaximallyMixed:
         (0.49999965881835123, 0.5039537655553885),
     ])
     def test_no_form_off_center(self, xi, alpha_sq):
-        # the top eigenvalue's weight, about 8.5e-9 and 3.6e-9 here, is not
-        # 0 up to rounding, and its eigenvector is nowhere near maximally
-        # entangled
+        # A - B = (2 alpha^2 - 1) eta, about -1.3e-8 and 5.4e-9 here, is not
+        # 0, so the state has no Werner form
         assert all(math.isnan(x) for x in self._both(xi, alpha_sq))
 
     @pytest.mark.parametrize("xi", [0.49998390356638267, 0.49999665576229974, 0.5 - 1e-7])

@@ -4,9 +4,10 @@ stack-aware dense measures against themselves, one state at a time.
 ``evaluate`` computes every sweep quantity from the entries of the X-states;
 on the dense states built from the same entries, the dense measures must
 give the same values within a stated absolute tolerance, and ``wernerX``
-must follow the analytic rule. Every dense measure but the Werner fit, which
-fits one matrix, takes one state or a stack of states; on a stack it must
-give, for each state, exactly the value it gives for that state alone. M
+must be exactly nan off alpha^2 = 1/2 and xi = 1/2, whatever the entries
+round to. Every dense measure but the Werner fit, which fits one matrix,
+takes one state or a stack of states; on a stack it must give, for each
+state, exactly the value it gives for that state alone. M
 after a diagonal filter, computed from the entries, must match the dense
 filter and the dense M, and obey the filter certificate's bound; the
 bisection predicates, which decide from the entries by ``evaluate``'s
@@ -171,31 +172,27 @@ def test_all_closed_forms_match_dense_measures(points):
     _assert_close(evaluate(want, xi, a2), want)
 
 
-# Off alpha^2 = 1/2 by at least 1e-6, the top eigenvector's cos^2 is at least
-# about 1e-6 from 1/2, far beyond the default Werner tolerance of 1e-8.
-werner_alpha_sqs = st.one_of(st.just(0.5),
-                             st.floats(0.0, 1.0).filter(lambda a: abs(a - 0.5) >= 1e-6))
-werner_xis = st.one_of(st.floats(0.0, 1.0),
+werner_alpha_sqs = st.one_of(st.just(0.5), st.floats(0.0, 1.0))
+werner_xis = st.one_of(st.just(0.5), st.floats(0.0, 1.0),
                        st.floats(0.5 - 1e-4, 0.5, exclude_max=True))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(werner_xis, werner_alpha_sqs), min_size=1, max_size=12))
+# the next float above 1/2 gives the state of alpha^2 = 1/2 bit for bit, but
+# its input is not maximally entangled; xi = 1/2 - 2^-54 gives a state within
+# rounding of I/4, off the line
+@example([(1 / 6, math.nextafter(0.5, 1.0))])
+@example([(0.5 - 2.0**-54, 0.3)])
 def test_werner_weight_follows_the_analytic_rule(points):
-    """eta^2 at alpha^2 = 1/2, else nan, wherever the weight of the top
-    eigenvalue resolves the state from I/4."""
+    """eta^2 at alpha^2 = 1/2, 0 at xi = 1/2, and nan everywhere else."""
     xi, a2 = np.array(points).T
     got = evaluate({"wernerX"}, xi, a2)["wernerX"]
     eta = 1.0 - 2.0 * xi
     at_half = a2 == 0.5
     np.testing.assert_allclose(got[at_half], eta[at_half] ** 2, rtol=0.0, atol=1e-12)
-    # (4 lambda_max - 1)/3 in exact terms: (eta^2 + 4 hypot((A - B)/2, D))/3
-    top = (eta**2 + 2.0 * np.hypot((2.0 * a2 - 1.0) * eta,
-                                   2.0 * np.sqrt(a2 * (1.0 - a2)) * eta**2)) / 3.0
-    off = ~at_half
-    assert np.all(np.isnan(got[off & (top > 1e-14)]))
-    # below that the state is I/4 to the precision of its entries
-    assert np.all(~(got[off & (top <= 1e-14)] > 1e-14))
+    assert np.all(got[xi == 0.5] == 0.0)
+    assert np.all(np.isnan(got[~at_half & (xi != 0.5)]))
 
 
 def test_evaluate_builds_no_matrix(monkeypatch):

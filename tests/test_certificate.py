@@ -10,7 +10,9 @@ the admissible machines at the lower xi bound, and the teleportation
 fidelity F, with F - 2/3 = (2/3)(|D| - C): the pair beats the classical
 bound 2/3 exactly when it fails the PPT test. Filtering that
 X-state diagonally keeps M <= 1 for every filter exactly when
-``analysis.filter_certificate``'s min(g1, g2) is >= 0.
+``analysis.filter_certificate``'s min(g1, g2) is >= 0. Its |00> and |11>
+diagonal entries differ by (2a^2 - 1) eta, and a Werner state's are equal,
+so it has Werner form only at alpha^2 = 1/2 or xi = 1/2, where it does.
 """
 
 import math
@@ -149,6 +151,30 @@ def test_fidelity_matches_the_exact_state(alpha_sq, x):
     # useful for teleportation exactly when inseparable, away from the PPT edge
     if abs(got["pptNonlocal"]) > 1e-12:
         assert (got["fidelity"] > 2 / 3) == (got["pptNonlocal"] < 0.0), got
+
+
+# -- the Werner certificate ---------------------------------------------------
+# ``evaluate``'s wernerX and the claim werner.only_maximally_entangled rest on
+# these: A - B = (a^2 - b^2) eta, and A = B for every Werner state.
+
+PHI_PLUS = sp.Matrix([1, 0, 0, 1]) / sp.sqrt(2)
+
+
+def _werner(weight):
+    return (1 - weight) / 4 * sp.eye(4) + weight * PHI_PLUS * PHI_PLUS.T
+
+
+def test_werner_states_have_equal_outer_diagonal_entries():
+    state = _werner(sp.Symbol("x", real=True))
+    assert _zero(state[0, 0] - state[3, 3])
+
+
+def test_outer_diagonal_gap_is_the_werner_certificate():
+    assert _zero(RHO[0, 0] - RHO[3, 3] - (2 * a**2 - 1) * eta)
+    # it vanishes only at alpha^2 = 1/2 or xi = 1/2, and there the state is
+    # Werner, of weight eta^2 (0 at xi = 1/2, where it is I/4)
+    assert all(_zero(e) for e in RHO.subs(a, 1 / sp.sqrt(2)) - _werner(eta**2))
+    assert all(_zero(e) for e in RHO.subs(xi, sp.Rational(1, 2)) - sp.eye(4) / 4)
 
 
 # -- the filtering certificate ------------------------------------------------

@@ -235,8 +235,8 @@ EXIT_CODE_CASES = [
       "--quantity", "bellM"], 0),
     (["sweep", "--analysis-only", "--xi", "0.7", "--alpha-sq", "0.3",
       "--quantity", "pptLocal"], 2),
-    # sweep takes no --tol, the Werner fit using analysis.WERNER_TOL: argparse
-    # exits 2, at the old default too
+    # sweep takes no --tol, as wernerX is exact: argparse exits 2, at the old
+    # default too
     (["sweep", "--xi", "0.2", "--alpha-sq", "0.3", "--quantity", "wernerX",
       "--tol", "1e-8"], 2),
     (["clone-audit", "--analysis-only", "--xi=-0.1"], 2),
