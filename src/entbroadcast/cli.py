@@ -28,7 +28,6 @@ from .cloner import (
 from .report import emit_rows
 from .sweep import (
     ConfigError,
-    SweepConfig,
     parse_grid,
     run_sweep,
     study_tables,
@@ -107,13 +106,8 @@ def _cmd_sweep(args):
     a2_grid = tuple(args.alpha_sq or ())
     if args.alpha_grid:
         a2_grid += parse_grid(args.alpha_grid)
-    cfg = SweepConfig(
-        xi_grid=xi_grid,
-        alpha_sq_grid=a2_grid,
-        quantities=tuple(args.quantity or ()),
-        analysis_only=args.analysis_only,
-    )
-    emit_rows(run_sweep(cfg), args.format, args.out)
+    emit_rows(run_sweep(xi_grid, a2_grid, tuple(args.quantity or ()), args.analysis_only),
+              args.format, args.out)
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, dag, is_density_operator, partial_trace
+from .linalg import PAULIS, is_density_operator
 
 XI_LOWER = 0.5 - 0.5 / math.sqrt(2.0)  # ~0.146447
 XI_UPPER = 0.5
@@ -169,14 +169,13 @@ def clone_density(rho_in, p, kind):
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (2, 2) or not is_density_operator(rho_in):
         raise ValueError("input must be a 2x2 density operator")
-    v = machine_isometry(p, kind)
-    return partial_trace(v @ rho_in @ dag(v), [2, 2, v.shape[0] // 4], keep=[0, 1])
+    t = machine_isometry(p, kind).reshape(4, -1, 2)  # t[ab, machine, k], real
+    return np.einsum("imk,kl,jml->ij", t, rho_in, t)
 
 
 def single_clone_density(rho_in, p, kind):
     """2x2 reduced state of one clone."""
-    rho_ab = clone_density(rho_in, p, kind)
-    return partial_trace(rho_ab, [2, 2], keep=[0])
+    return np.einsum("ibjb->ij", clone_density(rho_in, p, kind).reshape(2, 2, 2, 2))
 
 
 def clone_fidelity(psi, p, kind):

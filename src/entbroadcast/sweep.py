@@ -1,7 +1,6 @@
 """Grid sweeps of the broadcast-state quality measures, and the study tables."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,45 +27,35 @@ class ConfigError(ValueError):
     """Invalid sweep configuration."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    xi_grid: tuple
-    alpha_sq_grid: tuple
-    quantities: tuple
-    analysis_only: bool = False
-
-    def __post_init__(self):
-        if not self.xi_grid:
-            raise ConfigError("xi grid is empty")
-        if not self.alpha_sq_grid:
-            raise ConfigError("alpha^2 grid is empty")
-        if not self.quantities:
-            raise ConfigError("no quantities selected")
-        for q in self.quantities:
-            if q not in QUANTITIES:
-                raise ConfigError(f"unknown quantity {q!r}; choose from {QUANTITIES}")
-        for a2 in self.alpha_sq_grid:
-            if not (0.0 <= a2 <= 1.0):
-                raise ConfigError(f"alpha^2={a2} outside [0, 1]")
-
-
-def run_sweep(cfg: SweepConfig):
+def run_sweep(xi_grid, alpha_sq_grid, quantities, analysis_only=False):
     """The sweep table: each quantity at every point of the ``(xi, alpha^2)``
     grid, one ``analysis.evaluate`` call over the whole grid.
 
     A ``report.GridTable``: the grids ``xi``, ``alpha_sq`` and ``quantity``
     and the ``(n_xi, n_alpha, n_q)`` block of ``value``, a row per
     (xi, alpha^2, quantity), xi-major, then alpha^2, then quantity; its
-    ``len()`` is the number of rows.
+    ``len()`` is the number of rows. Raises ConfigError on an invalid input.
     """
-    check = analysis_parameter if cfg.analysis_only else make_cloner_parameter
-    for xi in cfg.xi_grid:
+    if not xi_grid:
+        raise ConfigError("xi grid is empty")
+    if not alpha_sq_grid:
+        raise ConfigError("alpha^2 grid is empty")
+    if not quantities:
+        raise ConfigError("no quantities selected")
+    for q in quantities:
+        if q not in QUANTITIES:
+            raise ConfigError(f"unknown quantity {q!r}; choose from {QUANTITIES}")
+    for a2 in alpha_sq_grid:
+        if not (0.0 <= a2 <= 1.0):
+            raise ConfigError(f"alpha^2={a2} outside [0, 1]")
+    check = analysis_parameter if analysis_only else make_cloner_parameter
+    for xi in xi_grid:
         check(float(xi))  # the machine's range, or finiteness when analysis-only
-    xi = np.asarray(cfg.xi_grid, dtype=float)
-    a2 = np.asarray(cfg.alpha_sq_grid, dtype=float)
-    values = evaluate(cfg.quantities, xi[:, None], a2[None, :])
-    return GridTable({"xi": xi.tolist(), "alpha_sq": a2.tolist(), "quantity": cfg.quantities},
-                     "value", np.stack([values[q] for q in cfg.quantities], axis=-1))
+    xi = np.asarray(xi_grid, dtype=float)
+    a2 = np.asarray(alpha_sq_grid, dtype=float)
+    values = evaluate(quantities, xi[:, None], a2[None, :])
+    return GridTable({"xi": xi.tolist(), "alpha_sq": a2.tolist(), "quantity": quantities},
+                     "value", np.stack([values[q] for q in quantities], axis=-1))
 
 
 def parse_grid(spec):

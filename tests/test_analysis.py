@@ -41,7 +41,7 @@ from entbroadcast.cloner import (
     analysis_parameter,
     make_cloner_parameter,
 )
-from entbroadcast.sweep import SweepConfig, run_sweep
+from entbroadcast.sweep import run_sweep
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 BELL_RHO = np.outer(PHI_PLUS, PHI_PLUS)
@@ -374,8 +374,8 @@ class TestWernerNearMaximallyMixed:
     @staticmethod
     def _both(xi, alpha_sq):
         by_evaluate = evaluate({"wernerX"}, xi, alpha_sq)["wernerX"]
-        cfg = SweepConfig(xi_grid=(xi,), alpha_sq_grid=(alpha_sq,), quantities=("wernerX",))
-        return by_evaluate, run_sweep(cfg).block.item()
+        table = run_sweep(xi_grid=(xi,), alpha_sq_grid=(alpha_sq,), quantities=("wernerX",))
+        return by_evaluate, table.block.item()
 
     @pytest.mark.parametrize("xi, alpha_sq", [
         (0.49999966739011026, 0.49037851820494394),

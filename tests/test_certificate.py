@@ -13,6 +13,12 @@ X-state diagonally keeps M <= 1 for every filter exactly when
 ``analysis.filter_certificate``'s min(g1, g2) is >= 0. Its |00> and |11>
 diagonal entries differ by (2a^2 - 1) eta, and a Werner state's are equal,
 so it has Werner form only at alpha^2 = 1/2 or xi = 1/2, where it does.
+
+The same-site state is derived from the machine's Gram entries. Each
+closed-form alpha^2 range, cross-site inseparability (C = |D|), same-site
+separability (AB = w^2) and Bell violation (4 D^2 + t_z^2 = 1), is the root
+pair of a zero condition on the entries, 1/2 +- the square root of a
+radicand, and the radicand's root in xi is the range's machine bound.
 """
 
 import math
@@ -22,9 +28,18 @@ from itertools import product
 import pytest
 import sympy as sp
 
-from entbroadcast.analysis import evaluate, filter_certificate
-from entbroadcast.broadcast import nonlocal_entries
-from entbroadcast.cloner import XI_LOWER
+from entbroadcast.analysis import (
+    XI_BELL_MAX,
+    XI_LOCAL_MAX,
+    XI_NONLOCAL_MAX,
+    bell_violation_range,
+    evaluate,
+    filter_certificate,
+    local_separability_range,
+    nonlocal_inseparability_range,
+)
+from entbroadcast.broadcast import local_entries, nonlocal_entries
+from entbroadcast.cloner import XI_LOWER, analysis_parameter
 
 a, xi = sp.symbols("a xi", positive=True)
 b = sp.sqrt(1 - a**2)
@@ -250,3 +265,84 @@ def test_widest_certificate_is_one_eighth():
         sp.Rational(3, 8), sp.Rational(3, 8), sp.Rational(1, 8), sp.Rational(1, 4)]
     assert all(_zero(g.subs(CROSS_SITE).subs(at) - sp.Rational(1, 8)) for g in (G1, G2))
     assert _ulps(filter_certificate(0.5, XI_LOWER), sp.Rational(1, 8), 1.0) <= 4
+
+
+# -- the range radicands ------------------------------------------------------
+# With s = alpha^2, each range's zero condition is quadratic in s, with roots
+# 1/2 +- sqrt(r): the radicand r is the squared half distance of the roots,
+# and the range exists while r >= 0, up to r's root in xi.
+
+s = sp.Symbol("s", positive=True)  # alpha^2
+
+
+def _same_site_state():
+    """The clone pair of the first site. Tracing out the second site leaves
+    its input diag(a^2, b^2), and tracing the machine out of the image
+    |kk> Q_k + (|01> + |10>) Y_k of |k> leaves the Gram entries
+    <Q_k|Q_k> = eta, <Y_k|Y_k> = xi and <Q_k|Y_k> = 0."""
+    gram = {("Q", "Q"): eta, ("Y", "Y"): xi, ("Q", "Y"): 0, ("Y", "Q"): 0}
+    rho = sp.zeros(4)
+    for k, weight in ((0, a**2), (1, b**2)):
+        ket = {"Q": sp.eye(4)[:, 3 * k], "Y": sp.Matrix([0, 1, 1, 0])}
+        for u, v in product("QY", repeat=2):
+            rho += weight * gram[u, v] * ket[u] * ket[v].T
+    return rho.applyfunc(sp.expand)
+
+
+SAME_SITE = _same_site_state()
+
+
+@pytest.mark.parametrize("alpha_sq, x", POINTS, ids=[f"{p}-{q}" for p, q in POINTS])
+def test_same_site_entries_match_the_exact_state(alpha_sq, x):
+    at = {a: sp.sqrt(sp.Rational(float(alpha_sq))), xi: sp.Rational(float(x))}
+    big_a, big_b, c, d, w = (sp.N(SAME_SITE[i, j].subs(at), 40)
+                             for i, j in ((0, 0), (3, 3), (1, 1), (0, 3), (1, 2)))
+    got = local_entries(float(alpha_sq), float(x))
+    # B = (1 - a^2) eta cancels: its rounding is in units of eta
+    scales = (0.0, float(1 - 2 * x), 0.0, 0.0, 0.0)
+    for g, e, scale in zip(got[:5], (big_a, big_b, c, d, w), scales):
+        assert _ulps(g, e, scale) <= 4, (got, e)
+    assert _ulps(got.asym, big_a - big_b, float(max(big_a, big_b))) <= 4, got
+
+
+# (zero condition, range function, machine bound): the least partial-transpose
+# eigenvalue C - |D| of the cross-site pair and the determinant AB - w^2 of
+# the same-site pair's partial-transpose outer block change sign there, and
+# M = 4 D^2 + t_z^2 (t_z^2 >= 4 D^2) crosses 1
+RANGES = {
+    "nonlocal": (RHO[1, 1] ** 2 - RHO[0, 3] ** 2,
+                 nonlocal_inseparability_range, XI_NONLOCAL_MAX),
+    "local": (SAME_SITE[0, 0] * SAME_SITE[3, 3] - SAME_SITE[1, 2] ** 2,
+              local_separability_range, XI_LOCAL_MAX),
+    "bell": (4 * RHO[0, 3] ** 2 + T[2, 2] ** 2 - 1, bell_violation_range, XI_BELL_MAX),
+}
+
+
+def _radicand(condition):
+    c2, c1, c0 = sp.Poly(sp.expand(condition).subs(a, sp.sqrt(s)), s).all_coeffs()
+    assert _zero(c1 + c2)  # the roots' mean, -c1 / (2 c2), is 1/2
+    return sp.factor((c1**2 - 4 * c2 * c0) / (4 * c2**2))
+
+
+@pytest.mark.parametrize("name", RANGES)
+def test_machine_bound_is_the_radicand_root(name):
+    condition, _, bound = RANGES[name]
+    roots = [r for r in sp.solve(sp.numer(sp.together(_radicand(condition))), xi)
+             if r.is_real and 0 < r < sp.Rational(1, 2)]
+    assert len(roots) == 1, roots
+    assert _ulps(bound, sp.N(roots[0], 40)) <= 4, (bound, roots)
+
+
+@pytest.mark.parametrize("name, x", [("nonlocal", "1/6"), ("nonlocal", "1/5"),
+                                     ("local", "1/6"), ("local", "1/5"),
+                                     ("bell", "1/20"), ("bell", "1/16")])
+def test_range_ends_are_the_zero_condition_roots(name, x):
+    condition, closed_form, _ = RANGES[name]
+    at = sp.Rational(float(Fraction(x)))
+    half_width = sp.sqrt(_radicand(condition).subs(xi, at))
+    got = closed_form(analysis_parameter(float(Fraction(x))))
+    # 1/2 -+ sqrt(r) cancels, and r = 1/4 - ... before it: their rounding is
+    # in units of 1
+    for end, exact in ((got.lo, sp.Rational(1, 2) - half_width),
+                       (got.hi, sp.Rational(1, 2) + half_width)):
+        assert _ulps(end, sp.N(exact, 40), 1.0) <= 4, (got, exact)

@@ -14,29 +14,29 @@ from entbroadcast import claims, cli
 from entbroadcast.analysis import XI_NONLOCAL_MAX, Interval
 from entbroadcast.cli import main
 from entbroadcast.report import table_to_csv, table_to_json
-from entbroadcast.sweep import QUANTITIES, ConfigError, SweepConfig, parse_grid, run_sweep
+from entbroadcast.sweep import QUANTITIES, ConfigError, parse_grid, run_sweep
 
 
 class TestSweepConfig:
     def test_rejects_empty_quantities(self):
         with pytest.raises(ConfigError):
-            SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,), quantities=())
+            run_sweep(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,), quantities=())
 
     @pytest.mark.parametrize("xi_grid, alpha_sq_grid, message", [
         ((), (0.5,), "xi grid is empty"), ((1 / 6,), (), "alpha^2 grid is empty")])
     def test_rejects_empty_grid(self, xi_grid, alpha_sq_grid, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
-            SweepConfig(xi_grid=xi_grid, alpha_sq_grid=alpha_sq_grid, quantities=("bellM",))
+            run_sweep(xi_grid=xi_grid, alpha_sq_grid=alpha_sq_grid, quantities=("bellM",))
 
     def test_rejects_unknown_quantity(self):
         with pytest.raises(ConfigError):
-            SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
-                        quantities=("negativity",))
+            run_sweep(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
+                      quantities=("negativity",))
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ConfigError):
-            SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(1.5,),
-                        quantities=("bellM",))
+            run_sweep(xi_grid=(1 / 6,), alpha_sq_grid=(1.5,),
+                      quantities=("bellM",))
 
     def test_parse_grid(self):
         assert parse_grid("0:1:3") == (0.0, 0.5, 1.0)
@@ -75,22 +75,21 @@ def test_one_point_grid_ignores_an_infinite_end(capsys):
 
 class TestRunSweep:
     def test_single_point_fidelity(self):
-        cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
+        table = run_sweep(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
                           quantities=("fidelity",))
-        table = run_sweep(cfg)
         assert [len(grid) for grid in table.axes.values()] == [1, 1, 1]
         assert table.block.shape == (1, 1, 1)
         assert abs(table.block.item() - 13 / 18) <= 1e-12
 
     def test_single_point_bell_m(self):
-        cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
+        table = run_sweep(xi_grid=(1 / 6,), alpha_sq_grid=(0.5,),
                           quantities=("bellM",))
-        assert abs(run_sweep(cfg).block.item() - 32 / 81) <= 1e-12
+        assert abs(table.block.item() - 32 / 81) <= 1e-12
 
     def test_row_order_is_xi_major(self):
-        cfg = SweepConfig(xi_grid=(1 / 6, 0.2), alpha_sq_grid=(0.3, 0.5),
+        table = run_sweep(xi_grid=(1 / 6, 0.2), alpha_sq_grid=(0.3, 0.5),
                           quantities=("bellM", "fidelity"))
-        header, *rows = csv.reader(io.StringIO(table_to_csv(run_sweep(cfg))))
+        header, *rows = csv.reader(io.StringIO(table_to_csv(table)))
         assert header == ["xi", "alpha_sq", "quantity", "value"]
         keys = [(float(xi), float(a2), q) for xi, a2, q, _ in rows]
         assert keys == sorted(keys, key=lambda k: (k[0], k[1]))
@@ -104,14 +103,14 @@ class TestRunSweep:
         (tuple(np.linspace(0.15, 0.5, 50)), tuple(np.linspace(0.0, 1.0, 50)), QUANTITIES),
     ])
     def test_length_is_the_number_of_rows(self, xi_grid, alpha_sq_grid, quantities):
-        table = run_sweep(SweepConfig(xi_grid, alpha_sq_grid, quantities))
+        table = run_sweep(xi_grid, alpha_sq_grid, quantities)
         assert len(table) == len(xi_grid) * len(alpha_sq_grid) * len(quantities)
         assert len(table) == table_to_csv(table).count("\n") - 1
 
     def test_werner_nan_off_center(self):
-        cfg = SweepConfig(xi_grid=(1 / 6,), alpha_sq_grid=(0.3,),
+        table = run_sweep(xi_grid=(1 / 6,), alpha_sq_grid=(0.3,),
                           quantities=("wernerX",))
-        assert math.isnan(run_sweep(cfg).block.item())
+        assert math.isnan(table.block.item())
 
 
 class TestEmission:

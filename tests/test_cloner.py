@@ -419,6 +419,8 @@ class TestRealIsometry:
         for rho in [outer(psi) for psi in random_pure_states(10)] + [np.eye(2) / 2, mixed]:
             want = partial_trace(vc @ rho @ dag(vc), [2, 2, vc.shape[0] // 4], keep=[0, 1])
             assert clone_density(rho, p, kind).tobytes() == want.tobytes()
+            want_a = partial_trace(want, [2, 2], keep=[0])
+            assert single_clone_density(rho, p, kind).tobytes() == want_a.tobytes()
 
 
 @pytest.mark.parametrize("xi", [-0.1, -1e-9, 0.5 + 1e-9, 0.7])

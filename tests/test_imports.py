@@ -6,7 +6,8 @@ at its top level is used in it. The package ``__init__`` is exempt from the
 second rule: its imports are the package's public interface. Every public
 name a module binds at its top level is read somewhere under ``src/`` or
 ``tests/``, or listed in the README as public API. Every name the README
-lists as kept public API exists in its module.
+lists as kept public API exists in its module. No module uses
+``linalg.partial_trace``, the tests' reference for the package's reductions.
 """
 
 import ast
@@ -86,7 +87,8 @@ def _readme_api():
 
 def test_readme_api_names_exist():
     listed = list(_readme_api())
-    assert {module for module, _ in listed} == {"analysis", "broadcast", "cloner", "cli"}
+    assert {module for module, _ in listed} == {"analysis", "broadcast", "cloner", "cli",
+                                                "linalg"}
     missing = [f"{module}.{name}" for module, name in listed
                if not hasattr(importlib.import_module(f"entbroadcast.{module}"), name)]
     assert not missing, f"README lists {missing} as public API"
@@ -117,3 +119,10 @@ def test_every_public_module_name_is_read():
     unread = sorted(f"{path.stem}.{name}" for path in MODULES
                     for name in _defined_public_names(path) - read)
     assert not unread, f"nothing reads {unread}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_uses_the_reference_partial_trace(path):
+    # the tests hold the package's reductions to partial_trace; a package
+    # route through it would make that a check of itself
+    assert "partial_trace" not in _read_names(ast.parse(path.read_text()))

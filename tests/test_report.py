@@ -19,7 +19,7 @@ from entbroadcast.report import (
     table_to_csv,
     table_to_json,
 )
-from entbroadcast.sweep import QUANTITIES, SweepConfig, parse_grid, run_sweep
+from entbroadcast.sweep import QUANTITIES, parse_grid, run_sweep
 
 
 def as_rows(table):
@@ -226,9 +226,8 @@ def test_random_uniform_values():
 def test_sweep_of_every_value_class_matches_row_writer():
     # values with 1e-4 <= |v| < 1 of both signs and with trailing zeros, values
     # at or above 1 and below 1e-4, zeros and nans
-    table = run_sweep(SweepConfig(xi_grid=parse_grid("0:0.5:41"),
-                                  alpha_sq_grid=parse_grid("0:1:41"),
-                                  quantities=QUANTITIES, analysis_only=True))
+    table = run_sweep(xi_grid=parse_grid("0:0.5:41"), alpha_sq_grid=parse_grid("0:1:41"),
+                      quantities=QUANTITIES, analysis_only=True)
     values = table.block.ravel()
     a = np.abs(values)
     exact = (a >= 1e-4) & (a < 1)
