@@ -213,6 +213,11 @@ class TestCli:
 
 # (argv, declared exit code); tests/output_digest.py hashes these commands too
 EXIT_CODE_CASES = [
+    # usage errors of the top parser: no command, an unknown command, and an
+    # option that the named command does not take
+    ([], 2),
+    (["bogus"], 2),
+    (["boundary", "--xi", "0.2", "--bogus"], 2),
     (["clone-audit", "--xi", "0.15", "--kind", "AbstractBH"], 2),
     (["clone-audit", "--xi", "0.2", "--out", "/nonexistent/x.csv"], 2),
     (["clone-audit", "--xi", "0.2", "--samples", "1"], 2),
