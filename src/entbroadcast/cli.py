@@ -36,9 +36,10 @@ from .sweep import (
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built on first use and reused for every call.
+    """The top parser and each command's parser by name, built on first use
+    and reused for every call.
 
-    Reuse is safe: parsing leaves the parser unchanged, and each repeatable
+    Reuse is safe: parsing leaves the parsers unchanged, and each repeatable
     option defaults to None, so argparse starts a new list on every call.
     """
     ap = argparse.ArgumentParser(
@@ -91,7 +92,24 @@ def _build_parser():
     tp = add_command("study", "write the four summary tables as CSV files")
     tp.add_argument("--out-dir", default="study_out")
     tp.add_argument("--xi-points", type=int, default=25)
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv):
+    """The namespace of the top parser's parse_args(argv), from one parse.
+
+    When argv[0] names a command, its parser reads argv[1:] directly, and the
+    top parser does not first read every string itself. The top parser takes
+    any other argv, and re-parses one that leaves strings over, as only it
+    reports them ("unrecognized arguments").
+    """
+    top, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return top.parse_args(argv)
 
 
 def _require_at_least(flag, value, least):
@@ -176,7 +194,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, OutOfRangeError, GramNotPSDError, analysis.RangeUndefinedError,

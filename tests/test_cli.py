@@ -15,6 +15,7 @@ from entbroadcast.analysis import XI_NONLOCAL_MAX, Interval
 from entbroadcast.cli import main
 from entbroadcast.report import table_to_csv, table_to_json
 from entbroadcast.sweep import QUANTITIES, ConfigError, parse_grid, run_sweep
+from test_golden import CASES
 
 
 class TestSweepConfig:
@@ -460,8 +461,64 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert [r[0] for r in fresh] == [0, 2, 0, 0]
     assert run_all() == fresh
     assert cli._build_parser() is cli._build_parser()
-    args = cli._build_parser().parse_args(calls[3])
+    args = cli._parse_args(calls[3])
     assert (args.xi, args.alpha_sq, args.quantity) == (None, None, ["pptLocal"])
+
+
+# the benchmark's sweep: 50 xi, 50 alpha^2 and every quantity
+BENCHMARK_SWEEP = [
+    "sweep", *[t for i in range(50) for t in ("--xi", repr(0.15 + 0.007 * i))],
+    *[t for i in range(50) for t in ("--alpha-sq", repr(i / 49))],
+    *[t for q in QUANTITIES for t in ("--quantity", q)]]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace's repr per key (nan equals nan, -0.0 differs from 0.0),
+    or the exit code, with what the parse printed."""
+    try:
+        outcome = {k: repr(v) for k, v in vars(parse(argv)).items()}
+    except SystemExit as e:
+        outcome = e.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    *[argv for argv, _ in EXIT_CODE_CASES], *CASES.values(),
+    pytest.param(BENCHMARK_SWEEP, id="benchmark sweep"),
+    ["-h"], ["sweep", "-h"], ["--format", "json", "verify"], ["verify", "sweep"],
+    ["sweep", "--", "--xi", "0.2"], ["clone-audit", "--xi", "0.2", "0.3"],
+], ids=" ".join)
+def test_routed_parse_is_the_top_parsers(argv, capsys):
+    """Parsing with the command's parser gives the top parser's namespace,
+    command included, or its exit code, usage and message."""
+    top, _ = cli._build_parser()
+    assert (_parse_outcome(cli._parse_args, argv, capsys)
+            == _parse_outcome(top.parse_args, argv, capsys))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_fuzzed_routed_parse_is_the_top_parsers(argv, capsys):
+    top, _ = cli._build_parser()
+    assert (_parse_outcome(cli._parse_args, argv, capsys)
+            == _parse_outcome(top.parse_args, argv, capsys)), argv
+
+
+def test_main_without_argv_parses_sys_argv(monkeypatch, capsys):
+    """The console script calls main() with no argument: it reads sys.argv[1:]."""
+    argv = ["boundary", "--xi", "0.2", "--format", "json"]
+    assert main(argv) == 0
+    given = capsys.readouterr()
+    monkeypatch.setattr("sys.argv", ["entbroadcast", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == given
+    monkeypatch.setattr("sys.argv", ["entbroadcast", "boundary"])
+    with pytest.raises(SystemExit) as e:
+        main()
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --xi\n")
 
 
 def test_negative_xi_in_exponent_form_is_given_with_equals(capsys):
