@@ -462,10 +462,11 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert run_all() == fresh
     assert cli._build_parser() is cli._build_parser()
     args = cli._parse_args(calls[3])
-    assert (args.xi, args.alpha_sq, args.quantity) == (None, None, ["pptLocal"])
+    assert (args.command, args.xi, args.alpha_sq, args.quantity) == (
+        "sweep", None, None, ["pptLocal"])
 
 
-# the benchmark's sweep: 50 xi, 50 alpha^2 and every quantity
+# shaped like a benchmark sweep op: 50 xi, 50 alpha^2 and every quantity
 BENCHMARK_SWEEP = [
     "sweep", *[t for i in range(50) for t in ("--xi", repr(0.15 + 0.007 * i))],
     *[t for i in range(50) for t in ("--alpha-sq", repr(i / 49))],
@@ -509,10 +510,10 @@ def test_main_without_argv_parses_sys_argv(monkeypatch, capsys):
     """The console script calls main() with no argument: it reads sys.argv[1:]."""
     argv = ["boundary", "--xi", "0.2", "--format", "json"]
     assert main(argv) == 0
-    given = capsys.readouterr()
+    expected = capsys.readouterr()
     monkeypatch.setattr("sys.argv", ["entbroadcast", *argv])
     assert main() == 0
-    assert capsys.readouterr() == given
+    assert capsys.readouterr() == expected
     monkeypatch.setattr("sys.argv", ["entbroadcast", "boundary"])
     with pytest.raises(SystemExit) as e:
         main()
