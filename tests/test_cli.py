@@ -249,6 +249,14 @@ EXIT_CODE_CASES = [
     (["clone-audit", "--analysis-only", "--xi", "1e308", "--kind", "AbstractBH"], 2),
     (["boundary", "--xi", "0.2", "--tol", "inf"], 2),
     (["boundary", "--xi", "0.3", "--target", "local"], 2),  # no crossing
+    (["boundary", "--xi", "0.2113248654051871", "--target", "nonlocal"], 2),  # no crossing
+    # the bisection's edges: the same-site eigenvalue's near-zero band at xi =
+    # 1/4, a bracket that stops at adjacent floats, and xi outside each state
+    (["boundary", "--xi", "0.25", "--target", "local", "--format", "json"], 0),
+    (["boundary", "--xi", "0.1464466094067262", "--target", "local", "--tol", "1e-300"], 0),
+    (["boundary", "--analysis-only", "--xi", "1.05", "--target", "nonlocal"], 2),
+    (["boundary", "--analysis-only", "--xi=-0.05", "--target", "local"], 2),
+    (["boundary", "--analysis-only", "--xi", "0.6", "--target", "local"], 2),
     (["sweep", "--xi", "0.2", "--alpha-grid", "0:1:x", "--quantity", "bellM"], 2),
     (["sweep", "--alpha-sq", "0.5", "--quantity", "bellM"], 2),  # no xi
     (["sweep", "--xi", "0.2", "--quantity", "bellM"], 2),  # no alpha^2
