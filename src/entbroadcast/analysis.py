@@ -130,30 +130,17 @@ def _fidelity(t):
 
 QUANTITIES = ("pptNonlocal", "pptLocal", "bellM", "fidelity", "wernerX")
 
-# One state's float entries, a bisection step's case, take builtin min/abs:
-# numpy's ufuncs cost several times the arithmetic on floats. np.minimum(x, y)
-# keeps y on a tie and min its first argument, so the float route lists them
-# in reverse and gives the same float, signed zeros included. The float route
-# takes hypot(h, w) as abs(complex(h, w)): CPython's complex abs is the C
-# library's hypot, and so is np.hypot on float64, so the two agree bit for bit
-# (math.hypot, which rounds its own way, differs in the last bit). Complex abs
-# raises OverflowError where hypot overflows; validated same-site entries are
-# at most 1, so it cannot here. The partial transpose of an X-state swaps d
-# and w; a formula per state keeps hypot off the cross-site step.
+# The partial transpose of an X-state swaps d and w; a formula per state
+# keeps hypot off the cross-site state.
 
 def _least_pt_cross(e):
     """Least eigenvalue of the cross-site partial transpose: A, B, [[C, d], [d, C]]."""
-    if isinstance(e.d, float):
-        return min(e.c - abs(e.d), e.big_b, e.big_a)
     return np.minimum(np.minimum(e.big_a, e.big_b), e.c - np.abs(e.d))
 
 
 def _least_pt_same(s):
     """Least eigenvalue of the same-site partial transpose: [[A, w], [w, B]], C = w = xi."""
-    h, w = 0.5 * (s.big_a - s.big_b), s.w
-    if isinstance(w, float):
-        return min(0.5 * (s.big_a + s.big_b) - abs(complex(h, w)), w)
-    return np.minimum(w, 0.5 * (s.big_a + s.big_b) - np.hypot(h, w))
+    return np.minimum(s.w, 0.5 * (s.big_a + s.big_b) - np.hypot(0.5 * (s.big_a - s.big_b), s.w))
 
 
 def evaluate(quantities, xi, alpha_sq):
@@ -386,29 +373,89 @@ def bisect(predicate, inside, outside, tol):
     return 0.5 * (lo + hi)
 
 
-def nonlocal_inseparable_predicate(p: ClonerParameter):
-    """alpha^2 -> True when the cross-site pair fails PPT (is entangled), by the
-    closed form of ``evaluate``'s pptNonlocal; ``oracle.equivalence`` ties it to eigvalsh."""
+# The bisection predicates. A step, one state's floats, does its whole work in
+# one frame: the state's entries by the expressions and operation order of
+# broadcast's closed forms, its X-state check and OutOfRangeError as in
+# ``_require_x_state``, and the raw sign of ``evaluate``'s quantity, so each
+# decides as that route does. A constant of the machine or of the input is
+# bound only where its float stays the same: a b eta eta is (a b eta) eta.
+# Builtin min/max/abs replace numpy's ufuncs, which cost several times the
+# arithmetic on floats; np.minimum(x, y) and np.maximum(x, y) keep y on a tie,
+# so min and max list them in reverse, signed zeros included. hypot(h, w) is
+# abs(complex(h, w)): CPython's complex abs is the C library's hypot, and so
+# is np.hypot on float64 (math.hypot rounds its own way, off in the last
+# bit). Complex abs raises OverflowError where hypot overflows; validated
+# same-site entries are at most 1, so it cannot here.
 
-    xi = p.xi
+def nonlocal_inseparable_predicate(p: ClonerParameter):
+    """alpha^2 -> True when the cross-site pair fails PPT (is entangled):
+    ``evaluate``'s pptNonlocal below 0, its raw sign, as bisection needs the
+    exact zero crossing, not the -1e-10 classification threshold.
+    ``oracle.equivalence`` ties that closed form to eigvalsh. Raises as
+    ``nonlocal_entries``."""
+    xi = float(p.xi)
+    eta, xi_sq, c = 1.0 - 2.0 * xi, xi * xi, xi * (1.0 - xi)
+    c_ok = c >= -STATE_TOL
 
     def pred(alpha_sq):
-        e = nonlocal_entries(alpha_sq, xi)
-        # raw eigenvalue sign: bisection needs the exact zero crossing, not
-        # the -1e-10 classification threshold
-        return bool(_least_pt_cross(e) < 0.0)
+        if not 0.0 <= alpha_sq <= 1.0:
+            raise ValueError(f"alpha^2={alpha_sq} outside [0, 1]")
+        a = math.sqrt(alpha_sq)
+        a_sq = a * a
+        b = math.sqrt(1.0 - a_sq)
+        big_a, big_b, d = a_sq * eta + xi_sq, b * b * eta + xi_sq, a * b * eta * eta
+        h = 0.5 * (big_a - big_b)
+        if not (c_ok and 0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL):
+            raise OutOfRangeError(xi, 0.0, 1.0)
+        return min(c - abs(d), big_b, big_a) < 0.0
 
     return pred
 
 
 def local_separable_predicate(p: ClonerParameter):
-    """alpha^2 -> True when the same-site pair passes PPT (is separable), by the
-    closed form of ``evaluate``'s pptLocal; ``oracle.equivalence`` ties it to eigvalsh."""
-
-    xi = p.xi
+    """alpha^2 -> True when the same-site pair passes PPT (is separable):
+    ``evaluate``'s pptLocal at least 0. ``oracle.equivalence`` ties that
+    closed form to eigvalsh. Raises as ``local_entries``."""
+    xi = float(p.xi)
+    eta = 1.0 - 2.0 * xi
+    w_ok = xi - abs(xi) >= -STATE_TOL  # C - |w|, with C = w = xi
 
     def pred(alpha_sq):
-        s = local_entries(alpha_sq, xi)
-        return bool(_least_pt_same(s) >= 0.0)
+        if not 0.0 <= alpha_sq <= 1.0:
+            raise ValueError(f"alpha^2={alpha_sq} outside [0, 1]")
+        a = math.sqrt(alpha_sq)
+        a_sq = a * a
+        b = math.sqrt(1.0 - a_sq)
+        big_a, big_b = a_sq * eta, b * b * eta
+        h, mean = 0.5 * (big_a - big_b), 0.5 * (big_a + big_b)
+        # d = 0: the check's hypot(h, d) is (h h + 0 0)^(1/2) = (h h)^(1/2)
+        if not (w_ok and mean - (h * h) ** 0.5 >= -STATE_TOL):
+            raise OutOfRangeError(xi, 0.0, 0.5)
+        return min(mean - abs(complex(h, xi)), xi) >= 0.0
+
+    return pred
+
+
+def bell_violated_predicate(alpha_sq):
+    """xi -> True when the cross-site pair at (xi, alpha_sq) violates CHSH:
+    ``evaluate``'s bellM above 1. Raises ValueError here for alpha^2 outside
+    [0, 1], and OutOfRangeError in a call whose xi is outside [0, 1], as
+    ``nonlocal_entries``."""
+    if not 0.0 <= alpha_sq <= 1.0:
+        raise ValueError(f"alpha^2={alpha_sq} outside [0, 1]")
+    a = math.sqrt(alpha_sq)
+    a_sq = a * a
+    b = math.sqrt(1.0 - a_sq)
+    b_sq, ab = b * b, a * b
+
+    def pred(xi):
+        eta, xi_sq, c = 1.0 - 2.0 * xi, xi * xi, xi * (1.0 - xi)
+        big_a, big_b, d = a_sq * eta + xi_sq, b_sq * eta + xi_sq, ab * eta * eta
+        h, total = 0.5 * (big_a - big_b), big_a + big_b
+        if not (c >= -STATE_TOL and 0.5 * total - (h * h + d * d) ** 0.5 >= -STATE_TOL):
+            raise OutOfRangeError(float(xi), 0.0, 1.0)
+        # T = diag(2d, -2d, t_z), as in evaluate
+        t_xy_sq, t_z = 4.0 * d * d, total - 2.0 * c
+        return t_xy_sq + max(t_z * t_z, t_xy_sq) > 1.0
 
     return pred

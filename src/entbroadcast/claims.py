@@ -21,6 +21,7 @@ import numpy as np
 from . import analysis, cloner
 from .analysis import (
     RangeUndefinedError,
+    bell_violated_predicate,
     bisect,
     boundary_bisect,
     dense_quantities,
@@ -120,8 +121,7 @@ def _bell():
     yield _equal("bell.threshold_xi",
                  "largest xi admitting any CHSH-violating alpha^2",
                  analysis.XI_BELL_MAX,
-                 bisect(lambda x: evaluate({"bellM"}, x, 0.5)["bellM"] > 1.0,
-                        0.0, 0.2, 1e-9),
+                 bisect(bell_violated_predicate(0.5), 0.0, 0.2, 1e-9),
                  1e-9)
     max_m = evaluate({"bellM"}, XI_BOUNDARY, 0.5)["bellM"]
     yield _bool("bell.no_interval_in_machine_range",

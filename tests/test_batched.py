@@ -26,6 +26,7 @@ from hypothesis.extra.numpy import arrays
 
 from entbroadcast import broadcast
 from entbroadcast.analysis import (
+    XI_BELL_MAX,
     XI_LOCAL_MAX,
     XI_NONLOCAL_MAX,
     DegenerateFilterError,
@@ -33,14 +34,21 @@ from entbroadcast.analysis import (
     _bell_m,
     _correlation,
     _fidelity,
+    _least_pt_cross,
+    _least_pt_same,
     _min_pt_eigenvalue,
     bell_quantity_m,
+    bell_violated_predicate,
+    bell_violation_range,
+    bisect,
     boundary_bisect,
     dense_quantities,
     evaluate,
     filter_certificate,
     gisin_filter,
+    local_separability_range,
     local_separable_predicate,
+    nonlocal_inseparability_range,
     nonlocal_inseparable_predicate,
     werner_decompose,
 )
@@ -441,6 +449,151 @@ def test_predicates_decide_as_evaluate(xi, alpha_sq):
             assert pred(p)(alpha_sq) is test(evaluate({quantity}, xi, alpha_sq)[quantity])
 
 
+# Each predicate is a kernel that does a step's work in one frame on floats.
+# Its reference is the route it replaces: the state's entries, then
+# ``evaluate``'s quantity on them and the same raw sign test. A kernel must
+# decide as its reference everywhere, raise what it raises, and so give the
+# same bisection ends, bit for bit.
+
+def _entries_nonlocal_predicate(p):
+    return lambda a2: bool(_least_pt_cross(nonlocal_entries(a2, p.xi)) < 0.0)
+
+
+def _entries_local_predicate(p):
+    return lambda a2: bool(_least_pt_same(local_entries(a2, p.xi)) >= 0.0)
+
+
+def _entries_bell_predicate(alpha_sq):
+    return lambda xi: bool(evaluate({"bellM"}, xi, alpha_sq)["bellM"] > 1.0)
+
+
+# target -> (kernel, its reference, the closed-form alpha^2 range its sign bounds)
+KERNELS = {
+    "nonlocal": (nonlocal_inseparable_predicate, _entries_nonlocal_predicate,
+                 nonlocal_inseparability_range),
+    "local": (local_separable_predicate, _entries_local_predicate, local_separability_range),
+}
+
+
+def _outcome(fn, x):
+    """fn(x), or the type and message of the ValueError it raises
+    (OutOfRangeError and NoCrossingError among them)."""
+    try:
+        return fn(x)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _ulps_from(x, k):
+    """The float k ulps above the positive float x (below it for k < 0)."""
+    return float((np.float64(x).view(np.int64) + k).view(np.float64))
+
+
+def _near(rng, end, ulps, drawn):
+    """Within ``ulps`` of the closed-form range's ``end`` ("lo" or "hi"), or
+    ``drawn`` where there is no range or no end is asked for."""
+    if rng is None or end == "drawn" or getattr(rng, end) <= 0.0:
+        return drawn
+    return _ulps_from(getattr(rng, end), ulps)
+
+
+def _closed_range(closed, p):
+    try:
+        return closed(p)
+    except ValueError:  # undefined at this xi, or xi outside the state's domain
+        return None
+
+
+# xi over and beyond each state's domain, the range ends' machines, and the
+# neighbours of xi = 1/4; alpha^2 also in the band around 1/2 where the
+# same-site eigenvalue at xi = 1/4 is within rounding of 0
+_KERNEL_XIS = st.one_of(
+    st.floats(-0.1, 1.1),
+    st.sampled_from([-0.0, 0.0, XI_LOWER, 1 / 6, XI_LOCAL_MAX, XI_NONLOCAL_MAX, 0.5, 1.0]),
+    st.integers(-4, 4).map(lambda k: _ulps_from(0.25, k)),
+    st.floats(allow_nan=False, allow_infinity=False))
+_KERNEL_ALPHA_SQS = st.one_of(st.floats(0.0, 1.0), st.floats(0.5 - 2e-8, 0.5 + 2e-8),
+                              st.sampled_from([0.0, 0.5, 1.0]))
+_ENDS = st.sampled_from(["drawn", "lo", "hi"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_KERNEL_XIS, _KERNEL_ALPHA_SQS, _ENDS, st.integers(-2000, 2000))
+@example(0.25, 0.5, "drawn", 0)
+@example(0.25, 0.4999999925203156, "drawn", 0)
+@example(1.05, 0.5, "drawn", 0)
+@example(-0.05, 0.5, "drawn", 0)
+@example(0.6, 0.5, "drawn", 0)
+@example(0.2, 1.0000000000000002, "drawn", 0)
+@example(0.2, -0.0, "drawn", 0)
+def test_kernels_decide_as_their_reference(xi, alpha_sq, end, ulps):
+    """Each PPT kernel decides as its reference, bit for bit, or raises the
+    same error (OutOfRangeError outside the state's domain, ValueError
+    outside alpha^2 in [0, 1]), within 2000 ulps of each closed-form range
+    end among other points."""
+    p = analysis_parameter(xi)
+    for kernel, reference, closed in KERNELS.values():
+        a2 = _near(_closed_range(closed, p), end, ulps, alpha_sq)
+        assert _outcome(kernel(p), a2) == _outcome(reference(p), a2), (xi, a2)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_KERNEL_XIS, _KERNEL_ALPHA_SQS, st.sampled_from(["drawn", "lo", "hi", "threshold"]),
+       st.integers(-2000, 2000))
+@example(XI_BELL_MAX, 0.5, "drawn", 0)
+@example(1.05, 0.5, "drawn", 0)
+@example(0.05, 1.0000000000000002, "drawn", 0)
+def test_bell_kernel_decides_as_its_reference(xi, alpha_sq, end, ulps):
+    """The Bell kernel decides as its reference, bit for bit, or raises the
+    same error: within 2000 ulps of the threshold XI_BELL_MAX at alpha^2 = 1/2
+    and of each end of the closed-form alpha^2 range, among other points. It
+    checks alpha^2 once, where it is made; the reference at each call."""
+    if end == "threshold":
+        xi, a2 = _ulps_from(XI_BELL_MAX, ulps), 0.5
+    else:
+        a2 = _near(_closed_range(bell_violation_range, analysis_parameter(xi)), end, ulps,
+                   alpha_sq)
+    got = _outcome(lambda x: bell_violated_predicate(a2)(x), xi)
+    assert got == _outcome(_entries_bell_predicate(a2), xi), (xi, a2)
+
+
+@pytest.mark.parametrize("target", sorted(KERNELS))
+def test_bisection_ends_are_the_reference_ends(target):
+    """Bit for bit, or the same error, at 25 xi over each target's machine
+    range, its end included, both sides, and tols 1e-10, 1e-14 and 1e-300
+    (adjacent floats)."""
+    kernel, reference, _ = KERNELS[target]
+    xi_max = PREDICATES[target][-1]
+    for xi in XI_LOWER + np.linspace(0.0, 1.0, 25) * (xi_max - XI_LOWER):
+        p = make_cloner_parameter(float(xi))
+        for side, tol in itertools.product(("lower", "upper"), (1e-10, 1e-14, 1e-300)):
+            got = _outcome(lambda s: boundary_bisect(p, kernel(p), s, tol), side)
+            want = _outcome(lambda s: boundary_bisect(p, reference(p), s, tol), side)
+            assert got == want, (xi, side, tol)
+
+
+@pytest.mark.parametrize("alpha_sq", [0.5, 0.02, 0.3, 0.9])
+@pytest.mark.parametrize("tol", [1e-9, 1e-300])
+def test_bell_threshold_is_the_reference_bisection(alpha_sq, tol):
+    """The Bell threshold in xi, bit for bit, at the claim's first tol and
+    at adjacent floats."""
+    got = bisect(bell_violated_predicate(alpha_sq), 0.0, 0.2, tol)
+    assert got == bisect(_entries_bell_predicate(alpha_sq), 0.0, 0.2, tol)
+
+
+def test_bell_alpha_sq_ends_are_the_reference_ends():
+    """The ends of the CHSH-violating alpha^2 interval, bisected with a Bell
+    kernel per step, bit for bit at 25 xi below XI_BELL_MAX, both sides and
+    tols 1e-10, 1e-14 and 1e-300: near an end, M is within rounding of 1,
+    where the order of each product shows."""
+    for xi in np.linspace(0.0, 1.0, 25, endpoint=False) * XI_BELL_MAX:
+        xi = float(xi)
+        for outside, tol in itertools.product((0.0, 1.0), (1e-10, 1e-14, 1e-300)):
+            got = bisect(lambda a2: bell_violated_predicate(a2)(xi), 0.5, outside, tol)
+            want = bisect(lambda a2: _entries_bell_predicate(a2)(xi), 0.5, outside, tol)
+            assert got == want, (xi, outside, tol)
+
+
 def _route_points(xi_hi):
     return st.lists(st.tuples(st.floats(0.0, xi_hi), st.floats(0.0, 1.0)),
                     min_size=32, max_size=64)
@@ -449,10 +602,11 @@ def _route_points(xi_hi):
 @settings(max_examples=100, deadline=None)
 @given(_route_points(1.0), _route_points(0.5))
 def test_least_pt_float_route_is_the_array_route(cross, same):
-    """One state's least partial-transpose eigenvalue from float entries (the
-    bisection step's route, builtin min/abs) is, bit for bit and in the sign
-    of a zero, its value in an array of states (numpy's ufuncs). Every draw
-    holds the ends of both ranges and xi = 1/4."""
+    """One state's least partial-transpose eigenvalue, from its float
+    entries, is, bit for bit and in the sign of a zero, its value in an
+    array of states. Every draw holds the ends of both ranges and xi = 1/4.
+    The bisection kernels take it with builtin min/abs instead; the kernel
+    tests above hold them to this route."""
     for quantity, points, xi_hi in (("pptNonlocal", cross, 1.0), ("pptLocal", same, 0.5)):
         points = points + list(itertools.product((-0.0, 0.0, 0.25, xi_hi), (0.0, 0.5, 1.0)))
         xi, a2 = np.array(points).T
@@ -470,8 +624,8 @@ def test_least_pt_float_route_is_the_array_route(cross, same):
 @example(5e-324, 5e-324)
 @example(1e308, 1e308)
 def test_complex_abs_is_np_hypot(x, y):
-    """The float route's hypot, abs(complex(x, y)), is np.hypot(x, y) in its
-    raw bytes over finite floats, signed zeros included; where the hypot
+    """The same-site kernel's hypot, abs(complex(x, y)), is np.hypot(x, y) in
+    its raw bytes over finite floats, signed zeros included; where the hypot
     overflows, complex abs raises OverflowError instead of returning inf."""
     with np.errstate(over="ignore"):
         want = np.hypot(x, y)
@@ -483,10 +637,12 @@ def test_complex_abs_is_np_hypot(x, y):
 
 
 def _bisection_ends():
-    """Both ends for both targets at xi = 1/6 and at XI_LOWER."""
-    return [boundary_bisect(p, pred(p), side)
-            for p in (make_cloner_parameter(1 / 6), make_cloner_parameter(XI_LOWER))
-            for pred, *_ in PREDICATES.values() for side in ("lower", "upper")]
+    """Both ends for both targets at xi = 1/6 and at XI_LOWER, and the Bell
+    threshold at tols 1e-9 and 1e-300."""
+    return ([boundary_bisect(p, pred(p), side)
+             for p in (make_cloner_parameter(1 / 6), make_cloner_parameter(XI_LOWER))
+             for pred, *_ in PREDICATES.values() for side in ("lower", "upper")]
+            + [bisect(bell_violated_predicate(0.5), 0.0, 0.2, tol) for tol in (1e-9, 1e-300)])
 
 
 def test_bisection_builds_no_matrix(monkeypatch):
@@ -504,13 +660,14 @@ def test_bisection_builds_no_matrix(monkeypatch):
 
 def test_bisection_steps_call_no_numpy(monkeypatch):
     """A step on one state's floats stays in float arithmetic: with np.hypot,
-    np.minimum and np.asarray raising, both targets' ends are unchanged."""
+    np.minimum, np.maximum and np.asarray raising, both targets' ends and
+    the Bell threshold are unchanged."""
     want = _bisection_ends()
 
     def no_numpy(*args, **kwargs):
         raise AssertionError("a numpy function was called")
 
-    for name in ("hypot", "minimum", "asarray"):
+    for name in ("hypot", "minimum", "maximum", "asarray"):
         monkeypatch.setattr(np, name, no_numpy)
     with pytest.raises(AssertionError):
         local_entries(np.array([0.5]), 0.2)  # the patch is live
