@@ -112,7 +112,8 @@ def _range_bound():
 def _bell():
     """Unfiltered CHSH: the Bell threshold in xi, and M at most 1/2 on admissible machines."""
     # Bell threshold in xi (analysis-only; below the machine's range), bisected
-    # between xi = 0, where M exceeds 1, and 0.2, where it does not. Argmax
+    # between xi = 0, where M exceeds 1, and 0.2, where it does not, to
+    # adjacent floats (a tol below one ulp): 54 steps. Argmax
     # certificate: T = diag(2D, -2D, t_z) with t_z = A + B - 2C = eta^2 and
     # 4D^2 = 4 a^2 b^2 eta^4 <= eta^4, so M = eta^4 (1 + 4 a^2 b^2), which is
     # largest over alpha^2 at alpha^2 = 1/2; some alpha^2 violates CHSH at xi
@@ -121,8 +122,8 @@ def _bell():
     yield _equal("bell.threshold_xi",
                  "largest xi admitting any CHSH-violating alpha^2",
                  analysis.XI_BELL_MAX,
-                 bisect(bell_violated_predicate(0.5), 0.0, 0.2, 1e-9),
-                 1e-9)
+                 bisect(bell_violated_predicate(0.5), 0.0, 0.2, 1e-300),
+                 1e-16)
     max_m = evaluate({"bellM"}, XI_BOUNDARY, 0.5)["bellM"]
     yield _bool("bell.no_interval_in_machine_range",
                 "no CHSH-violating alpha^2 interval for any admissible machine",

@@ -40,8 +40,9 @@ def _bell_violated(xi):
 
 
 def test_bell_threshold_is_the_scalar_bisection():
-    want = bisect(_bell_violated, 0.0, 0.2, 1e-9)
-    assert want == float.fromhex("0x1.45d819b333336p-4")
+    """To adjacent floats (tol 1e-300), 2 ulps below XI_BELL_MAX."""
+    want = bisect(_bell_violated, 0.0, 0.2, 1e-300)
+    assert want == float.fromhex("0x1.45d819a94b14ap-4")
     assert _claim("bell.threshold_xi").computed == want
 
 
