@@ -130,7 +130,8 @@ def _entries(state, alpha_sq, xi):
 
 # The closed forms of the two states: plain arithmetic on floats or on arrays
 # that broadcast together, which checks each state once, from its closed-form
-# eigenvalues.
+# eigenvalues. analysis's bisection predicates repeat these expressions in
+# this operation order, and the tests hold them to these functions.
 
 def _cross_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
