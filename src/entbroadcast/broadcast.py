@@ -9,12 +9,12 @@ abstract machine, so it is only defined for xi >= 1/6.
 
 Both states are X-states, held by one type, ``XStateEntries``. Each state
 has one entry function, ``nonlocal_entries(alpha_sq, xi)`` or
-``local_entries(alpha_sq, xi)``, for one state (two floats) or a grid of
-them (arrays): it checks alpha^2, computes the entries and validates the
-state by the one X-state eigenvalue check, so no later query needs to check
-it again. The entries' ``matrix()`` fills the state's matrix or stack of
-matrices; ``nonlocal_state``/``local_state`` build it at an
-``EntangledInput``'s alpha^2 and a ``ClonerParameter``'s xi.
+``local_entries(alpha_sq, xi)``, on arrays over the broadcast shape of its
+arguments (shape () for one state): it checks alpha^2, computes the entries
+and validates the state by the one X-state eigenvalue check, so no later
+query needs to check it again. The entries' ``matrix()`` fills the state's
+matrix or stack of matrices; ``nonlocal_state``/``local_state`` build it at
+an ``EntangledInput``'s alpha^2 and a ``ClonerParameter``'s xi.
 """
 
 import math
@@ -69,7 +69,7 @@ class BroadcastOutputs:
 
 
 class XStateEntries(NamedTuple):
-    """The entries of an X-state (floats), or of a stack of them (arrays):
+    """The entries of an X-state or a stack of them (arrays, shape () for one):
     diagonal (A, C, C, B), the real coherence d between |00> and |11> and the
     real coherence w between |01> and |10>, with asym = A - B computed
     directly, not as the difference of the rounded A and B."""
@@ -82,10 +82,9 @@ class XStateEntries(NamedTuple):
     asym: object
 
     def matrix(self):
-        """The state: shape (4, 4) for float entries, else (..., 4, 4) for
-        entries of shape (...), the shape of A."""
-        # not np.shape, which costs about as much as the rest of a one-state build
-        rho = np.zeros(getattr(self.big_a, "shape", ()) + (4, 4), dtype=complex)
+        """The state, of shape (..., 4, 4) for entries of shape (...), the
+        shape of A: (4, 4) for one state."""
+        rho = np.zeros(np.shape(self.big_a) + (4, 4), dtype=complex)
         rho[..., 0, 0], rho[..., 3, 3] = self.big_a, self.big_b
         rho[..., 1, 1] = rho[..., 2, 2] = self.c
         rho[..., 0, 3] = rho[..., 3, 0] = self.d
@@ -97,41 +96,37 @@ def _require_x_state(big_a, big_b, c, d, w, xi, hi):
     """Raises OutOfRangeError at the first point, in order, where an eigenvalue
     of the X-state, (A + B)/2 +- hypot((A - B)/2, d) or C +- w, is below -STATE_TOL."""
     h = 0.5 * (big_a - big_b)
-    physical = ((c - abs(w) >= -STATE_TOL)
-                & (0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL))
-    if physical is True:  # one state from floats: skip numpy's cost on a bool
-        return
-    physical = np.asarray(physical)
+    physical = np.asarray((c - abs(w) >= -STATE_TOL)
+                          & (0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL))
     if not physical.all():
         xi = np.broadcast_to(xi, physical.shape).flat[np.argmin(physical)]
         raise OutOfRangeError(float(xi), 0.0, hi)
 
 
-def _entries(state, alpha_sq, xi):
-    """``state(a, b, xi)`` with a = sqrt(alpha^2) and b = sqrt(1 - a^2).
-
-    On plain floats when ``alpha_sq`` and ``xi`` are both floats, for one
-    state; otherwise on arrays, for the stack over their broadcast shape,
-    with numpy's overflow warnings off: a huge xi fails the state's check.
-    Raises ValueError for alpha^2 outside [0, 1].
-    """
-    if isinstance(alpha_sq, float) and isinstance(xi, float):
-        if not 0.0 <= alpha_sq <= 1.0:
-            raise ValueError(f"alpha^2={alpha_sq} outside [0, 1]")
-        a = math.sqrt(alpha_sq)
-        return state(a, math.sqrt(1.0 - a * a), xi)
+def _amplitudes(alpha_sq):
+    """The arrays a = sqrt(alpha^2) and b = sqrt(1 - a^2), of alpha_sq's shape.
+    Raises ValueError at the first alpha^2, in order, outside [0, 1]."""
     alpha_sq = np.asarray(alpha_sq, dtype=float)
-    if not ((alpha_sq >= 0.0) & (alpha_sq <= 1.0)).all():
-        raise ValueError("alpha^2 outside [0, 1]")
+    in_range = (alpha_sq >= 0.0) & (alpha_sq <= 1.0)
+    if not in_range.all():
+        bad = float(alpha_sq.flat[np.argmin(in_range)])
+        raise ValueError(f"alpha^2={bad} outside [0, 1]")
     a = np.sqrt(alpha_sq)
+    return a, np.sqrt(1.0 - a * a)
+
+
+def _entries(state, alpha_sq, xi):
+    """``state(a, b, xi)`` over the broadcast shape of ``alpha_sq`` and ``xi``,
+    with numpy's overflow warnings off: a huge xi fails the state's check."""
+    a, b = _amplitudes(alpha_sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        return state(a, np.sqrt(1.0 - a * a), np.asarray(xi, dtype=float))
+        return state(a, b, np.asarray(xi, dtype=float))
 
 
-# The closed forms of the two states: plain arithmetic on floats or on arrays
-# that broadcast together, which checks each state once, from its closed-form
-# eigenvalues. analysis's bisection predicates repeat these expressions in
-# this operation order, and the tests hold them to these functions.
+# The closed forms of the two states: array arithmetic, shape () for one
+# state, which checks each state once, from its closed-form eigenvalues.
+# analysis's bisection predicates repeat these expressions in this operation
+# order on floats, and the tests hold them to these functions.
 
 def _cross_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
@@ -150,11 +145,11 @@ def _same_site_entries(a, b, xi):
 
 
 def nonlocal_entries(alpha_sq, xi) -> XStateEntries:
-    """The entries of the cross-site states at the points (alpha_sq, xi):
-    floats for two floats, else arrays of their broadcast shape.
+    """The entries of the cross-site states at the points (alpha_sq, xi),
+    arrays of their broadcast shape: shape () for one point.
 
     ``xi`` is not held to the machine's range here (``make_cloner_parameter``
-    does that). Raises ValueError for alpha^2 outside [0, 1], and
+    does that). Raises ValueError at the first alpha^2 outside [0, 1], and
     OutOfRangeError at the first point where the state is not a density
     operator (xi outside [0, 1]).
     """
@@ -180,8 +175,8 @@ def local_state(inp: EntangledInput, p: ClonerParameter):
 def _global_states(a, b, v):
     """Global pure states alpha|00> + beta|11>, each half cloned by the
     isometry ``v`` ((4 d)x2, factor order (a, b, machine)), as tensors on
-    factors (a1, b1, m1, a2, b2, m2) of dims (2, 2, d, 2, 2, d): that shape
-    for floats a, b, or (...) + that shape for arrays of one shape (...). A
+    factors (a1, b1, m1, a2, b2, m2) of dims (2, 2, d, 2, 2, d), after the
+    shape (...) of the arrays a, b: that shape alone for 0-d a, b. A
     stack of isometries, of shape (m...) + ((4 d), 2), puts (m...) first."""
     # t[..., a, b, machine, k]: the image of input |k>, with a's axes as 1s
     # between the stack's and the factors'
@@ -230,8 +225,7 @@ def oracle_states(alpha_sq, p):
     kind = MachineKind.ABSTRACT_BH  # its isometry raises GramNotPSDError below 1/6
     v = (machine_isometry(p, kind) if isinstance(p, ClonerParameter)
          else np.stack([machine_isometry(q, kind) for q in p]))
-    # xi is unused: a float keeps a float alpha^2 on the one-state path
-    psis = _entries(lambda a, b, _: _global_states(a, b, v), alpha_sq, 0.0)
+    psis = _global_states(*_amplitudes(alpha_sq), v)
     return {name: _pair_reduction(psis, pair) for name, pair in _ORACLE_PAIRS.items()}
 
 

@@ -244,6 +244,14 @@ def test_stacks_raise_at_first_unphysical_point():
         nonlocal_entries([0.3], [math.nan])
     with pytest.raises(ValueError):
         nonlocal_entries([1.5], [0.2])
+    # alpha^2 is checked in order too, and the message names the first bad value
+    for entries in (nonlocal_entries, local_entries):
+        with pytest.raises(ValueError, match=r"alpha\^2=1\.5 outside"):
+            entries([0.3, 1.5, -1.0], 0.2)
+        with pytest.raises(ValueError, match=r"alpha\^2=nan"):
+            entries(math.nan, 0.2)
+    with pytest.raises(ValueError, match=r"alpha\^2=1\.5 outside"):
+        broadcast.oracle_states(np.array([0.3, 1.5]), make_cloner_parameter(0.3))
     with pytest.raises(OutOfRangeError, match=r"xi=0\.7 outside \[0\.0, 0\.5\]"):
         evaluate({"pptLocal", "bellM"}, xi, 0.3)
     with pytest.raises(OutOfRangeError, match=r"xi=-0\.3 outside \[0\.0, 1\.0\]"):
