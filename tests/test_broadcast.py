@@ -162,6 +162,14 @@ def test_entangled_input_route_is_the_x_state_from_alpha(alpha, xi):
         assert np.max(np.abs(out.local_state - same)) <= 1e-12
 
 
+def test_one_state_entries_have_shape_empty():
+    # one point takes the array route as shape (), and matrix() sizes from it
+    for entries in (nonlocal_entries(0.3, 0.2), local_entries(0.3, 0.2)):
+        assert all(np.shape(v) == () for v in entries), entries
+        rho = entries.matrix()
+        assert rho.shape == (4, 4) and rho.dtype == complex
+
+
 # The one X-state check, on entries neither builder makes: d and w both nonzero.
 # A point within 1e-12 of the check's threshold is skipped, as the closed form
 # and eigvalsh may round to either side of it.
