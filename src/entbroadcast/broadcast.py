@@ -104,8 +104,9 @@ def _require_x_state(big_a, big_b, c, d, w, xi, hi):
 
 
 def _amplitudes(alpha_sq):
-    """The arrays a = sqrt(alpha^2) and b = sqrt(1 - a^2), of alpha_sq's shape.
-    Raises ValueError at the first alpha^2, in order, outside [0, 1]."""
+    """a = sqrt(alpha^2) and b = sqrt(1 - a^2), of alpha_sq's shape: numpy
+    scalars for one alpha^2, as numpy's functions return them for a 0-d
+    array. Raises ValueError at the first alpha^2, in order, outside [0, 1]."""
     alpha_sq = np.asarray(alpha_sq, dtype=float)
     in_range = (alpha_sq >= 0.0) & (alpha_sq <= 1.0)
     if not in_range.all():
@@ -117,10 +118,12 @@ def _amplitudes(alpha_sq):
 
 def _entries(state, alpha_sq, xi):
     """``state(a, b, xi)`` over the broadcast shape of ``alpha_sq`` and ``xi``,
-    with numpy's overflow warnings off: a huge xi fails the state's check."""
+    with numpy's overflow warnings off: a huge xi fails the state's check.
+    One xi goes in as a numpy scalar (``[()]``), whose arithmetic skips the
+    ufunc dispatch that a 0-d array pays for each operation."""
     a, b = _amplitudes(alpha_sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        return state(a, b, np.asarray(xi, dtype=float))
+        return state(a, b, np.asarray(xi, dtype=float)[()])
 
 
 # The closed forms of the two states: array arithmetic, shape () for one
