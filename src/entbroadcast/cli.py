@@ -36,11 +36,14 @@ from .sweep import (
 
 @functools.cache
 def _build_parser():
-    """The top parser and each command's parser by name, built on first use
-    and reused for every call.
+    """The top parser and each command's option table by name, built on
+    first use and reused for every call.
 
-    Reuse is safe: parsing leaves the parsers unchanged, and each repeatable
-    option defaults to None, so argparse starts a new list on every call.
+    A table maps each option string of the command to the ``Action`` that
+    ``add_argument`` returned and the ``action=`` kind it was given ("store",
+    "append" or "store_true"). Reuse is safe: parsing leaves the parsers
+    unchanged, and each repeatable option defaults to None, so every call
+    starts a new list.
     """
     ap = argparse.ArgumentParser(
         prog="entbroadcast",
@@ -48,68 +51,114 @@ def _build_parser():
                     "tunable universal cloners.",
         allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
+    tables = {}
 
     def add_command(name, help):
+        """The function that adds an option to the new command and records it
+        in the command's table."""
         # allow_abbrev=False: an option is spelled in full, so "study --out"
         # is an error and not "--out-dir"
-        return sub.add_parser(name, help=help, allow_abbrev=False)
+        parser = sub.add_parser(name, help=help, allow_abbrev=False)
+        table = tables[name] = {}
 
-    def add_common(p, analysis_only=True):
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default="-", help="output path, or - for stdout")
+        def add(*option_strings, action="store", **kwargs):
+            recorded = parser.add_argument(*option_strings, action=action, **kwargs)
+            table.update(dict.fromkeys(recorded.option_strings, (recorded, action)))
+        return add
+
+    def add_common(add, analysis_only=True):
+        add("--format", choices=["csv", "json"], default="csv")
+        add("--out", default="-", help="output path, or - for stdout")
         if analysis_only:
-            p.add_argument("--analysis-only", action="store_true",
-                           help="permit xi outside the machine's admissible range")
+            add("--analysis-only", action="store_true",
+                help="permit xi outside the machine's admissible range")
 
-    sp = add_command("sweep", "evaluate quantities over an (xi, alpha^2) grid")
-    sp.add_argument("--xi", type=float, action="append", default=None)
-    sp.add_argument("--xi-grid", help="lo:hi:n")
-    sp.add_argument("--alpha-sq", type=float, action="append", default=None)
-    sp.add_argument("--alpha-grid", help="alpha^2 grid, lo:hi:n")
-    sp.add_argument("--quantity", action="append", choices=list(analysis.QUANTITIES),
-                    help="repeatable; at least one required")
-    add_common(sp)
+    sweep = add_command("sweep", "evaluate quantities over an (xi, alpha^2) grid")
+    sweep("--xi", type=float, action="append", default=None)
+    sweep("--xi-grid", help="lo:hi:n")
+    sweep("--alpha-sq", type=float, action="append", default=None)
+    sweep("--alpha-grid", help="alpha^2 grid, lo:hi:n")
+    sweep("--quantity", action="append", choices=list(analysis.QUANTITIES),
+          help="repeatable; at least one required")
+    add_common(sweep)
 
     add_common(add_command("verify", "recompute and check every headline claim"),
                analysis_only=False)
 
-    bp = add_command("boundary", "bisect a PPT boundary in alpha^2")
-    bp.add_argument("--xi", type=float, required=True)
-    bp.add_argument("--target", choices=["nonlocal", "local"], default="nonlocal")
-    bp.add_argument("--side", choices=["lower", "upper", "both"], default="both")
-    bp.add_argument("--tol", type=float, default=1e-10,
-                    help="width of the final bisection bracket, not a bound on the error")
-    add_common(bp)
+    boundary = add_command("boundary", "bisect a PPT boundary in alpha^2")
+    boundary("--xi", type=float, required=True)
+    boundary("--target", choices=["nonlocal", "local"], default="nonlocal")
+    boundary("--side", choices=["lower", "upper", "both"], default="both")
+    boundary("--tol", type=float, default=1e-10,
+             help="width of the final bisection bracket, not a bound on the error")
+    add_common(boundary)
 
-    cp = add_command("clone-audit", "clone-fidelity universality report")
-    cp.add_argument("--xi", type=float, required=True)
-    cp.add_argument("--kind", choices=[k.value for k in MachineKind],
-                    default=MachineKind.LITERAL_2D.value)
-    cp.add_argument("--samples", type=int, default=64,
-                    help="echoed in the samples column; the audit is exact and does not use it")
-    add_common(cp)
+    audit = add_command("clone-audit", "clone-fidelity universality report")
+    audit("--xi", type=float, required=True)
+    audit("--kind", choices=[k.value for k in MachineKind],
+          default=MachineKind.LITERAL_2D.value)
+    audit("--samples", type=int, default=64,
+          help="echoed in the samples column; the audit is exact and does not use it")
+    add_common(audit)
 
-    tp = add_command("study", "write the four summary tables as CSV files")
-    tp.add_argument("--out-dir", default="study_out")
-    tp.add_argument("--xi-points", type=int, default=25)
-    return ap, sub.choices
+    study = add_command("study", "write the four summary tables as CSV files")
+    study("--out-dir", default="study_out")
+    study("--xi-points", type=int, default=25)
+    return ap, tables
+
+
+def _read_options(command, table, args):
+    """The top parser's namespace for ``[command, *args]``, read in one pass
+    when ``args`` holds only options of the command's table, each spelled in
+    full and, unless a flag, followed by a value that is "-" or does not
+    start with "-" and that the option's type and choices take, with every
+    required option given. None for any other ``args``."""
+    values = {"command": command}
+    values.update((action.dest, action.default) for action, _ in table.values())
+    seen = set()
+    tokens = iter(args)
+    for token in tokens:
+        action, kind = table.get(token, (None, None))
+        if action is None:
+            return None
+        if kind == "store_true":
+            values[action.dest] = True
+            seen.add(action)
+            continue
+        value = next(tokens, "--")  # no value: handed over, as "--" is
+        if value.startswith("-") and value != "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if kind == "append":
+            if action not in seen:
+                values[action.dest] = list(values[action.dest] or ())
+            values[action.dest].append(value)
+        else:
+            values[action.dest] = value
+        seen.add(action)
+    if not all(action in seen for action, _ in table.values() if action.required):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv):
     """The namespace of the top parser's parse_args(argv), from one parse.
 
-    When argv[0] names a command, its parser reads argv[1:] directly, and the
-    top parser does not first read every string itself. The top parser takes
-    any other argv, and re-parses one that leaves strings over, as only it
-    reports them ("unrecognized arguments").
+    A call made of a command and only its options, as ``_read_options``
+    takes them, is read in one pass over argv; the top parser reads any
+    other argv, and alone gives usage text, help and every usage error.
     """
-    top, commands = _build_parser()
-    if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return top.parse_args(argv)
+    top, tables = _build_parser()
+    args = None
+    if argv and argv[0] in tables:
+        args = _read_options(argv[0], tables[argv[0]], argv[1:])
+    return top.parse_args(argv) if args is None else args
 
 
 def _require_at_least(flag, value, least):

@@ -15,8 +15,8 @@ the exit codes do not, and the script exits 1 if any entry's code differs from
 its declared code.
 
 The manifest is built from lists the tests already hold: the golden commands
-(``verify`` among them, in CSV and JSON), ``study`` and the exit-code table of
-``test_cli.py``.
+(``verify`` among them, in CSV and JSON), ``study``, and the exit-code table
+and the benchmark-shaped calls of ``test_cli.py``.
 """
 
 import contextlib
@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 
-from test_cli import EXIT_CODE_CASES
+from test_cli import BENCHMARK_CALLS, EXIT_CODE_CASES
 from test_golden import CASES, STUDY_TABLES
 
 from entbroadcast import cli
@@ -36,6 +36,7 @@ MANIFEST = [
     *[(argv, 0) for argv in CASES.values()],
     (["study"], 0),
     *EXIT_CODE_CASES,
+    *[(argv, 0) for argv in BENCHMARK_CALLS],
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -356,8 +357,8 @@ def test_signed_zero_alpha_sq_keeps_its_sign(capsys):
 # "TMP" in a token stands for the test's temporary directory, so that no run
 # writes outside it.
 
-FLOATS = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e-300", "0.1", "0.15", "0.2",
-          "0.25", "0.3", "0.5", "0.7", "1", "1.5", "1e308", "x"]
+FLOATS = ["nan", "inf", "-inf", "-0.0", "0", "-1", "-0.5", "-", "1e-300", "0.1", "0.15",
+          "0.2", "0.25", "0.3", "0.5", "0.7", "1", "1.5", "1e308", "x"]
 GRIDS = ["0:1:3", "0.2:0.3:2", "0.5:0.5:1", "1:0:2", "nan:1:2", "0:inf:2", "-1:0.5:2",
          "0:1:0", "0:1:-1", "0:1", "0:1:2.5", "a:b:c"]
 COUNTS = ["-1", "0", "1", "2", "3", "1.5", "nan", "x"]  # small: keeps every run fast
@@ -389,24 +390,40 @@ ALL_FLAGS = sorted({f for flags in FLAGS.values() for f in flags})
 ALL_VALUES = sorted(set(FLOATS + GRIDS + COUNTS + CHOICES))
 
 
+def one_in(draw, n):
+    return draw(st.integers(1, n)) == n
+
+
 @st.composite
 def argvs(draw):
+    """Calls of both kinds: those the one-pass reader takes, and those it
+    hands to the top parser ("--opt=value", a value starting with "-", a
+    stray value after a flag, an option with no value at the end, "--",
+    "-h" and every foreign flag or value)."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     argv = [command]
     if command == "study" or draw(st.booleans()):
         argv += START[command]
     for _ in range(draw(st.integers(0, 5))):
+        if one_in(draw, 8):
+            argv.append(draw(st.sampled_from(["--", "-h"])))
         # one flag or value in four from outside the command's own vocabulary
-        foreign = draw(st.integers(0, 3)) == 3
-        flag = draw(st.sampled_from(ALL_FLAGS if foreign else sorted(FLAGS[command])))
-        argv.append(flag)
+        flag = draw(st.sampled_from(ALL_FLAGS if one_in(draw, 4) else sorted(FLAGS[command])))
         own = FLAGS[command].get(flag, MACHINE.get(flag, FLOATS))
         if flag in ("--out", "--out-dir"):
             # paths stay inside TMP; study writes a directory, so it gets one
-            argv.append(draw(st.sampled_from(OUT_DIRS if command == "study" else OUTS)))
+            value = draw(st.sampled_from(OUT_DIRS if command == "study" else OUTS))
         elif own is not None:
-            foreign = draw(st.integers(0, 3)) == 3
-            argv.append(draw(st.sampled_from(ALL_VALUES if foreign else own)))
+            value = draw(st.sampled_from(ALL_VALUES if one_in(draw, 4) else own))
+        else:  # a flag, now and then followed by a stray value
+            value = None
+            argv.append(flag)
+            if one_in(draw, 4):
+                argv.append(draw(st.sampled_from(ALL_VALUES)))
+        if value is not None:
+            argv += [f"{flag}={value}"] if one_in(draw, 4) else [flag, value]
+    if one_in(draw, 4):  # an option with no value at the end
+        argv.append(draw(st.sampled_from(ALL_FLAGS)))
     return argv
 
 
@@ -478,7 +495,16 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
 BENCHMARK_SWEEP = [
     "sweep", *[t for i in range(50) for t in ("--xi", repr(0.15 + 0.007 * i))],
     *[t for i in range(50) for t in ("--alpha-sq", repr(i / 49))],
-    *[t for q in QUANTITIES for t in ("--quantity", q)]]
+    *[t for q in QUANTITIES for t in ("--quantity", q)], "--format", "csv", "--out", "-"]
+# a call shaped like each of the benchmark's; tests/output_digest.py hashes them too
+BENCHMARK_CALLS = [
+    BENCHMARK_SWEEP,
+    ["boundary", "--xi", "0.2", "--target", "nonlocal", "--side", "both",
+     "--format", "json", "--out", "-"],
+    ["clone-audit", "--xi", "0.3", "--kind", "AbstractBH", "--samples", "64",
+     "--format", "json", "--out", "-"],
+    ["verify", "--format", "csv", "--out", "-"],
+]
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -496,10 +522,21 @@ def _parse_outcome(parse, argv, capsys):
     pytest.param(BENCHMARK_SWEEP, id="benchmark sweep"),
     ["-h"], ["sweep", "-h"], ["--format", "json", "verify"], ["verify", "sweep"],
     ["sweep", "--", "--xi", "0.2"], ["clone-audit", "--xi", "0.2", "0.3"],
+    # each way the one-pass reader hands a call over, and calls it takes
+    ["boundary", "--xi=0.2"], ["boundary", "--xi", "-0.5", "--analysis-only"],
+    ["boundary", "--xi", "-inf"], ["boundary", "--xi", "-1e-13"], ["verify", "--out", "-h"],
+    ["boundary", "--analysis-only", "0.3", "--xi", "0.2"], ["boundary", "--xi"],
+    ["boundary", "--xi", "0.2", "--tol"], ["boundary", "--target", "local"],
+    ["boundary", "--xi", "0.2", "--xi", "0.3", "--out", "-"],
+    ["clone-audit", "--xi", "0.2", "--samples", "1.5"],
+    ["sweep", "--quantity", "bellM", "--quantity", "bogus"],
+    ["sweep", "--quantity", "bellM", "--analysis-only", "--quantity", "bellM"],
+    ["study", "--xi-points", "2", "-h"], ["verify", "--out", "-", "--"],
 ], ids=" ".join)
 def test_routed_parse_is_the_top_parsers(argv, capsys):
-    """Parsing with the command's parser gives the top parser's namespace,
-    command included, or its exit code, usage and message."""
+    """The one-pass reader, or the top parser it hands the call to, gives the
+    top parser's namespace, command included, or its exit code, usage and
+    message."""
     top, _ = cli._build_parser()
     assert (_parse_outcome(cli._parse_args, argv, capsys)
             == _parse_outcome(top.parse_args, argv, capsys))
@@ -512,6 +549,21 @@ def test_fuzzed_routed_parse_is_the_top_parsers(argv, capsys):
     top, _ = cli._build_parser()
     assert (_parse_outcome(cli._parse_args, argv, capsys)
             == _parse_outcome(top.parse_args, argv, capsys)), argv
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_CALLS, ids=lambda argv: argv[0])
+def test_benchmark_calls_are_read_in_one_pass(argv, monkeypatch):
+    """The benchmark's calls never reach argparse's parsing: a reader that
+    handed them over would fail here, and not only run slower."""
+    top, _ = cli._build_parser()
+    expected = vars(top.parse_args(argv))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a call of the one-pass reader's shape")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert vars(cli._parse_args(argv)) == expected
 
 
 def test_main_without_argv_parses_sys_argv(monkeypatch, capsys):
