@@ -364,7 +364,7 @@ def bisect(predicate, inside, outside, tol):
     lo, hi = outside, inside
     while abs(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        if mid == lo or mid == hi:
             break  # lo and hi are adjacent floats: no smaller bracket exists
         if predicate(mid):
             hi = mid

@@ -217,5 +217,6 @@ def universality_report(p, kind):
     # greatest eigenvalue of Lambda's symmetric part. A non-unital machine would
     # add a translation t, and the extremes of (1 + t.n + n.Lambda n)/2 on the
     # sphere would need the secular equation instead.
-    lo, hi = ((1.0 + np.linalg.eigvalsh((bloch + bloch.T) / 2.0)[[0, -1]]) / 2.0).tolist()
+    ev = np.linalg.eigvalsh((bloch + bloch.T) / 2.0)
+    lo, hi = (1.0 + float(ev[0])) / 2.0, (1.0 + float(ev[-1])) / 2.0
     return UniversalityReport(min_fidelity=lo, max_fidelity=hi, spread=hi - lo)

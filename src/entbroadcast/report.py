@@ -34,6 +34,7 @@ output is fully deterministic (no timestamps).
 """
 
 import csv
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
@@ -88,6 +89,8 @@ def _json_cell(v):
         return _JSON_FLOATS.get(text, text)
     if isinstance(v, str):
         return _json_str(v)
+    if type(v) is int:  # not bool, whose repr is not JSON
+        return int.__repr__(v)  # as json writes it
     return json.dumps(v)
 
 
@@ -188,6 +191,13 @@ def _grid_to_json(table):
     return _grid_template(keys, "%s", "\n  }", ",\n") % tuple(texts)
 
 
+@functools.lru_cache(maxsize=64)
+def _object_template(names):
+    """A column table's row object as one ``%`` template, a slot per column."""
+    fields = ",\n".join(f"    {_json_str(name)}: ".replace("%", "%%") + "%s" for name in names)
+    return "  {\n" + fields + "\n  }"
+
+
 def table_to_csv(table):
     """CSV text of ``table``: the header, then a line per row.
 
@@ -216,11 +226,9 @@ def table_to_json(table):
     if isinstance(table, GridTable):
         objects = _grid_to_json(table)
     else:
-        columns = [list(map(_json_cell, cells)) for cells in table.values()]
-        fields = ",\n".join(f"    {_json_str(name)}: ".replace("%", "%%") + "%s"
-                            for name in table)
-        template = "  {\n" + fields + "\n  }"
-        objects = ",\n".join(template % row for row in zip(*columns, strict=True))
+        template = _object_template(tuple(table))
+        rows = zip(*(map(_json_cell, cells) for cells in table.values()), strict=True)
+        objects = ",\n".join(template % row for row in rows)
     if not objects:
         return "[]\n"
     return "[\n" + objects + "\n]\n"

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from entbroadcast import claims, cli
@@ -507,11 +507,15 @@ BENCHMARK_CALLS = [
 ]
 
 
+def _names(args):
+    """A namespace's repr per key: nan equals nan, -0.0 differs from 0.0."""
+    return {k: repr(v) for k, v in vars(args).items()}
+
+
 def _parse_outcome(parse, argv, capsys):
-    """The namespace's repr per key (nan equals nan, -0.0 differs from 0.0),
-    or the exit code, with what the parse printed."""
+    """The namespace's ``_names``, or the exit code, with what the parse printed."""
     try:
-        outcome = {k: repr(v) for k, v in vars(parse(argv)).items()}
+        outcome = _names(parse(argv))
     except SystemExit as e:
         outcome = e.code
     return outcome, capsys.readouterr()
@@ -549,6 +553,94 @@ def test_fuzzed_routed_parse_is_the_top_parsers(argv, capsys):
     top, _ = cli._build_parser()
     assert (_parse_outcome(cli._parse_args, argv, capsys)
             == _parse_outcome(top.parse_args, argv, capsys)), argv
+
+
+def _option_values(action):
+    """Tokens that ``action``'s type and choices take, none starting with "-"
+    but "-" itself."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    if action.type is float:
+        return st.one_of(
+            st.floats(min_value=0.0).map(repr),
+            st.sampled_from(["nan", "inf", "Infinity", "+0.5", "1E-3", ".5", "5.", "1_0.5"]))
+    if action.type is int:
+        return st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(["+3", "0_7"]))
+    assert action.type is None, action
+    return st.one_of(st.just("-"), st.text())
+
+
+@st.composite
+def well_formed_calls(draw):
+    """(argv, the indices of its option values): a call of the shape the
+    one-pass reader takes, drawn from the command's option table. Options
+    are spelled in full and in any order; each value is one the option
+    takes; a flag stands alone; repeatable and other options may be given
+    more than once; every required option is present."""
+    _, tables = cli._build_parser()
+    command = draw(st.sampled_from(sorted(tables)))
+    options = []
+    for action, kind in dict.fromkeys(tables[command].values()):
+        for _ in range(draw(st.integers(int(action.required), 3 if kind == "append" else 2))):
+            option = [draw(st.sampled_from(action.option_strings))]
+            if kind != "store_true":
+                option.append(draw(_option_values(action).filter(
+                    lambda token: token == "-" or not token.startswith("-"))))
+            options.append(option)
+    argv = [command]
+    values = []
+    for option in draw(st.permutations(options)):
+        argv += option
+        if len(option) == 2:
+            values.append(len(argv) - 1)
+    return argv, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=well_formed_calls())
+def test_fuzzed_well_formed_calls_are_read_in_one_pass(call):
+    argv, _ = call
+    top, tables = cli._build_parser()
+    args = cli._read_options(argv[0], tables[argv[0]], argv[1:])
+    assert args is not None, argv
+    assert _names(args) == _names(top.parse_args(argv)), argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=well_formed_calls(), data=st.data())
+def test_fuzzed_dash_value_is_handed_over(call, data, capsys):
+    """A value that starts with "-", but is not "-", makes a well-formed call
+    one the reader hands to the top parser, negative numbers included."""
+    argv, values = call
+    assume(values)
+    at = data.draw(st.sampled_from(values))
+    argv[at] = data.draw(st.one_of(
+        st.sampled_from(["-inf", "-nan", "-0.5", "-0", "-1e-13", "-3", "--", "-h", "--xi"]),
+        st.text(min_size=1).map("-".__add__)))
+    top, tables = cli._build_parser()
+    assert cli._read_options(argv[0], tables[argv[0]], argv[1:]) is None, argv
+    assert (_parse_outcome(cli._parse_args, argv, capsys)
+            == _parse_outcome(top.parse_args, argv, capsys)), argv
+
+
+def test_cached_defaults_do_not_leak_between_calls():
+    """A call's options, and changes made to its namespace, reach no later call."""
+    top, _ = cli._build_parser()
+    first = ["sweep", "--xi", "0.2", "--alpha-sq", "0.5", "--quantity", "bellM",
+             "--format", "json", "--out", "x.json", "--analysis-only"]
+    args = cli._parse_args(first)
+    args.xi.append(0.3)
+    args.quantity.append("fidelity")
+    args.format = "bogus"
+    args.alpha_grid = "0:1:3"
+    again = ["sweep", "--xi", "0.25", "--quantity", "pptLocal"]
+    args = cli._parse_args(again)
+    assert (args.xi, args.alpha_sq, args.quantity, args.format, args.out,
+            args.analysis_only, args.alpha_grid) == (
+        [0.25], None, ["pptLocal"], "csv", "-", False, None)
+    assert vars(args) == vars(top.parse_args(again))
+    assert vars(cli._parse_args(first)) == vars(top.parse_args(first))
 
 
 @pytest.mark.parametrize("argv", BENCHMARK_CALLS, ids=lambda argv: argv[0])

@@ -87,6 +87,7 @@ def test_equal_values_of_other_bits_or_types_keep_their_own_text():
     # 0.0 == -0.0 and True == 1, so neither path may share text by value
     table = {"x": [0.0, -0.0, 0.0, -0.0], "y": [True, 1, 1.0, True]}
     assert table_to_csv(table) == "x,y\n0,True\n-0,1\n0,1\n-0,True\n"
+    assert table_to_json(table) == reference_json(as_rows(table), list(table))
 
 
 class _Shouting(str):
