@@ -154,9 +154,9 @@ def _read_options(command, table, args):
         seen.add(action)
     if not all(action in seen for action, _ in table.values() if action.required):
         return None
-    args = argparse.Namespace()
-    vars(args).update(values)  # a third of the time of Namespace(**values)
-    return args
+    namespace = argparse.Namespace()
+    vars(namespace).update(values)  # a third of the time of Namespace(**values)
+    return namespace
 
 
 def _parse_args(argv):
