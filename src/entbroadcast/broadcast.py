@@ -181,12 +181,15 @@ def _global_states(a, b, v):
     factors (a1, b1, m1, a2, b2, m2) of dims (2, 2, d, 2, 2, d), after the
     shape (...) of the arrays a, b: that shape alone for 0-d a, b. A
     stack of isometries, of shape (m...) + ((4 d), 2), puts (m...) first."""
-    # t[..., a, b, machine, k]: the image of input |k>, with a's axes as 1s
-    # between the stack's and the factors'
-    t = v.reshape(v.shape[:-2] + (1,) * np.ndim(a) + (2, 2, -1, 2))
-    images = t[..., None, None, None, :] * t[..., None, None, None, :, :, :, :]  # t_k x t_k
-    a, b = (np.reshape(x, np.shape(x) + (1,) * 6) for x in (a, b))
-    return a * images[..., 0] + b * images[..., 1]
+    # t_k: the image of input |k>, with a's axes as 1s between the stack's
+    # and the flat (a, b, machine) axis; t_k x t_k is their (4 d)x(4 d) outer
+    # product, which the reshape splits into the six factors
+    t = v.reshape(v.shape[:-2] + (1,) * np.ndim(a) + v.shape[-2:])
+    t0, t1 = t[..., 0], t[..., 1]
+    a, b = (np.reshape(x, np.shape(x) + (1, 1)) for x in (a, b))
+    psis = a * (t0[..., :, None] * t0[..., None, :]) + b * (t1[..., :, None] * t1[..., None, :])
+    d = v.shape[-2] // 4
+    return psis.reshape(psis.shape[:-2] + (2, 2, d, 2, 2, d))
 
 
 _ORACLE_FACTORS = "abmcdn"  # (a1, b1, m1, a2, b2, m2), one letter per factor

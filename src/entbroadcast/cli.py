@@ -192,15 +192,13 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     results = claims_mod.verify_claims()
-    for c in results:
-        print(f"[{c.verdict}] {c.claim_id}: expected {c.expected:.12g}, "
-              f"computed {c.computed:.12g} (tol {c.tolerance:g})", file=sys.stderr)
+    lines = [f"[{c.verdict}] {c.claim_id}: expected {c.expected:.12g}, "
+             f"computed {c.computed:.12g} (tol {c.tolerance:g})\n" for c in results]
     discrepancies = [c for c in results if c.verdict == claims_mod.DISCREPANCY]
     if discrepancies:
-        print("warning: documented discrepancies between the two machine readings:",
-              file=sys.stderr)
-        for c in discrepancies:
-            print(f"  {c.claim_id}: {c.description}", file=sys.stderr)
+        lines.append("warning: documented discrepancies between the two machine readings:\n")
+        lines.extend(f"  {c.claim_id}: {c.description}\n" for c in discrepancies)
+    sys.stderr.write("".join(lines))
     table = {f.name: [getattr(c, f.name) for c in results]
              for f in fields(claims_mod.ClaimResult)}
     emit_rows(table, args.format, args.out)

@@ -138,12 +138,11 @@ def _isometry(vecs):
     ``vecs`` (rows Q0, Y0, Q1, Y1 of dimension d): column k is the image
     |kk> Q_k + (|01> + |10>) Y_k of the input |k>. Float64, as the machine
     vectors of both kinds are real."""
-    q0, y0, q1, y1 = vecs
-    v = np.zeros((4, len(q0), 2))  # v[ab, machine, k]
-    v[0, :, 0], v[3, :, 1] = q0, q1
-    v[1, :, 0] = v[2, :, 0] = y0
-    v[1, :, 1] = v[2, :, 1] = y1
-    return v.reshape(-1, 2)
+    q0, y0, q1, y1 = vecs.tolist()
+    zero = [0.0] * len(q0)
+    v = [0.0] * (8 * len(q0))  # v[2 (d ab + machine) + k]
+    v[::2], v[1::2] = q0 + y0 + y0 + zero, zero + y1 + y1 + q1  # the two columns
+    return np.array(v).reshape(-1, 2)
 
 
 def literal_isometry(p):
@@ -190,10 +189,12 @@ def clone_fidelity(psi, p, kind):
     return float(np.sum(np.abs(psi.conj() @ out) ** 2))
 
 
-# _BLOCH_FORM[3 i + j, (a, k, b, l)] = sigma_i[b, a] sigma_j[k, l] / 2: against
+# _BLOCH_FORM[3 i + j, (a, k, b, l)] = Re(sigma_i[b, a] sigma_j[k, l]) / 2: against
 # the single-clone channel on the input operators, Phi(|k><l|)[a, b] over
 # (a, k, b, l), it gives the Bloch matrix entry Tr(sigma_i Phi(sigma_j))/2.
-_BLOCH_FORM = np.einsum("iba,jkl->ijakbl", PAULIS, PAULIS).reshape(9, 16) / 2.0
+# Both kinds' isometries are real, so Phi(|k><l|) is real too, and the
+# imaginary part of the Pauli products would add only an imaginary part.
+_BLOCH_FORM = np.einsum("iba,jkl->ijakbl", PAULIS, PAULIS).real.reshape(9, 16) / 2.0
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def universality_report(p, kind):
     # the real isometry as a matrix m[(a, k), r], a the first clone, k the
     # input and r the rest, so that (m m^T)[(a, k), (b, l)] = Phi(|k><l|)[a, b]
     m = machine_isometry(p, kind).reshape(2, -1, 2).transpose(0, 2, 1).reshape(4, -1)
-    bloch = (_BLOCH_FORM @ (m @ m.T).reshape(16)).real.reshape(3, 3)
+    bloch = (_BLOCH_FORM @ (m @ m.T).reshape(16)).reshape(3, 3)
     # Both kinds are unital, Phi(I) = I, as <Q_k|Y_k> = 0 in both readings: a
     # pure input with Bloch vector n leaves the clone with Lambda n, so its
     # fidelity is (1 + n.Lambda n)/2, and the extremes are set by the least and

@@ -70,12 +70,15 @@ def _fmt(v):
     return str(v)
 
 
-def _csv_fields(texts):
-    """Each text as the csv module writes it as a field of a row of two or more."""
-    lines = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
-        (t, "") for t in texts)
-    return [line[:-2] for line in lines]
+def _csv_cell(v):
+    """``_fmt(v)`` as CPython 3.11's csv module writes it as a field of a row:
+    quoted, its quotes doubled, when it holds ',', '"' or '\\n', and bare
+    otherwise, also when it holds '\\r'. The module writes a row of one
+    empty field, and only that row, as ``""``."""
+    text = _fmt(v)
+    if '"' in text or "," in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # JSON text of the floats whose repr is not JSON, nan as null
@@ -173,7 +176,7 @@ def _csv_value_slots(values):
 
 
 def _grid_to_csv(table):
-    keys = [[f"{field},".replace("%", "%%") for field in _csv_fields(map(_fmt, grid))]
+    keys = [[f"{field},".replace("%", "%%") for field in map(_csv_cell, grid)]
             for grid in table.axes.values()]
     # the slots before the template: made after it, their temporaries left the
     # heap about 2 MB larger on a 50x50x5 sweep
@@ -212,7 +215,8 @@ def table_to_csv(table):
         lines.append(_grid_to_csv(table))
     else:
         w.writerow(table)
-        w.writerows(zip(*(map(_fmt, cells) for cells in table.values()), strict=True))
+        rows = zip(*(map(_csv_cell, cells) for cells in table.values()), strict=True)
+        lines.extend([(",".join(row) or '""') + "\n" for row in rows])
     return "".join(lines)
 
 

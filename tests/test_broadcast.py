@@ -388,6 +388,45 @@ def test_oracle_runs_in_float64():
         assert np.max(np.abs(pairs[name] - want)) <= 2 * np.finfo(float).eps, name
 
 
+def _global_states_reference(a, b, v):
+    """The global states as the factor tensors' broadcast product: each
+    image t_k x t_k on the six factor axes, then a t_0 x t_0 + b t_1 x t_1."""
+    t = v.reshape(v.shape[:-2] + (1,) * np.ndim(a) + (2, 2, -1, 2))
+    images = t[..., None, None, None, :] * t[..., None, None, None, :, :, :, :]
+    a, b = (np.reshape(x, np.shape(x) + (1,) * 6) for x in (a, b))
+    return a * images[..., 0] + b * images[..., 1]
+
+
+def _assert_global_states_are_the_reference(alpha_sq, v):
+    a = np.sqrt(alpha_sq)
+    b = np.sqrt(1.0 - a * a)
+    got, want = _global_states(a, b, v), _global_states_reference(a, b, v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_global_states_are_the_reference_on_the_claims_block():
+    v = np.stack([machine_isometry(make_cloner_parameter(xi), MachineKind.ABSTRACT_BH)
+                  for xi in (1 / 6, 0.2, 0.3, 0.45)])
+    _assert_global_states_are_the_reference(np.arange(0.1, 0.95, 0.1), v)
+
+
+@pytest.mark.parametrize("kind, xi", [(MachineKind.ABSTRACT_BH, 0.3),
+                                      (MachineKind.LITERAL_2D, XI_LOWER)])
+@pytest.mark.parametrize("alpha_sq", [np.float64(0.3), np.array(0.7),
+                                      np.linspace(0.0, 1.0, 12).reshape(3, 4)])
+def test_global_states_are_the_reference_on_any_alpha_sq_shape(kind, xi, alpha_sq):
+    _assert_global_states_are_the_reference(alpha_sq, machine_isometry(make_cloner_parameter(xi), kind))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1 / 6, 0.5), st.floats(0.0, 1.0))
+def test_global_states_are_the_reference_for_one_machine(xi, alpha_sq):
+    v = machine_isometry(make_cloner_parameter(xi), MachineKind.ABSTRACT_BH)
+    _assert_global_states_are_the_reference(alpha_sq, v)
+    _assert_global_states_are_the_reference(np.linspace(0.0, 1.0, 9), v)
+
+
 def test_pair_reduction_conjugates_complex_states():
     """The reduction still conjugates: global states given a local phase on
     each basis state of each factor, one at a time and as a stack, reduce to

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,3 +86,20 @@ def test_oracle_block_deviation_is_the_per_xi_loop():
     claim = _claim("oracle.equivalence")
     assert claim.computed == dev
     assert claim.verdict == claims.PASS
+
+
+@pytest.mark.parametrize("entry", range(16))
+@pytest.mark.parametrize("name", ["a1b1", "a2b2", "a1b2", "a2b1"])
+def test_oracle_equivalence_sees_every_entry_of_every_pair(monkeypatch, name, entry):
+    """A deviation of 1e-9 in any one of the 16 entries of one oracle state,
+    a zero off the X included, fails the claim."""
+    def perturbed(alpha_sq, p):
+        pairs = oracle_states(alpha_sq, p)
+        pairs[name][2, 5].flat[entry] += 1e-9
+        return pairs
+
+    monkeypatch.setattr(claims, "oracle_states", perturbed)
+    (claim,) = claims._oracle()
+    assert claim.claim_id == "oracle.equivalence"
+    assert claim.verdict == claims.FAIL
+    assert claim.computed >= 1e-9 - 1e-15

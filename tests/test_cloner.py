@@ -20,10 +20,12 @@ from entbroadcast.cloner import (
     literal_machine_vectors,
     machine_isometry,
     make_cloner_parameter,
+    UniversalityReport,
+    _isometry,
     single_clone_density,
     universality_report,
 )
-from entbroadcast.linalg import dag, outer, partial_trace
+from entbroadcast.linalg import PAULIS, dag, outer, partial_trace
 
 
 def random_pure_states(n, seed=0):
@@ -421,6 +423,57 @@ class TestRealIsometry:
             assert clone_density(rho, p, kind).tobytes() == want.tobytes()
             want_a = partial_trace(want, [2, 2], keep=[0])
             assert single_clone_density(rho, p, kind).tobytes() == want_a.tobytes()
+
+
+def isometry_reference(vecs):
+    """The isometry of the machine vectors ``vecs`` by a zero fill and slice
+    assignments: v[ab, machine, k]."""
+    q0, y0, q1, y1 = vecs
+    v = np.zeros((4, len(q0), 2))
+    v[0, :, 0], v[3, :, 1] = q0, q1
+    v[1, :, 0] = v[2, :, 0] = y0
+    v[1, :, 1] = v[2, :, 1] = y1
+    return v.reshape(-1, 2)
+
+
+# the Bloch form in complex128, with the imaginary parts that meet a real channel in
+# the product's imaginary part only
+COMPLEX_BLOCH_FORM = np.einsum("iba,jkl->ijakbl", PAULIS, PAULIS).reshape(9, 16) / 2.0
+
+
+def universality_report_reference(p, kind):
+    """The audit with the complex Bloch form, reading the product's real part."""
+    m = machine_isometry(p, kind).reshape(2, -1, 2).transpose(0, 2, 1).reshape(4, -1)
+    bloch = (COMPLEX_BLOCH_FORM @ (m @ m.T).reshape(16)).real.reshape(3, 3)
+    ev = np.linalg.eigvalsh((bloch + bloch.T) / 2.0)
+    lo, hi = (1.0 + float(ev[0])) / 2.0, (1.0 + float(ev[-1])) / 2.0
+    return UniversalityReport(min_fidelity=lo, max_fidelity=hi, spread=hi - lo)
+
+
+MACHINE_VECTORS = {MachineKind.LITERAL_2D: literal_machine_vectors,
+                   MachineKind.ABSTRACT_BH: abstract_machine_vectors}
+
+
+class TestReferenceRoutes:
+    """The isometry from the vectors' values and the audit's real Bloch form
+    give, bit for bit, what the zero-filled isometry and the complex form give."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(audited_machines)
+    def test_isometry_is_the_zero_filled_one(self, kind_xi):
+        kind, xi = kind_xi
+        vecs = MACHINE_VECTORS[kind](analysis_parameter(xi))
+        got, want = _isometry(vecs), isometry_reference(vecs)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(audited_machines)
+    def test_audit_is_that_of_the_complex_bloch_form(self, kind_xi):
+        kind, xi = kind_xi
+        p = analysis_parameter(xi)
+        assert universality_report(p, kind) == universality_report_reference(p, kind)
 
 
 @pytest.mark.parametrize("xi", [-0.1, -1e-9, 0.5 + 1e-9, 0.7])
