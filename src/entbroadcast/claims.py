@@ -166,17 +166,6 @@ def _werner_fidelity():
                 bool(np.all(off_half.asym != 0.0)))
 
 
-def _real_matrices(entries):
-    """The float64 stack of the X-states of real ``entries``: their complex
-    ``matrix()``, whose imaginary parts are all zero, in real arithmetic."""
-    rho = np.zeros(np.shape(entries.big_a) + (4, 4))
-    rho[..., 0, 0], rho[..., 3, 3] = entries.big_a, entries.big_b
-    rho[..., 1, 1] = rho[..., 2, 2] = entries.c
-    rho[..., 0, 3] = rho[..., 3, 0] = entries.d
-    rho[..., 1, 2] = rho[..., 2, 1] = entries.w
-    return rho
-
-
 def _oracle():
     """One oracle call: its pair states and their dense measures against the closed forms."""
     xis, a2 = (XI_OPTIMAL, 0.20, 0.30, 0.45), np.arange(0.1, 0.95, 0.1)
@@ -184,7 +173,7 @@ def _oracle():
     dense = dense_quantities(pairs["a1b1"], pairs["a1b2"])
     xi = np.array(xis)[:, None]
     # every entry of each 4x4, the zeros off the X included, in float64
-    same, cross = (_real_matrices(e) for e in (local_entries(a2, xi), nonlocal_entries(a2, xi)))
+    same, cross = (e.matrix().real for e in (local_entries(a2, xi), nonlocal_entries(a2, xi)))
     want = {"a1b1": same, "a2b2": same, "a1b2": cross, "a2b1": cross,
             **evaluate(dense.keys(), xi, a2)}
     dev = max(float(abs(v - want[k]).max()) for k, v in (pairs | dense).items())

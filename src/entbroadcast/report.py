@@ -70,14 +70,28 @@ def _fmt(v):
     return str(v)
 
 
+def _csv_quoting_chars():
+    """Those of ',', '"', '\\n' and '\\r' that make the running csv module's
+    writer (``lineterminator="\\n"``) quote a field that holds them."""
+    lines = []
+    w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    for c in ',"\n\r':
+        w.writerow([c, ""])
+    return tuple(c for c, line in zip(',"\n\r', lines) if line.startswith('"'))
+
+
+_CSV_QUOTING = _csv_quoting_chars()
+
+
 def _csv_cell(v):
-    """``_fmt(v)`` as CPython 3.11's csv module writes it as a field of a row:
-    quoted, its quotes doubled, when it holds ',', '"' or '\\n', and bare
-    otherwise, also when it holds '\\r'. The module writes a row of one
-    empty field, and only that row, as ``""``."""
+    """``_fmt(v)`` as the csv module writes it as a field of a row: quoted,
+    its quotes doubled, when it holds a character of ``_CSV_QUOTING``, and
+    bare otherwise. The module writes a row of one empty field, and only
+    that row, as ``""``."""
     text = _fmt(v)
-    if '"' in text or "," in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
+    for c in _CSV_QUOTING:
+        if c in text:
+            return '"' + text.replace('"', '""') + '"'
     return text
 
 
