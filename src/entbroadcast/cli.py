@@ -36,14 +36,16 @@ from .sweep import (
 
 @functools.cache
 def _build_parser():
-    """The top parser and each command's option table by name, built on
-    first use and reused for every call.
+    """The top parser and, by name, each command's option table and the top
+    parser's namespace values for the command before any option is read;
+    built on first use and reused for every call.
 
     A table maps each option string of the command to the ``Action`` that
     ``add_argument`` returned and the ``action=`` kind it was given ("store",
     "append" or "store_true"). Reuse is safe: parsing leaves the parsers
-    unchanged, and each repeatable option defaults to None, so every call
-    starts a new list.
+    unchanged, and every default is immutable, a repeatable option's being
+    None, so a shallow copy of the defaults per call shares nothing that a
+    call can change.
     """
     ap = argparse.ArgumentParser(
         prog="entbroadcast",
@@ -51,19 +53,20 @@ def _build_parser():
                     "tunable universal cloners.",
         allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
-    tables = {}
+    commands = {}
 
     def add_command(name, help):
         """The function that adds an option to the new command and records it
-        in the command's table."""
+        in the command's table and defaults."""
         # allow_abbrev=False: an option is spelled in full, so "study --out"
         # is an error and not "--out-dir"
         parser = sub.add_parser(name, help=help, allow_abbrev=False)
-        table = tables[name] = {}
+        table, defaults = commands[name] = {}, {"command": name}
 
         def add(*option_strings, action="store", **kwargs):
             recorded = parser.add_argument(*option_strings, action=action, **kwargs)
             table.update(dict.fromkeys(recorded.option_strings, (recorded, action)))
+            defaults[recorded.dest] = recorded.default
         return add
 
     def add_common(add, analysis_only=True):
@@ -104,27 +107,17 @@ def _build_parser():
     study = add_command("study", "write the four summary tables as CSV files")
     study("--out-dir", default="study_out")
     study("--xi-points", type=int, default=25)
-    return ap, tables
+    return ap, commands
 
 
-@functools.cache
-def _defaults(command):
-    """The top parser's namespace values for ``command`` before any option is
-    read. Every default is immutable, a repeatable option's being None, so a
-    shallow copy per call shares nothing that a call can change."""
-    _, tables = _build_parser()
-    values = {"command": command}
-    values.update((action.dest, action.default) for action, _ in tables[command].values())
-    return values
-
-
-def _read_options(command, table, args):
-    """The top parser's namespace for ``[command, *args]``, read in one pass
-    when ``args`` holds only options of the command's table, each spelled in
-    full and, unless a flag, followed by a value that is "-" or does not
-    start with "-" and that the option's type and choices take, with every
-    required option given. None for any other ``args``."""
-    values = _defaults(command).copy()
+def _read_options(table, defaults, args):
+    """The top parser's namespace for a command's ``args``, from its option
+    table and defaults, read in one pass when ``args`` holds only options of
+    the table, each spelled in full and, unless a flag, followed by a value
+    that is "-" or does not start with "-" and that the option's type and
+    choices take, with every required option given. None for any other
+    ``args``."""
+    values = defaults.copy()
     seen = set()
     tokens = iter(args)
     for token in tokens:
@@ -166,10 +159,10 @@ def _parse_args(argv):
     takes them, is read in one pass over argv; the top parser reads any
     other argv, and alone gives usage text, help and every usage error.
     """
-    top, tables = _build_parser()
+    top, commands = _build_parser()
     args = None
-    if argv and argv[0] in tables:
-        args = _read_options(argv[0], tables[argv[0]], argv[1:])
+    if argv and argv[0] in commands:
+        args = _read_options(*commands[argv[0]], argv[1:])
     return top.parse_args(argv) if args is None else args
 
 

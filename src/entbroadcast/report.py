@@ -66,7 +66,7 @@ class GridTable:
 
 def _fmt(v):
     if isinstance(v, float):
-        return format(v, ".17g")
+        return "%.17g" % v  # format(v, ".17g")'s text, also for np.float64, and faster
     return str(v)
 
 
@@ -185,7 +185,7 @@ def _csv_value_slots(values):
         slots[2 * j + 1] = ""
     other = np.flatnonzero(codes == _OTHER)
     for j, v in zip(other.tolist(), values[other].tolist()):
-        slots[2 * j] = "%.17g" % v  # equals format(v, ".17g"), and needs no quotes
+        slots[2 * j] = "%.17g" % v  # _fmt's text, which needs no quotes
     return slots
 
 
@@ -219,18 +219,18 @@ def table_to_csv(table):
     """CSV text of ``table``: the header, then a line per row.
 
     The text equals what the csv module's writer (``lineterminator="\\n"``)
-    makes of the header and then of ``_fmt`` of each cell, row by row.
-    Raises ValueError when the columns differ in length.
+    makes of the header and then of ``_fmt`` of each cell, row by row. The
+    header is a row like any other, written by the same join; a table of no
+    columns is one empty line. Raises ValueError when the columns differ in
+    length.
     """
-    lines = []
-    w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    if isinstance(table, GridTable):
-        w.writerow([*table.axes, table.value_name])
+    grid = isinstance(table, GridTable)
+    columns = ([(name,) for name in (*table.axes, table.value_name)] if grid
+               else [(name, *cells) for name, cells in table.items()])
+    rows = zip(*(map(_csv_cell, cells) for cells in columns), strict=True)
+    lines = [(",".join(row) or '""') + "\n" for row in rows] or ["\n"]
+    if grid:
         lines.append(_grid_to_csv(table))
-    else:
-        w.writerow(table)
-        rows = zip(*(map(_csv_cell, cells) for cells in table.values()), strict=True)
-        lines.extend([(",".join(row) or '""') + "\n" for row in rows])
     return "".join(lines)
 
 

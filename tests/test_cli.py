@@ -577,10 +577,10 @@ def well_formed_calls(draw):
     are spelled in full and in any order; each value is one the option
     takes; a flag stands alone; repeatable and other options may be given
     more than once; every required option is present."""
-    _, tables = cli._build_parser()
-    command = draw(st.sampled_from(sorted(tables)))
+    _, commands = cli._build_parser()
+    command = draw(st.sampled_from(sorted(commands)))
     options = []
-    for action, kind in dict.fromkeys(tables[command].values()):
+    for action, kind in dict.fromkeys(commands[command][0].values()):
         for _ in range(draw(st.integers(int(action.required), 3 if kind == "append" else 2))):
             option = [draw(st.sampled_from(action.option_strings))]
             if kind != "store_true":
@@ -600,8 +600,8 @@ def well_formed_calls(draw):
 @given(call=well_formed_calls())
 def test_fuzzed_well_formed_calls_are_read_in_one_pass(call):
     argv, _ = call
-    top, tables = cli._build_parser()
-    args = cli._read_options(argv[0], tables[argv[0]], argv[1:])
+    top, commands = cli._build_parser()
+    args = cli._read_options(*commands[argv[0]], argv[1:])
     assert args is not None, argv
     assert _names(args) == _names(top.parse_args(argv)), argv
 
@@ -618,8 +618,8 @@ def test_fuzzed_dash_value_is_handed_over(call, data, capsys):
     argv[at] = data.draw(st.one_of(
         st.sampled_from(["-inf", "-nan", "-0.5", "-0", "-1e-13", "-3", "--", "-h", "--xi"]),
         st.text(min_size=1).map("-".__add__)))
-    top, tables = cli._build_parser()
-    assert cli._read_options(argv[0], tables[argv[0]], argv[1:]) is None, argv
+    top, commands = cli._build_parser()
+    assert cli._read_options(*commands[argv[0]], argv[1:]) is None, argv
     assert (_parse_outcome(cli._parse_args, argv, capsys)
             == _parse_outcome(top.parse_args, argv, capsys)), argv
 

@@ -100,11 +100,27 @@ def test_equal_values_of_other_bits_or_types_keep_their_own_text():
     ({"a": ["", "x", ""], "b": ["", "", 1.0]}, "a,b\n,\nx,\n,1\n"),
     ({"a": [""]}, 'a\n""\n'),  # a lone empty field, as the writer writes it
     ({"a": ["", "x,y"]}, 'a\n""\n"x,y"\n'),
+    ({}, "\n"),  # no columns: an empty header line and no rows
+    ({"": [1.0]}, '""\n1\n'),  # a lone empty column name
 ])
 def test_fields_a_fuzzer_finds_only_by_chance(table, text):
     written = table_to_csv(table)
     assert written == reference_csv(as_rows(table), list(table))
     assert text is None or written == text
+
+
+BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(BIT_PATTERNS, st.floats(), st.sampled_from(SPECIAL_FLOATS + [
+    2.2250738585072009e-308, -2.2250738585072014e-308, 1.5e-323])))
+def test_fmt_writes_float_text_of_format_17g(v):
+    # column tables take their float text from _fmt, and reference_csv calls it too
+    want = format(v, ".17g")
+    assert _fmt(v) == want
+    assert _fmt(np.float64(v)) == want == format(np.float64(v), ".17g")
 
 
 def test_quoting_follows_the_probed_characters(monkeypatch):
@@ -181,6 +197,8 @@ SWEEP_NAMES = ["xi", "alpha_sq", "quantity", "value"]
 @example(grid_case(SWEEP_NAMES, [0.0, -0.0, 0.0], [-0.0, np.float64(0.5), -0.0],
                    ["q", "q%s", "q"],
                    (SPECIAL_FLOATS + [np.float64(v) for v in SPECIAL_FLOATS] * 2)[:27]))
+@example(grid_case(["x,i", 'a"2', "q\nr\r", "v%s%"], [0.25, -0.0], [0.5], ["p,q", "%"],
+                   [0.1, 1e-5, math.nan, 2.0]))  # names the header must quote or keep
 def test_grid_table_matches_row_writer(case):
     # written from its grids, and as the column table of its rows
     table, rows = case
