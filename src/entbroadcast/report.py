@@ -219,10 +219,9 @@ def table_to_csv(table):
     """CSV text of ``table``: the header, then a line per row.
 
     The text equals what the csv module's writer (``lineterminator="\\n"``)
-    makes of the header and then of ``_fmt`` of each cell, row by row. The
-    header is a row like any other, written by the same join; a table of no
-    columns is one empty line. Raises ValueError when the columns differ in
-    length.
+    makes of ``_fmt`` of each column name and then of each cell, row by row:
+    the header is a row like any other, and a table of no columns is one
+    empty line. Raises ValueError when the columns differ in length.
     """
     grid = isinstance(table, GridTable)
     columns = ([(name,) for name in (*table.axes, table.value_name)] if grid
