@@ -178,9 +178,9 @@ def evaluate(quantities, xi, alpha_sq):
         if "fidelity" in wanted:
             values["fidelity"] = 0.5 * (1.0 + (4.0 * np.abs(e.d) + np.abs(t_z)) / 3.0)
         if "wernerX" in wanted:
-            # decided from the inputs, not the entries: asym rounds away from
-            # 0 at alpha^2 = 1/2, and the next float up gives the same entries
-            top = 0.5 * (e.big_a + e.big_b) + np.hypot(0.5 * e.asym, e.d)
+            # top eigenvalue (A + B)/2 + hypot((A - B)/2, d), with A = B on the lines; the
+            # inputs, not the entries, decide them: the next float above 1/2 gives the same entries
+            top = 0.5 * (e.big_a + e.big_b) + np.abs(e.d)
             on_line = np.equal(alpha_sq, 0.5) | np.equal(xi, 0.5)
             values["wernerX"] = np.where(on_line, (4.0 * top - 1.0) / 3.0, math.nan)
     return {q: _value(v) for q, v in values.items()}

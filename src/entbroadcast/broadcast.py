@@ -7,14 +7,14 @@ machine per site) and obtains the same matrices by partial tracing. The
 oracle takes the machine's dimension from its isometry; it uses the
 abstract machine, so it is only defined for xi >= 1/6.
 
-Both states are X-states, held by one type, ``XStateEntries``. Each state
-has one entry function, ``nonlocal_entries(alpha_sq, xi)`` or
-``local_entries(alpha_sq, xi)``, on arrays over the broadcast shape of its
-arguments (shape () for one state): it checks alpha^2, computes the entries
-and validates the state by the one X-state eigenvalue check, so no later
-query needs to check it again. The entries' ``matrix()`` fills the state's
-matrix or stack of matrices; ``nonlocal_state``/``local_state`` build it at
-an ``EntangledInput``'s alpha^2 and a ``ClonerParameter``'s xi.
+Both states are X-states, held by one type, ``XStateEntries``, of five real
+entries each. Each state has one entry function, ``nonlocal_entries(alpha_sq,
+xi)`` or ``local_entries(alpha_sq, xi)``, on arrays over the broadcast shape of
+its arguments (shape () for one state): it checks alpha^2, computes the entries
+and validates the state by the one X-state eigenvalue check, so no later query
+needs to check it again. The entries' ``matrix()`` fills the state's matrix or
+stack of matrices; ``nonlocal_state``/``local_state`` build it at an
+``EntangledInput``'s alpha^2 and a ``ClonerParameter``'s xi.
 """
 
 import math
@@ -71,15 +71,13 @@ class BroadcastOutputs:
 class XStateEntries(NamedTuple):
     """The entries of an X-state or a stack of them (arrays, shape () for one):
     diagonal (A, C, C, B), the real coherence d between |00> and |11> and the
-    real coherence w between |01> and |10>, with asym = A - B computed
-    directly, not as the difference of the rounded A and B."""
+    real coherence w between |01> and |10>: five real numbers per state."""
 
     big_a: object
     big_b: object
     c: object
     d: object
     w: object
-    asym: object
 
     def matrix(self):
         """The state, of shape (..., 4, 4) for entries of shape (...), the
@@ -136,7 +134,7 @@ def _cross_site_entries(a, b, xi):
     big_a, big_b = a * a * eta + xi * xi, b * b * eta + xi * xi
     c, d = xi * (1.0 - xi), a * b * eta * eta
     _require_x_state(big_a, big_b, c, d, 0.0, xi, 1.0)
-    return XStateEntries(big_a, big_b, c, d, 0.0, (a * a - b * b) * eta)
+    return XStateEntries(big_a, big_b, c, d, 0.0)
 
 
 def _same_site_entries(a, b, xi):
@@ -144,7 +142,7 @@ def _same_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
     big_a, big_b = a * a * eta, b * b * eta
     _require_x_state(big_a, big_b, xi, 0.0, xi, xi, 0.5)
-    return XStateEntries(big_a, big_b, xi, 0.0, xi, (a * a - b * b) * eta)
+    return XStateEntries(big_a, big_b, xi, 0.0, xi)
 
 
 def nonlocal_entries(alpha_sq, xi) -> XStateEntries:

@@ -159,11 +159,12 @@ def _werner_fidelity():
         yield _equal(f"fidelity.{cid}",
                      f"teleportation fidelity of the cross-site state at xi={xi:.8f}",
                      f_expect, half["fidelity"][k], 1e-12)
-    # certificate: a Werner state has A = B, and asym = A - B = (a^2 - b^2) eta
-    off_half = nonlocal_entries(np.array([0.3, 0.45, 0.55]), XI_OPTIMAL)
+    # certificate: a Werner state has A = B; A - B = (a^2 - b^2) eta is rounding at 1/2 only
+    e = nonlocal_entries(np.array([0.5, 0.3, 0.45, 0.55]), XI_OPTIMAL)
+    ulps = np.abs(e.big_a - e.big_b) / np.spacing(np.maximum(e.big_a, e.big_b))
     yield _bool("werner.only_maximally_entangled",
                 "Werner form unattainable off alpha^2 = 1/2",
-                bool(np.all(off_half.asym != 0.0)))
+                bool(ulps[0] <= 4.0 and ulps[1:].min() > 1e6))
 
 
 def _oracle():

@@ -181,8 +181,11 @@ def test_all_closed_forms_match_dense_measures(points):
 
 
 werner_alpha_sqs = st.one_of(st.just(0.5), st.floats(0.0, 1.0))
+# xi in [1/2 - 1e-7, 1/2] puts eta below 1.5e-8, the one band where the A - B
+# of alpha^2 = 1/2, a few ulps, could move hypot((A - B)/2, d) off |d|
+WERNER_BAND = (0.5 - 1e-7, 0.5)
 werner_xis = st.one_of(st.just(0.5), st.floats(0.0, 1.0),
-                       st.floats(0.5 - 1e-4, 0.5, exclude_max=True))
+                       st.floats(0.5 - 1e-4, 0.5, exclude_max=True), st.floats(*WERNER_BAND))
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,6 +195,8 @@ werner_xis = st.one_of(st.just(0.5), st.floats(0.0, 1.0),
 # rounding of I/4, off the line
 @example([(1 / 6, math.nextafter(0.5, 1.0))])
 @example([(0.5 - 2.0**-54, 0.3)])
+@example([(x, 0.5) for x in np.linspace(*WERNER_BAND, 12)])
+@example([(0.5 - k * 2.0**-54, 0.5) for k in range(12)])
 def test_werner_weight_follows_the_analytic_rule(points):
     """eta^2 at alpha^2 = 1/2, 0 at xi = 1/2, and nan everywhere else."""
     xi, a2 = np.array(points).T

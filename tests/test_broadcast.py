@@ -177,7 +177,7 @@ _X_ENTRIES = st.tuples(*[st.floats(-0.1, 1.0)] * 3, *[st.floats(-1.0, 1.0)] * 2)
 
 
 def _dense_least_eigenvalue(entries):
-    return np.linalg.eigvalsh(XStateEntries(*entries, 0.0).matrix())[0]
+    return np.linalg.eigvalsh(XStateEntries(*entries).matrix())[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -214,8 +214,8 @@ def test_x_state_matrix_places_every_entry(entries):
     big_a, big_b, c, d, w = entries
     want = np.array([[big_a, 0, 0, d], [0, c, w, 0], [0, w, c, 0], [d, 0, 0, big_b]],
                     dtype=complex)
-    assert np.array_equal(XStateEntries(*entries, 0.0).matrix(), want)
-    stack = XStateEntries(*(np.full(3, v) for v in entries), 0.0).matrix()
+    assert np.array_equal(XStateEntries(*entries).matrix(), want)
+    stack = XStateEntries(*(np.full(3, v) for v in entries)).matrix()
     assert stack.shape == (3, 4, 4) and all(np.array_equal(rho, want) for rho in stack)
 
 

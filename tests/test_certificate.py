@@ -135,10 +135,8 @@ def test_entries_match_the_exact_state(alpha_sq, x):
     big_a, big_b, c, d, w = (sp.N(RHO[i, j].subs(at), 40)
                              for i, j in ((0, 0), (3, 3), (1, 1), (0, 3), (1, 2)))
     got = nonlocal_entries(float(alpha_sq), float(x))
-    for g, e in zip(got[:5], (big_a, big_b, c, d, w)):
+    for g, e in zip(got, (big_a, big_b, c, d, w)):
         assert _ulps(g, e) <= 4, (got, e)
-    # A - B cancels: its rounding is in units of A and B
-    assert _ulps(got.asym, big_a - big_b, float(max(big_a, big_b))) <= 4, got
 
 
 # F = (1 + (sum of the singular values of T) / 3) / 2; T is diagonal, so its
@@ -300,9 +298,8 @@ def test_same_site_entries_match_the_exact_state(alpha_sq, x):
     got = local_entries(float(alpha_sq), float(x))
     # B = (1 - a^2) eta cancels: its rounding is in units of eta
     scales = (0.0, float(1 - 2 * x), 0.0, 0.0, 0.0)
-    for g, e, scale in zip(got[:5], (big_a, big_b, c, d, w), scales):
+    for g, e, scale in zip(got, (big_a, big_b, c, d, w), scales):
         assert _ulps(g, e, scale) <= 4, (got, e)
-    assert _ulps(got.asym, big_a - big_b, float(max(big_a, big_b))) <= 4, got
 
 
 # (zero condition, range function, machine bound): the least partial-transpose

@@ -19,6 +19,22 @@ from entbroadcast.sweep import QUANTITIES, ConfigError, parse_grid, run_sweep
 from test_golden import CASES
 
 
+# shaped like a benchmark sweep op: 50 xi, 50 alpha^2 and every quantity
+BENCHMARK_SWEEP = [
+    "sweep", *[t for i in range(50) for t in ("--xi", repr(0.15 + 0.007 * i))],
+    *[t for i in range(50) for t in ("--alpha-sq", repr(i / 49))],
+    *[t for q in QUANTITIES for t in ("--quantity", q)], "--format", "csv", "--out", "-"]
+# a call shaped like each of the benchmark's; tests/output_digest.py hashes them too
+BENCHMARK_CALLS = [
+    BENCHMARK_SWEEP,
+    ["boundary", "--xi", "0.2", "--target", "nonlocal", "--side", "both",
+     "--format", "json", "--out", "-"],
+    ["clone-audit", "--xi", "0.3", "--kind", "AbstractBH", "--samples", "64",
+     "--format", "json", "--out", "-"],
+    ["verify", "--format", "csv", "--out", "-"],
+]
+
+
 class TestSweepConfig:
     def test_rejects_empty_quantities(self):
         with pytest.raises(ConfigError):
@@ -200,10 +216,13 @@ class TestCli:
         rec = json.loads(capsys.readouterr().out)[0]
         assert rec["spread"] <= 1e-12
 
+    # the benchmark's calls reach the per-process caches, the JSON row template
+    # of boundary and clone-audit among them, whose second run must print the same
     @pytest.mark.parametrize("argv", [
         ["sweep", "--xi-grid", "0.2:0.4:5", "--alpha-grid", "0.1:0.9:7",
          "--quantity", "fidelity"],
         ["verify"],
+        *[pytest.param(argv, id=f"benchmark-{argv[0]}") for argv in BENCHMARK_CALLS],
     ], ids=lambda argv: argv[0])
     def test_repeated_runs_byte_identical(self, argv, capsysbinary):
         runs = []
@@ -489,22 +508,6 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     args = cli._parse_args(calls[3])
     assert (args.command, args.xi, args.alpha_sq, args.quantity) == (
         "sweep", None, None, ["pptLocal"])
-
-
-# shaped like a benchmark sweep op: 50 xi, 50 alpha^2 and every quantity
-BENCHMARK_SWEEP = [
-    "sweep", *[t for i in range(50) for t in ("--xi", repr(0.15 + 0.007 * i))],
-    *[t for i in range(50) for t in ("--alpha-sq", repr(i / 49))],
-    *[t for q in QUANTITIES for t in ("--quantity", q)], "--format", "csv", "--out", "-"]
-# a call shaped like each of the benchmark's; tests/output_digest.py hashes them too
-BENCHMARK_CALLS = [
-    BENCHMARK_SWEEP,
-    ["boundary", "--xi", "0.2", "--target", "nonlocal", "--side", "both",
-     "--format", "json", "--out", "-"],
-    ["clone-audit", "--xi", "0.3", "--kind", "AbstractBH", "--samples", "64",
-     "--format", "json", "--out", "-"],
-    ["verify", "--format", "csv", "--out", "-"],
-]
 
 
 def _names(args):
