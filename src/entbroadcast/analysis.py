@@ -375,27 +375,31 @@ def bisect(predicate, inside, outside, tol):
 
 # The bisection predicates. A step, one state's floats, does its whole work in
 # one frame: the state's entries by the expressions and operation order of
-# broadcast's closed forms, its X-state check and OutOfRangeError as in
-# ``_require_x_state``, and the raw sign of ``evaluate``'s quantity, so each
-# decides as that route does. A constant of the machine or of the input is
-# bound only where its float stays the same: a b eta eta is (a b eta) eta.
-# Builtin min/max/abs replace numpy's ufuncs, which cost several times the
-# arithmetic on floats; np.minimum(x, y) and np.maximum(x, y) keep y on a tie,
-# so min and max list them in reverse, signed zeros included. hypot(h, w) is
-# abs(complex(h, w)): CPython's complex abs is the C library's hypot, and so
-# is np.hypot on float64 (math.hypot rounds its own way, off in the last
-# bit). Complex abs raises OverflowError where hypot overflows; validated
-# same-site entries are at most 1, so it cannot here.
+# broadcast's closed forms, and the raw sign of ``evaluate``'s quantity, so each
+# decides as that route does. On the state's xi domain, [0, 1] cross-site and
+# [0, 1/2] same-site, its eigenvalues are non-negative and ``_require_x_state``
+# cannot fail (``tests/test_certificate.py``), so a step skips it; off the
+# domain, ``evaluate`` takes the step, raising where the entries raise.
+# A constant of the machine or of the input is bound only where its float
+# stays the same: a b eta eta is (a b eta) eta. Builtin min/max/abs replace
+# numpy's ufuncs, which cost several times the arithmetic on floats;
+# np.minimum(x, y) and np.maximum(x, y) keep y on a tie, so min and max list
+# them in reverse, signed zeros included. hypot(h, w) is abs(complex(h, w)):
+# CPython's complex abs is the C library's hypot, and so is np.hypot on
+# float64 (math.hypot rounds its own way, off in the last bit). Complex abs
+# raises OverflowError where hypot overflows; same-site entries on the
+# domain are at most 1, so it cannot here.
 
 def nonlocal_inseparable_predicate(p: ClonerParameter):
     """alpha^2 -> True when the cross-site pair fails PPT (is entangled):
     ``evaluate``'s pptNonlocal below 0, its raw sign, as bisection needs the
     exact zero crossing, not the -1e-10 classification threshold.
     ``oracle.equivalence`` ties that closed form to eigvalsh. Raises as
-    ``nonlocal_entries``."""
+    ``nonlocal_entries``: off xi in [0, 1], each call is ``evaluate``'s."""
     xi = float(p.xi)
+    if not 0.0 <= xi <= 1.0:
+        return lambda alpha_sq: evaluate({"pptNonlocal"}, xi, alpha_sq)["pptNonlocal"] < 0.0
     eta, xi_sq, c = 1.0 - 2.0 * xi, xi * xi, xi * (1.0 - xi)
-    c_ok = c >= -STATE_TOL
 
     def pred(alpha_sq):
         if not 0.0 <= alpha_sq <= 1.0:
@@ -404,9 +408,6 @@ def nonlocal_inseparable_predicate(p: ClonerParameter):
         a_sq = a * a
         b = math.sqrt(1.0 - a_sq)
         big_a, big_b, d = a_sq * eta + xi_sq, b * b * eta + xi_sq, a * b * eta * eta
-        h = 0.5 * (big_a - big_b)
-        if not (c_ok and 0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL):
-            raise OutOfRangeError(xi, 0.0, 1.0)
         return min(c - abs(d), big_b, big_a) < 0.0
 
     return pred
@@ -415,10 +416,12 @@ def nonlocal_inseparable_predicate(p: ClonerParameter):
 def local_separable_predicate(p: ClonerParameter):
     """alpha^2 -> True when the same-site pair passes PPT (is separable):
     ``evaluate``'s pptLocal at least 0. ``oracle.equivalence`` ties that
-    closed form to eigvalsh. Raises as ``local_entries``."""
+    closed form to eigvalsh. Raises as ``local_entries``: off xi in [0, 1/2],
+    each call is ``evaluate``'s."""
     xi = float(p.xi)
+    if not 0.0 <= xi <= 0.5:
+        return lambda alpha_sq: evaluate({"pptLocal"}, xi, alpha_sq)["pptLocal"] >= 0.0
     eta = 1.0 - 2.0 * xi
-    w_ok = xi - abs(xi) >= -STATE_TOL  # C - |w|, with C = w = xi
 
     def pred(alpha_sq):
         if not 0.0 <= alpha_sq <= 1.0:
@@ -428,9 +431,6 @@ def local_separable_predicate(p: ClonerParameter):
         b = math.sqrt(1.0 - a_sq)
         big_a, big_b = a_sq * eta, b * b * eta
         h, mean = 0.5 * (big_a - big_b), 0.5 * (big_a + big_b)
-        # d = 0: the check's hypot(h, d) is (h h + 0 0)^(1/2) = (h h)^(1/2)
-        if not (w_ok and mean - (h * h) ** 0.5 >= -STATE_TOL):
-            raise OutOfRangeError(xi, 0.0, 0.5)
         return min(mean - abs(complex(h, xi)), xi) >= 0.0
 
     return pred
@@ -439,7 +439,7 @@ def local_separable_predicate(p: ClonerParameter):
 def bell_violated_predicate(alpha_sq):
     """xi -> True when the cross-site pair at (xi, alpha_sq) violates CHSH:
     ``evaluate``'s bellM above 1. Raises ValueError here for alpha^2 outside
-    [0, 1], and OutOfRangeError in a call whose xi is outside [0, 1], as
+    [0, 1]; a call whose xi is outside [0, 1] is ``evaluate``'s, so raises as
     ``nonlocal_entries``."""
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError(f"alpha^2={alpha_sq} outside [0, 1]")
@@ -449,13 +449,12 @@ def bell_violated_predicate(alpha_sq):
     b_sq, ab = b * b, a * b
 
     def pred(xi):
+        if not 0.0 <= xi <= 1.0:
+            return evaluate({"bellM"}, xi, alpha_sq)["bellM"] > 1.0
         eta, xi_sq, c = 1.0 - 2.0 * xi, xi * xi, xi * (1.0 - xi)
         big_a, big_b, d = a_sq * eta + xi_sq, b_sq * eta + xi_sq, ab * eta * eta
-        h, total = 0.5 * (big_a - big_b), big_a + big_b
-        if not (c >= -STATE_TOL and 0.5 * total - (h * h + d * d) ** 0.5 >= -STATE_TOL):
-            raise OutOfRangeError(float(xi), 0.0, 1.0)
         # T = diag(2d, -2d, t_z), as in evaluate
-        t_xy_sq, t_z = 4.0 * d * d, total - 2.0 * c
+        t_xy_sq, t_z = 4.0 * d * d, big_a + big_b - 2.0 * c
         return t_xy_sq + max(t_z * t_z, t_xy_sq) > 1.0
 
     return pred

@@ -127,10 +127,8 @@ def abstract_machine_vectors(p):
     if not least >= -GRAM_PSD_TOL:  # also rejects the -inf or nan of an overflowed 2 xi
         raise GramNotPSDError(xi, least)
     q, r = math.sqrt(max(eta, 0.0)), math.sqrt(max(xi - eta / 4.0, 0.0))
-    return np.array([[q, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, q / 2.0, r],
-                     [0.0, 0.0, q, 0.0],
-                     [q / 2.0, r, 0.0, 0.0]])
+    return np.array([q, 0.0, 0.0, 0.0, 0.0, 0.0, q / 2.0, r,
+                     0.0, 0.0, q, 0.0, q / 2.0, r, 0.0, 0.0]).reshape(4, 4)
 
 
 def _isometry(vecs):

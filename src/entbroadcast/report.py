@@ -64,10 +64,11 @@ class GridTable:
         return self.block.size
 
 
+_FLOAT_TEXT = "%.17g"  # format(v, ".17g")'s text, also for np.float64, and faster
+
+
 def _fmt(v):
-    if isinstance(v, float):
-        return "%.17g" % v  # format(v, ".17g")'s text, also for np.float64, and faster
-    return str(v)
+    return _FLOAT_TEXT % v if isinstance(v, float) else str(v)
 
 
 def _csv_quoting_chars():
@@ -185,7 +186,7 @@ def _csv_value_slots(values):
         slots[2 * j + 1] = ""
     other = np.flatnonzero(codes == _OTHER)
     for j, v in zip(other.tolist(), values[other].tolist()):
-        slots[2 * j] = "%.17g" % v  # _fmt's text, which needs no quotes
+        slots[2 * j] = _FLOAT_TEXT % v  # _fmt's text, which needs no quotes
     return slots
 
 

@@ -539,11 +539,15 @@ _ENDS = st.sampled_from(["drawn", "lo", "hi"])
 @example(0.6, 0.5, "drawn", 0)
 @example(0.2, 1.0000000000000002, "drawn", 0)
 @example(0.2, -0.0, "drawn", 0)
+@example(-2e-9, 0.5, "drawn", 0)
+@example(1 + 2e-9, 0.5, "drawn", 0)
+@example(0.5 + 2e-9, 0.5, "drawn", 0)
 def test_kernels_decide_as_their_reference(xi, alpha_sq, end, ulps):
     """Each PPT kernel decides as its reference, bit for bit, or raises the
     same error (OutOfRangeError outside the state's domain, ValueError
     outside alpha^2 in [0, 1]), within 2000 ulps of each closed-form range
-    end among other points."""
+    end among other points. Just outside each state's xi domain, where a
+    kernel hands the step to ``evaluate``, the reference raises."""
     p = analysis_parameter(xi)
     for kernel, reference, closed in KERNELS.values():
         a2 = _near(_closed_range(closed, p), end, ulps, alpha_sq)
@@ -556,6 +560,8 @@ def test_kernels_decide_as_their_reference(xi, alpha_sq, end, ulps):
 @example(XI_BELL_MAX, 0.5, "drawn", 0)
 @example(1.05, 0.5, "drawn", 0)
 @example(0.05, 1.0000000000000002, "drawn", 0)
+@example(-2e-9, 0.5, "drawn", 0)
+@example(1 + 2e-9, 0.5, "drawn", 0)
 def test_bell_kernel_decides_as_its_reference(xi, alpha_sq, end, ulps):
     """The Bell kernel decides as its reference, bit for bit, or raises the
     same error: within 2000 ulps of the threshold XI_BELL_MAX at alpha^2 = 1/2

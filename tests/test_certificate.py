@@ -19,14 +19,21 @@ closed-form alpha^2 range, cross-site inseparability (C = |D|), same-site
 separability (AB = w^2) and Bell violation (4 D^2 + t_z^2 = 1), is the root
 pair of a zero condition on the entries, 1/2 +- the square root of a
 radicand, and the radicand's root in xi is the range's machine bound.
+
+On its xi domain, [0, 1] cross-site and [0, 1/2] same-site, each state's
+X-state eigenvalues are non-negative, so the state check cannot fail there
+and the bisection kernels skip it.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entbroadcast.analysis import (
     XI_BELL_MAX,
@@ -343,3 +350,63 @@ def test_range_ends_are_the_zero_condition_roots(name, x):
     for end, exact in ((got.lo, sp.Rational(1, 2) - half_width),
                        (got.hi, sp.Rational(1, 2) + half_width)):
         assert _ulps(end, sp.N(exact, 40), 1.0) <= 4, (got, exact)
+
+
+# -- the idle state check -----------------------------------------------------
+# ``broadcast._require_x_state`` raises where an X-state eigenvalue,
+# (A + B)/2 +- hypot((A - B)/2, d) or C +- w, is below -STATE_TOL. On each
+# state's xi domain, with alpha^2 = a^2 in [0, 1], every eigenvalue is >= 0,
+# so the check cannot fail there and the bisection kernels skip it.
+
+def _least(expr, var, hi):
+    return sp.minimum(expr, var, sp.Interval(0, hi))
+
+
+def test_cross_site_eigenvalues_are_nonnegative_on_its_domain():
+    c, d, trace = RHO[1, 1], RHO[0, 3], RHO[0, 0] + RHO[3, 3]
+    # C +- w, w = 0: C = xi (1 - xi)
+    assert _zero(c - xi * (1 - xi)) and _least(c, xi, 1) == 0
+    # the {|00>, |11>} block [[A, d], [d, B]] is PSD: trace > 0, determinant >= 0
+    assert _zero(trace - (1 - xi) ** 2 - xi**2) and _least(trace, xi, 1) == sp.Rational(1, 2)
+    det = RHO[0, 0] * RHO[3, 3] - d**2
+    assert _zero(det - 4 * c * a**2 * b**2 * eta**2 - xi**2 * (1 - xi) ** 2)
+    # each term a product of C >= 0, a^2 >= 0, b^2 = 1 - a^2 >= 0 and squares
+    assert _least(a**2, a, 1) == 0 and _least(b**2, a, 1) == 0
+
+
+def test_same_site_eigenvalues_are_nonnegative_on_its_domain():
+    lam = sp.Symbol("lambda")
+    eigenvalues = (a**2 * eta, b**2 * eta, 0, 2 * xi)
+    char = reduce(lambda p, ev: p * (lam - ev), eigenvalues, 1)
+    assert _zero(SAME_SITE.charpoly(lam).as_expr() - char)
+    half = sp.Rational(1, 2)
+    assert _least(eta, xi, half) == 0 and _least(2 * xi, xi, half) == 0
+    assert _least(a**2, a, 1) == 0 and _least(b**2, a, 1) == 0
+
+
+def _edge_examples(test):
+    """Each domain end and its ulp neighbours, by alpha^2 at 0, 1/2 give or
+    take 3 ulps, and 1."""
+    xis = [0.0, -0.0, 5e-324, 1e-323, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+           math.nextafter(1.0, 0.0), 1.0]
+    halves = [0.5]
+    for _ in range(3):
+        halves = [math.nextafter(halves[0], 0.0)] + halves + [math.nextafter(halves[-1], 1.0)]
+    for x, alpha_sq in product(xis, [0.0, *halves, 1.0]):
+        test = example(x, alpha_sq)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 1.0)), st.floats(0.0, 1.0))
+@_edge_examples
+def test_state_check_is_idle_on_each_domain(x, alpha_sq):
+    """The entry functions do not raise on their domain, and the check's
+    least value, computed as ``_require_x_state`` computes it, stays far
+    above -STATE_TOL = -1e-9."""
+    for entries, hi in ((nonlocal_entries, 1.0), (local_entries, 0.5)):
+        if x <= hi:
+            e = entries(alpha_sq, x)
+            h = 0.5 * (e.big_a - e.big_b)
+            least = min(e.c - abs(e.w), 0.5 * (e.big_a + e.big_b) - (h * h + e.d * e.d) ** 0.5)
+            assert least >= -1e-15, (entries.__name__, x, alpha_sq, least)

@@ -8,6 +8,7 @@ name a module binds at its top level is read somewhere under ``src/`` or
 ``tests/``, or listed in the README as public API. Every name the README
 lists as kept public API exists in its module. No module uses
 ``linalg.partial_trace``, the tests' reference for the package's reductions.
+The package's ``__version__`` is the version ``pyproject.toml`` declares.
 """
 
 import ast
@@ -126,3 +127,9 @@ def test_no_module_uses_the_reference_partial_trace(path):
     # the tests hold the package's reductions to partial_trace; a package
     # route through it would make that a check of itself
     assert "partial_trace" not in _read_names(ast.parse(path.read_text()))
+
+
+def test_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads(ROOT.joinpath("pyproject.toml").read_text())["project"]
+    assert importlib.import_module("entbroadcast").__version__ == project["version"]
