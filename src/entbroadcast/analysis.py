@@ -163,24 +163,31 @@ def evaluate(quantities, xi, alpha_sq):
     if not wanted <= set(QUANTITIES):
         raise ValueError(f"unknown quantities {sorted(wanted - set(QUANTITIES))}; "
                          f"choose from {QUANTITIES}")
+    same = local_entries(alpha_sq, xi) if "pptLocal" in wanted else None
+    cross = nonlocal_entries(alpha_sq, xi) if wanted - {"pptLocal"} else None
+    return entry_quantities(wanted, same, cross, xi, alpha_sq)
+
+
+def entry_quantities(quantities, same, cross, xi, alpha_sq):
+    """``evaluate``'s values from ``local_entries(alpha_sq, xi)``, for pptLocal, and
+    ``nonlocal_entries(alpha_sq, xi)``, for the rest; either None where unread."""
     values = {}
-    if "pptLocal" in wanted:
-        values["pptLocal"] = _least_pt_same(local_entries(alpha_sq, xi))
-    if wanted - {"pptLocal"}:
-        e = nonlocal_entries(alpha_sq, xi)
-        if "pptNonlocal" in wanted:
-            values["pptNonlocal"] = _least_pt_cross(e)
+    if "pptLocal" in quantities:
+        values["pptLocal"] = _least_pt_same(same)
+    if cross is not None:
+        if "pptNonlocal" in quantities:
+            values["pptNonlocal"] = _least_pt_cross(cross)
         # correlation tensor T = diag(2D, -2D, A + B - 2C)
-        t_xy_sq = 4.0 * e.d * e.d
-        t_z = e.big_a + e.big_b - 2.0 * e.c
-        if "bellM" in wanted:
+        t_xy_sq = 4.0 * cross.d * cross.d
+        t_z = cross.big_a + cross.big_b - 2.0 * cross.c
+        if "bellM" in quantities:
             values["bellM"] = t_xy_sq + np.maximum(t_xy_sq, t_z * t_z)
-        if "fidelity" in wanted:
-            values["fidelity"] = 0.5 * (1.0 + (4.0 * np.abs(e.d) + np.abs(t_z)) / 3.0)
-        if "wernerX" in wanted:
+        if "fidelity" in quantities:
+            values["fidelity"] = 0.5 * (1.0 + (4.0 * np.abs(cross.d) + np.abs(t_z)) / 3.0)
+        if "wernerX" in quantities:
             # top eigenvalue (A + B)/2 + hypot((A - B)/2, d), with A = B on the lines; the
             # inputs, not the entries, decide them: the next float above 1/2 gives the same entries
-            top = 0.5 * (e.big_a + e.big_b) + np.abs(e.d)
+            top = 0.5 * (cross.big_a + cross.big_b) + np.abs(cross.d)
             on_line = np.equal(alpha_sq, 0.5) | np.equal(xi, 0.5)
             values["wernerX"] = np.where(on_line, (4.0 * top - 1.0) / 3.0, math.nan)
     return {q: _value(v) for q, v in values.items()}

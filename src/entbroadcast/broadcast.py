@@ -193,6 +193,10 @@ def _global_states(a, b, v):
 _ORACLE_FACTORS = "abmcdn"  # (a1, b1, m1, a2, b2, m2), one letter per factor
 # name -> factor letters, in the order the reduced state reads
 _ORACLE_PAIRS = {"a1b1": "ab", "a2b2": "cd", "a1b2": "ad", "a2b1": "cb"}
+# pair -> the factor axes from the end: its two, then the other four in order
+_PAIR_AXES = {pair: tuple(_ORACLE_FACTORS.index(f) - 6 for f in
+                          pair + "".join(f for f in _ORACLE_FACTORS if f not in pair))
+              for pair in _ORACLE_PAIRS.values()}
 
 
 def _pair_reduction(psis, pair):
@@ -200,17 +204,15 @@ def _pair_reduction(psis, pair):
     letters, for a stack of global states of shape (...) + 6 factor axes.
 
     The result, of shape (..., 4, 4), reads in the order of ``pair``: "cb"
-    gives (a2, b1). The pair's two axes move to the front of the factors, so
-    each psi reads as a 4 x K matrix x, its rows the pair's basis states and
-    its K = 4 d^2 columns those of the other four factors; the partial trace
-    over them is then rho_ij = sum_k x_ik conj(x_jk), one 2-D contraction
-    per state (a plain einsum, with no BLAS call, so a state in a stack
-    reduces exactly as it does alone). The result has the dtype of ``psis``:
-    on real states conj returns x itself, and the sum runs in float64.
+    gives (a2, b1). A transpose by ``_PAIR_AXES[pair]`` puts the pair's axes
+    first, so each psi reads as a 4 x K matrix x, its rows the pair's basis
+    states and its K = 4 d^2 columns those of the other four factors; the
+    partial trace over them is rho_ij = sum_k x_ik conj(x_jk), one 2-D
+    contraction per state (a plain einsum, with no BLAS call, so a state in
+    a stack reduces exactly as it does alone). The result has the dtype of
+    ``psis``: on real states conj returns x itself; the sum runs in float64.
     """
-    lead = psis.ndim - 6
-    axes = [lead + _ORACLE_FACTORS.index(f) for f in pair]
-    x = np.moveaxis(psis, axes, [lead, lead + 1]).reshape(psis.shape[:lead] + (4, -1))
+    x = psis.transpose(*range(psis.ndim - 6), *_PAIR_AXES[pair]).reshape(psis.shape[:-6] + (4, -1))
     return np.einsum("...ik,...jk->...ij", x, x.conj())
 
 

@@ -7,13 +7,15 @@ Verdicts are PASS, FAIL, or DISCREPANCY; DISCREPANCY marks documented
 internal conflicts of the protocol's two machine readings, not failures of
 this implementation.
 
-Claims come in groups, one generator each, that ``verify_claims`` lists once
-in report order. A claim is added as one group in that tuple plus its rows in
-``tests/golden/verify.{csv,json}``; its id also goes into the benchmark's own
-list, ``VERIFY_CLAIMS`` in ``perfbench/workloads.py``, a benchmark change.
+Claims come in groups, one generator each, that ``CLAIM_GROUPS`` lists once
+in report order (``verify --trace`` times each). A new claim is one group there
+plus its rows in ``tests/golden/verify.{csv,json}``; its id also goes into the
+benchmark's ``VERIFY_CLAIMS`` in ``perfbench/workloads.py``, a benchmark change.
 """
 
+import json
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .analysis import (
     bisect,
     boundary_bisect,
     dense_quantities,
+    entry_quantities,
     evaluate,
     filter_certificate,
     nonlocal_inseparability_range,
@@ -173,11 +176,12 @@ def _oracle():
     pairs = oracle_states(a2, [make_cloner_parameter(xi) for xi in xis])
     dense = dense_quantities(pairs["a1b1"], pairs["a1b2"])
     xi = np.array(xis)[:, None]
-    # every entry of each 4x4, the zeros off the X included, in float64
-    same, cross = (e.matrix().real for e in (local_entries(a2, xi), nonlocal_entries(a2, xi)))
+    entries = local_entries(a2, xi), nonlocal_entries(a2, xi)  # built and checked once
+    same, cross = (e.matrix().real for e in entries)  # every entry, the zeros off the X too
     want = {"a1b1": same, "a2b2": same, "a1b2": cross, "a2b1": cross,
-            **evaluate(dense.keys(), xi, a2)}
-    dev = max(float(abs(v - want[k]).max()) for k, v in (pairs | dense).items())
+            **entry_quantities(dense.keys(), *entries, xi, a2)}
+    diffs = [(v - want[k]).ravel() for k, v in (pairs | dense).items()]
+    dev = float(np.abs(np.concatenate(diffs)).max())  # one pass over all eight arrays
     yield _upper_bound("oracle.equivalence",
                        "state-vector oracle vs closed forms: max deviation of its states, "
                        "and of their dense measures from evaluate",
@@ -203,8 +207,18 @@ def _universality():
         DISCREPANCY if spread_ok else FAIL)
 
 
-def verify_claims():
-    """Recompute and check every headline claim; returns a list of ClaimResult."""
-    groups = (_ranges(), _range_bound(), _bell(), _filtering(),
-              _werner_fidelity(), _oracle(), _universality())
-    return [claim for group in groups for claim in group]
+CLAIM_GROUPS = (_ranges, _range_bound, _bell, _filtering, _werner_fidelity, _oracle, _universality)
+
+
+def verify_claims(trace=None):
+    """Recompute and check every headline claim; returns a list of ClaimResult.
+    ``trace``, a text stream or None, gets one JSON line per group as it finishes."""
+    if trace is None:
+        return [claim for group in CLAIM_GROUPS for claim in group()]
+    results = []
+    for group in CLAIM_GROUPS:
+        start, before = time.perf_counter(), len(results)
+        results += group()
+        trace.write(json.dumps({"group": group.__name__[1:], "claims": len(results) - before,
+                                "seconds": time.perf_counter() - start}) + "\n")
+    return results

@@ -85,8 +85,9 @@ def _build_parser():
           help="repeatable; at least one required")
     add_common(sweep)
 
-    add_common(add_command("verify", "recompute and check every headline claim"),
-               analysis_only=False)
+    verify = add_command("verify", "recompute and check every headline claim")
+    verify("--trace", action="store_true", help="one JSON line per claim group on stderr")
+    add_common(verify, analysis_only=False)
 
     boundary = add_command("boundary", "bisect a PPT boundary in alpha^2")
     boundary("--xi", type=float, required=True)
@@ -184,7 +185,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    results = claims_mod.verify_claims()
+    results = claims_mod.verify_claims(sys.stderr if args.trace else None)
     lines = [f"[{c.verdict}] {c.claim_id}: expected {c.expected:.12g}, "
              f"computed {c.computed:.12g} (tol {c.tolerance:g})\n" for c in results]
     discrepancies = [c for c in results if c.verdict == claims_mod.DISCREPANCY]

@@ -29,6 +29,7 @@ from entbroadcast.analysis import (
     XI_BELL_MAX,
     XI_LOCAL_MAX,
     XI_NONLOCAL_MAX,
+    QUANTITIES,
     DegenerateFilterError,
     FilterParams,
     _bell_m,
@@ -43,6 +44,7 @@ from entbroadcast.analysis import (
     bisect,
     boundary_bisect,
     dense_quantities,
+    entry_quantities,
     evaluate,
     filter_certificate,
     gisin_filter,
@@ -261,6 +263,70 @@ def test_stacks_raise_at_first_unphysical_point():
         evaluate({"pptLocal", "bellM"}, xi, 0.3)
     with pytest.raises(OutOfRangeError, match=r"xi=-0\.3 outside \[0\.0, 1\.0\]"):
         evaluate({"wernerX"}, xi, 0.3)
+
+
+SUBSETS = [set(names) for k in range(len(QUANTITIES) + 1)
+           for names in itertools.combinations(QUANTITIES, k)]
+# xi on the same-site state's domain, so that both states are built; the
+# Werner lines xi = 1/2 and alpha^2 = 1/2, and their neighbours, drawn often
+entry_xis = st.one_of(st.sampled_from([0.0, 0.25, math.nextafter(0.5, 0.0), 0.5]),
+                      st.floats(0.0, 0.5))
+entry_alpha_sqs = st.one_of(st.sampled_from([0.0, 0.5, math.nextafter(0.5, 1.0), 1.0]),
+                            st.floats(0.0, 1.0))
+
+
+def _assert_same_values(got, want):
+    """The same names in the same order, each value of the same type and,
+    as bytes, the same floats: nan where nan, and the sign of a zero."""
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert type(got[name]) is type(value), name
+        assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(entry_xis, min_size=1, max_size=6), st.lists(entry_alpha_sqs, min_size=1,
+                                                              max_size=6))
+def test_entry_quantities_are_evaluate(xis, alpha_sqs):
+    """On the entries of both states, built once, ``entry_quantities`` gives
+    ``evaluate``'s values bit for bit, for every subset of QUANTITIES, on a
+    grid and at each of its points as floats, the names a set or a list; a
+    state that no quantity of the subset reads may be None."""
+    xi, a2 = np.array(xis)[:, None], np.array(alpha_sqs)
+    for x, a in [(xi, a2), *itertools.product(xis[:2], alpha_sqs[:2])]:
+        same, cross = local_entries(a, x), nonlocal_entries(a, x)
+        for names in SUBSETS:
+            want = evaluate(names, x, a)
+            _assert_same_values(entry_quantities(names, same, cross, x, a), want)
+            _assert_same_values(entry_quantities(
+                names, same if "pptLocal" in names else None,
+                cross if names - {"pptLocal"} else None, x, a), want)
+            _assert_same_values(entry_quantities(sorted(names), same, cross, x, a), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=6), alpha_sqs,
+       st.sampled_from(SUBSETS))
+def test_evaluate_raises_as_its_entries_in_order(xis, alpha_sq, names):
+    """The names are checked first; then the same-site entries, if a name
+    needs them, raise before the cross-site entries, each at its first bad
+    point: evaluate raises exactly what the first failing entry call raises."""
+    xi = np.array(xis)
+    calls = [entries for entries, needed in ((local_entries, "pptLocal" in names),
+                                             (nonlocal_entries, bool(names - {"pptLocal"})))
+             if needed]
+    for entries in calls:
+        try:
+            entries(alpha_sq, xi)
+        except OutOfRangeError as e:
+            with pytest.raises(OutOfRangeError) as got:
+                evaluate(names, xi, alpha_sq)
+            assert str(got.value) == str(e)
+            break
+    else:
+        assert evaluate(names, xi, alpha_sq).keys() == names
+    with pytest.raises(ValueError, match="unknown quantities"):
+        evaluate(names | {"bogus"}, xi, alpha_sq)
 
 
 log_ratios = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)

@@ -450,6 +450,52 @@ def test_pair_reduction_conjugates_complex_states():
             assert np.array_equal(stack[k], alone), (name, k)
 
 
+def _pair_reduction_moveaxis(psis, pair):
+    """The reduction with its axis order found per call by np.moveaxis: the
+    pair's two axes moved to the front of the six factors."""
+    lead = psis.ndim - 6
+    axes = [lead + "abmcdn".index(f) for f in pair]  # factors (a1, b1, m1, a2, b2, m2)
+    x = np.moveaxis(psis, axes, [lead, lead + 1]).reshape(psis.shape[:lead] + (4, -1))
+    return np.einsum("...ik,...jk->...ij", x, x.conj())
+
+
+def _assert_reductions_are_the_moveaxis_reductions(psis):
+    for pair in _ORACLE_PAIRS.values():
+        got, want = _pair_reduction(psis, pair), _pair_reduction_moveaxis(psis, pair)
+        assert got.dtype == want.dtype and got.shape == want.shape, pair
+        assert got.tobytes() == want.tobytes(), pair
+
+
+@pytest.mark.parametrize("kind, xis", [(MachineKind.ABSTRACT_BH, (1 / 6, 0.2, 0.3, 0.45)),
+                                       (MachineKind.LITERAL_2D, (XI_LOWER, 0.3))])
+def test_pair_reductions_are_the_moveaxis_reductions(kind, xis):
+    """The precomputed transposes reduce bit for bit as np.moveaxis's order
+    does: on a stack over machines and alpha^2, on each state alone, and on
+    complex states."""
+    v = np.stack([machine_isometry(make_cloner_parameter(xi), kind) for xi in xis])
+    a = np.sqrt(np.arange(0.1, 0.95, 0.1))
+    psis = _global_states(a, np.sqrt(1.0 - a * a), v)
+    phase = np.exp(0.7j * np.arange(psis.shape[-1]))
+    for states in (psis, psis[1], psis[1, 2], psis * phase):
+        _assert_reductions_are_the_moveaxis_reductions(states)
+
+
+def test_oracle_states_call_no_moveaxis(monkeypatch):
+    """The axis orders are fixed at import: with np.moveaxis raising, the
+    oracle's states are unchanged."""
+    machines = [make_cloner_parameter(xi) for xi in (1 / 6, 0.3)]
+    want = oracle_states(np.arange(0.1, 0.95, 0.1), machines)
+
+    def no_moveaxis(*args, **kwargs):
+        raise AssertionError("np.moveaxis was called")
+
+    monkeypatch.setattr(np, "moveaxis", no_moveaxis)
+    with pytest.raises(AssertionError):
+        _pair_reduction_moveaxis(np.zeros((2, 2, 2, 2, 2, 2)), "ab")  # the patch is live
+    got = oracle_states(np.arange(0.1, 0.95, 0.1), machines)
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
 class TestLiteralOracle:
     """The oracle's reductions on the literal machine's isometry, whose
     machine dimension is 2, built through the same global-state builder."""

@@ -103,3 +103,27 @@ def test_oracle_equivalence_sees_every_entry_of_every_pair(monkeypatch, name, en
     assert claim.claim_id == "oracle.equivalence"
     assert claim.verdict == claims.FAIL
     assert claim.computed >= 1e-9 - 1e-15
+
+
+@pytest.mark.parametrize("quantity", ["pptLocal", "pptNonlocal", "bellM", "fidelity"])
+def test_oracle_equivalence_sees_every_closed_form_measure(monkeypatch, quantity):
+    """The expected measures come from the entries that also give the
+    expected states: a closed-form value moved by 1e-9 at one point fails
+    the claim."""
+    def perturbed(*args):
+        values = analysis.entry_quantities(*args)
+        values[quantity][2, 5] += 1e-9
+        return values
+
+    monkeypatch.setattr(claims, "entry_quantities", perturbed)
+    (claim,) = claims._oracle()
+    assert claim.verdict == claims.FAIL
+    assert claim.computed >= 1e-9 - 1e-15
+
+
+def test_verify_claims_are_the_groups_in_order():
+    """One tuple lists the groups in report order; the report is their claims."""
+    assert [g.__name__ for g in claims.CLAIM_GROUPS] == [
+        "_ranges", "_range_bound", "_bell", "_filtering", "_werner_fidelity", "_oracle",
+        "_universality"]
+    assert claims.verify_claims() == [c for g in claims.CLAIM_GROUPS for c in g()]

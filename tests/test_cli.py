@@ -365,6 +365,26 @@ def test_verify_takes_no_analysis_only_flag(capsys):
     assert "unrecognized arguments: --analysis-only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options", [[], ["--format", "json"]])
+def test_verify_trace_writes_one_line_per_group_before_the_summary(options, capsys):
+    """With --trace, stderr starts with one JSON line per claim group, in
+    report order; stdout, the rest of stderr and the exit code are those of
+    the call without it."""
+    code = main(["verify", *options])
+    plain = capsys.readouterr()
+    assert main(["verify", "--trace", *options]) == code == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out
+    lines = traced.err.splitlines(keepends=True)
+    groups = len(claims.CLAIM_GROUPS)
+    assert "".join(lines[groups:]) == plain.err
+    records = [json.loads(line) for line in lines[:groups]]
+    assert [r["group"] for r in records] == [g.__name__[1:] for g in claims.CLAIM_GROUPS]
+    assert [r["claims"] for r in records] == [len(list(g())) for g in claims.CLAIM_GROUPS]
+    assert records[5] == {"group": "oracle", "claims": 1, "seconds": records[5]["seconds"]}
+    assert all(isinstance(r["seconds"], float) and r["seconds"] > 0.0 for r in records)
+
+
 def test_signed_zero_alpha_sq_keeps_its_sign(capsys):
     assert main(["sweep", "--xi", "0.2", "--alpha-sq", "-0.0", "--alpha-sq", "0.0",
                  "--quantity", "pptNonlocal"]) == 0
@@ -390,7 +410,7 @@ MACHINE = {**COMMON, "--analysis-only": None}  # the commands that take an xi
 FLAGS = {
     "sweep": {"--xi": FLOATS, "--xi-grid": GRIDS, "--alpha-sq": FLOATS,
               "--alpha-grid": GRIDS, "--quantity": list(QUANTITIES), **MACHINE},
-    "verify": COMMON,
+    "verify": {**COMMON, "--trace": None},
     "boundary": {"--xi": FLOATS, "--target": ["nonlocal", "local"],
                  "--side": ["lower", "upper", "both"], "--tol": FLOATS, **MACHINE},
     "clone-audit": {"--xi": FLOATS, "--kind": ["Literal2D", "AbstractBH"],
@@ -539,6 +559,7 @@ def _parse_outcome(parse, argv, capsys):
     ["sweep", "--quantity", "bellM", "--quantity", "bogus"],
     ["sweep", "--quantity", "bellM", "--analysis-only", "--quantity", "bellM"],
     ["study", "--xi-points", "2", "-h"], ["verify", "--out", "-", "--"],
+    ["verify", "--trace", "--format", "json"], ["verify", "--trace", "--trace"],
 ], ids=" ".join)
 def test_routed_parse_is_the_top_parsers(argv, capsys):
     """The one-pass reader, or the top parser it hands the call to, gives the
