@@ -13,11 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-from .broadcast import STATE_TOL, local_entries, nonlocal_entries
-from .cloner import XI_SLACK, ClonerParameter, OutOfRangeError
+from .broadcast import local_entries, nonlocal_entries
+from .cloner import ClonerParameter, require_xi
 from .linalg import PAULIS, is_density_operator
 
 PPT_TOL = 1e-10
+STATE_TOL = 1e-9  # least eigenvalue and trace deviation a density operator may show
 WERNER_TOL = 1e-8  # werner_decompose's default
 
 # Machine-parameter bounds of the closed-form ranges
@@ -151,9 +152,9 @@ def evaluate(quantities, xi, alpha_sq):
     Each quantity is computed elementwise from the entries of the states it
     needs, with no matrix built (``dense_quantities`` is the reference);
     ``xi`` is not held to the machine's range here. Raises ValueError for a
-    name not in QUANTITIES, and OutOfRangeError at the first point, in order,
-    where a needed state is not a density operator. The same-site state is
-    checked first: wherever the cross-site state fails, it fails too.
+    name not in QUANTITIES, and OutOfRangeError at the first xi, in order,
+    outside a needed state's domain, [0, 1/2] same-site and [0, 1]
+    cross-site. The same-site domain is checked first, as it is the narrower.
 
     ``wernerX`` is the weight x = (4 lambda_max - 1)/3 of the cross-site state
     written as ((1-x)/4) I + x |phi+><phi+|. A - B = (a^2 - b^2) eta gives that
@@ -219,12 +220,11 @@ def _centred_range(p: ClonerParameter, hi, radicand):
     is -inf there. A radicand above 1/4 comes only from an xi in the slack
     outside [0, 1], where |eta| > 1.
 
-    Raises OutOfRangeError for xi outside [0, hi] (beyond XI_SLACK), its
-    state's bounds; inside, |eta| <= 1, so no eta^4 overflows.
+    Raises OutOfRangeError for xi outside [0, hi] (``require_xi``), its
+    state's domain; inside, |eta| <= 1, so no eta^4 overflows.
     """
     xi, eta = p.xi, p.eta
-    if not (-XI_SLACK <= xi <= hi + XI_SLACK):
-        raise OutOfRangeError(xi, 0.0, hi)
+    require_xi(xi, 0.0, hi)
     r = radicand(xi, eta) if eta != 0.0 else -math.inf
     if r < 0.0:
         return None
@@ -383,10 +383,10 @@ def bisect(predicate, inside, outside, tol):
 # The bisection predicates. A step, one state's floats, does its whole work in
 # one frame: the state's entries by the expressions and operation order of
 # broadcast's closed forms, and the raw sign of ``evaluate``'s quantity, so each
-# decides as that route does. On the state's xi domain, [0, 1] cross-site and
-# [0, 1/2] same-site, its eigenvalues are non-negative and ``_require_x_state``
-# cannot fail (``tests/test_certificate.py``), so a step skips it; off the
-# domain, ``evaluate`` takes the step, raising where the entries raise.
+# decides as that route does. The float gate 0 <= xi <= hi only picks the
+# route: on the state's xi domain, [0, 1] cross-site and [0, 1/2] same-site,
+# a step needs no check; off it, ``evaluate`` takes the step, and raises or
+# not by ``require_xi``, as the entries do.
 # A constant of the machine or of the input is bound only where its float
 # stays the same: a b eta eta is (a b eta) eta. Builtin min/max/abs replace
 # numpy's ufuncs, which cost several times the arithmetic on floats;

@@ -10,11 +10,13 @@ abstract machine, so it is only defined for xi >= 1/6.
 Both states are X-states, held by one type, ``XStateEntries``, of five real
 entries each. Each state has one entry function, ``nonlocal_entries(alpha_sq,
 xi)`` or ``local_entries(alpha_sq, xi)``, on arrays over the broadcast shape of
-its arguments (shape () for one state): it checks alpha^2, computes the entries
-and validates the state by the one X-state eigenvalue check, so no later query
-needs to check it again. The entries' ``matrix()`` fills the state's matrix or
-stack of matrices; ``nonlocal_state``/``local_state`` build it at an
-``EntangledInput``'s alpha^2 and a ``ClonerParameter``'s xi.
+its arguments (shape () for one state): it checks alpha^2, holds xi to the
+state's domain, [0, 1] cross-site and [0, 1/2] same-site, where its
+eigenvalues are non-negative, by ``require_xi``, and computes the entries, so
+no later query needs to check the state again. The entries' ``matrix()``
+fills the state's matrix or stack of matrices; ``nonlocal_state``/
+``local_state`` build it at an ``EntangledInput``'s alpha^2 and a
+``ClonerParameter``'s xi.
 """
 
 import math
@@ -23,9 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cloner import ClonerParameter, MachineKind, OutOfRangeError, machine_isometry
-
-STATE_TOL = 1e-9  # least eigenvalue and trace deviation a density operator may show
+from .cloner import ClonerParameter, MachineKind, machine_isometry, require_xi
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,6 @@ class XStateEntries(NamedTuple):
         return rho
 
 
-def _require_x_state(big_a, big_b, c, d, w, xi, hi):
-    """Raises OutOfRangeError at the first point, in order, where an eigenvalue
-    of the X-state, (A + B)/2 +- hypot((A - B)/2, d) or C +- w, is below -STATE_TOL."""
-    h = 0.5 * (big_a - big_b)
-    physical = np.asarray((c - abs(w) >= -STATE_TOL)
-                          & (0.5 * (big_a + big_b) - (h * h + d * d) ** 0.5 >= -STATE_TOL))
-    if not physical.all():
-        xi = np.broadcast_to(xi, physical.shape).flat[np.argmin(physical)]
-        raise OutOfRangeError(float(xi), 0.0, hi)
-
-
 def _amplitudes(alpha_sq):
     """a = sqrt(alpha^2) and b = sqrt(1 - a^2), of alpha_sq's shape: numpy
     scalars for one alpha^2, as numpy's functions return them for a 0-d
@@ -114,35 +103,31 @@ def _amplitudes(alpha_sq):
     return a, np.sqrt(1.0 - a * a)
 
 
-def _entries(state, alpha_sq, xi):
+def _entries(state, hi, alpha_sq, xi):
     """``state(a, b, xi)`` over the broadcast shape of ``alpha_sq`` and ``xi``,
-    with numpy's overflow warnings off: a huge xi fails the state's check.
+    once alpha^2 is checked and xi held to the state's domain [0, hi].
     One xi goes in as a numpy scalar (``[()]``), whose arithmetic skips the
     ufunc dispatch that a 0-d array pays for each operation."""
     a, b = _amplitudes(alpha_sq)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return state(a, b, np.asarray(xi, dtype=float)[()])
+    xi = np.asarray(xi, dtype=float)[()]
+    require_xi(xi, 0.0, hi)
+    return state(a, b, xi)
 
 
 # The closed forms of the two states: array arithmetic, shape () for one
-# state, which checks each state once, from its closed-form eigenvalues.
-# analysis's bisection predicates repeat these expressions in this operation
-# order on floats, and the tests hold them to these functions.
+# state. analysis's bisection predicates repeat these expressions in this
+# operation order on floats, and the tests hold them to these functions.
 
 def _cross_site_entries(a, b, xi):
     eta = 1.0 - 2.0 * xi
-    big_a, big_b = a * a * eta + xi * xi, b * b * eta + xi * xi
-    c, d = xi * (1.0 - xi), a * b * eta * eta
-    _require_x_state(big_a, big_b, c, d, 0.0, xi, 1.0)
-    return XStateEntries(big_a, big_b, c, d, 0.0)
+    return XStateEntries(a * a * eta + xi * xi, b * b * eta + xi * xi,
+                         xi * (1.0 - xi), a * b * eta * eta, 0.0)
 
 
 def _same_site_entries(a, b, xi):
     """(1 - 2 xi)(a^2 |00><00| + b^2 |11><11|) + 2 xi |+><+|, so C = w = xi."""
     eta = 1.0 - 2.0 * xi
-    big_a, big_b = a * a * eta, b * b * eta
-    _require_x_state(big_a, big_b, xi, 0.0, xi, xi, 0.5)
-    return XStateEntries(big_a, big_b, xi, 0.0, xi)
+    return XStateEntries(a * a * eta, b * b * eta, xi, 0.0, xi)
 
 
 def nonlocal_entries(alpha_sq, xi) -> XStateEntries:
@@ -150,17 +135,17 @@ def nonlocal_entries(alpha_sq, xi) -> XStateEntries:
     arrays of their broadcast shape: shape () for one point.
 
     ``xi`` is not held to the machine's range here (``make_cloner_parameter``
-    does that). Raises ValueError at the first alpha^2 outside [0, 1], and
-    OutOfRangeError at the first point where the state is not a density
-    operator (xi outside [0, 1]).
+    does that). Raises ValueError at the first alpha^2 outside [0, 1], then
+    OutOfRangeError at the first xi outside the state's domain [0, 1], where
+    it is not a density operator.
     """
-    return _entries(_cross_site_entries, alpha_sq, xi)
+    return _entries(_cross_site_entries, 1.0, alpha_sq, xi)
 
 
 def local_entries(alpha_sq, xi) -> XStateEntries:
     """The entries of the same-site states at the points (alpha_sq, xi); as
     ``nonlocal_entries``, with the state's domain xi in [0, 1/2]."""
-    return _entries(_same_site_entries, alpha_sq, xi)
+    return _entries(_same_site_entries, 0.5, alpha_sq, xi)
 
 
 def nonlocal_state(inp: EntangledInput, p: ClonerParameter):

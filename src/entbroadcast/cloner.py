@@ -72,11 +72,24 @@ class ClonerParameter:
         return 1.0 - 2.0 * self.xi
 
 
+def require_xi(xi, lo, hi):
+    """The one xi-interval rule: raises OutOfRangeError(xi, lo, hi) at the first
+    xi, in order, outside [lo - XI_SLACK, hi + XI_SLACK], nan included. ``xi``
+    is a float, compared with no numpy call, or an array."""
+    if isinstance(xi, np.ndarray):
+        inside = (xi >= lo - XI_SLACK) & (xi <= hi + XI_SLACK)
+        if inside.all():
+            return
+        xi = float(xi.flat[np.argmin(inside)])
+    elif lo - XI_SLACK <= xi <= hi + XI_SLACK:
+        return
+    raise OutOfRangeError(xi, lo, hi)
+
+
 def make_cloner_parameter(xi):
     """Validated machine parameter; raises OutOfRangeError outside the allowed range."""
     p = ClonerParameter(xi)
-    if p.xi < XI_LOWER - XI_SLACK or p.xi > XI_UPPER + XI_SLACK:
-        raise OutOfRangeError(xi)
+    require_xi(p.xi, XI_LOWER, XI_UPPER)
     return p
 
 
@@ -90,12 +103,11 @@ def literal_machine_vectors(p):
     the ancilla basis (up, down): Q0 = sqrt(eta)|up>, Q1 = sqrt(eta)|down>,
     Y0 = sqrt(xi)|down>, Y1 = sqrt(xi)|up>.
 
-    Raises OutOfRangeError for xi outside [0, 1/2] (beyond XI_SLACK), where
+    Raises OutOfRangeError for xi outside [0, 1/2] (``require_xi``), where
     the isometry's columns are not orthonormal.
     """
     eta, xi = p.eta, p.xi
-    if not (-XI_SLACK <= xi <= XI_UPPER + XI_SLACK):
-        raise OutOfRangeError(xi, 0.0, XI_UPPER)
+    require_xi(xi, 0.0, XI_UPPER)
     # y is sqrt(2 xi) times the |01> amplitude of |+>, the product the isometry holds
     q, y = math.sqrt(max(eta, 0.0)), math.sqrt(max(2.0 * xi, 0.0)) * (1.0 / math.sqrt(2.0))
     return np.array([[q, 0.0], [0.0, y], [0.0, q], [y, 0.0]])
@@ -181,7 +193,7 @@ def clone_fidelity(psi, p, kind):
     if psi.shape != (2,):
         raise ValueError("input must be a 2-vector")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # also rejects a nan or inf norm
         raise ValueError(f"input not normalized (norm {nrm})")
     out = (machine_isometry(p, kind) @ psi).reshape(2, -1)  # out[a, r]: clone a, rest r
     return float(np.sum(np.abs(psi.conj() @ out) ** 2))

@@ -63,6 +63,7 @@ from entbroadcast.broadcast import (
 )
 from entbroadcast.cloner import (
     XI_LOWER,
+    XI_SLACK,
     OutOfRangeError,
     analysis_parameter,
     make_cloner_parameter,
@@ -608,6 +609,12 @@ _ENDS = st.sampled_from(["drawn", "lo", "hi"])
 @example(-2e-9, 0.5, "drawn", 0)
 @example(1 + 2e-9, 0.5, "drawn", 0)
 @example(0.5 + 2e-9, 0.5, "drawn", 0)
+# each domain's last admitted xi and the next float above it, where the
+# reference starts to raise
+@example(0.5 + XI_SLACK, 0.5, "drawn", 0)
+@example(math.nextafter(0.5 + XI_SLACK, 1.0), 0.5, "drawn", 0)
+@example(1.0 + XI_SLACK, 0.5, "drawn", 0)
+@example(math.nextafter(1.0 + XI_SLACK, 2.0), 0.5, "drawn", 0)
 def test_kernels_decide_as_their_reference(xi, alpha_sq, end, ulps):
     """Each PPT kernel decides as its reference, bit for bit, or raises the
     same error (OutOfRangeError outside the state's domain, ValueError
@@ -628,6 +635,8 @@ def test_kernels_decide_as_their_reference(xi, alpha_sq, end, ulps):
 @example(0.05, 1.0000000000000002, "drawn", 0)
 @example(-2e-9, 0.5, "drawn", 0)
 @example(1 + 2e-9, 0.5, "drawn", 0)
+@example(1.0 + XI_SLACK, 0.5, "drawn", 0)
+@example(math.nextafter(1.0 + XI_SLACK, 2.0), 0.5, "drawn", 0)
 def test_bell_kernel_decides_as_its_reference(xi, alpha_sq, end, ulps):
     """The Bell kernel decides as its reference, bit for bit, or raises the
     same error: within 2000 ulps of the threshold XI_BELL_MAX at alpha^2 = 1/2

@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entbroadcast.analysis import (
+    QUANTITIES,
+    RangeUndefinedError,
+    bell_violation_range,
+    evaluate,
+    local_separability_range,
+    nonlocal_inseparability_range,
+)
 from entbroadcast.broadcast import (
     _ORACLE_PAIRS,
-    STATE_TOL,
     EntangledInput,
     XStateEntries,
     _global_states,
     _pair_reduction,
-    _require_x_state,
     local_entries,
     local_state,
     nonlocal_entries,
@@ -22,6 +28,7 @@ from entbroadcast.broadcast import (
 )
 from entbroadcast.cloner import (
     XI_LOWER,
+    XI_SLACK,
     GramNotPSDError,
     MachineKind,
     OutOfRangeError,
@@ -29,6 +36,7 @@ from entbroadcast.cloner import (
     literal_isometry,
     machine_isometry,
     make_cloner_parameter,
+    require_xi,
 )
 from entbroadcast.linalg import (
     SIGMA_X,
@@ -170,42 +178,8 @@ def test_one_state_entries_have_shape_empty():
         assert rho.shape == (4, 4) and rho.dtype == complex
 
 
-# The one X-state check, on entries neither builder makes: d and w both nonzero.
-# A point within 1e-12 of the check's threshold is skipped, as the closed form
-# and eigvalsh may round to either side of it.
+# Entries neither builder makes: d and w both nonzero
 _X_ENTRIES = st.tuples(*[st.floats(-0.1, 1.0)] * 3, *[st.floats(-1.0, 1.0)] * 2)  # A, B, C, d, w
-
-
-def _dense_least_eigenvalue(entries):
-    return np.linalg.eigvalsh(XStateEntries(*entries).matrix())[0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(_X_ENTRIES)
-def test_x_state_check_is_the_least_eigenvalue(entries):
-    least = _dense_least_eigenvalue(entries)
-    assume(abs(least + STATE_TOL) > 1e-12)
-    if least >= -STATE_TOL:
-        assert _require_x_state(*entries, 0.2, 1.0) is None
-    else:
-        with pytest.raises(OutOfRangeError, match=r"xi=0\.2 outside \[0\.0, 1\.0\]"):
-            _require_x_state(*entries, 0.2, 1.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_X_ENTRIES, min_size=1, max_size=8))
-def test_x_state_check_raises_at_the_first_bad_point_of_a_stack(points):
-    least = [_dense_least_eigenvalue(e) for e in points]
-    assume(all(abs(x + STATE_TOL) > 1e-12 for x in least))
-    columns = [np.array(column) for column in zip(*points)]
-    xi = np.arange(len(points), dtype=float)  # names each point by its index
-    bad = [k for k, x in enumerate(least) if x < -STATE_TOL]
-    if not bad:
-        assert _require_x_state(*columns, xi, 0.5) is None
-    else:
-        with pytest.raises(OutOfRangeError) as raised:
-            _require_x_state(*columns, xi, 0.5)
-        assert (raised.value.xi, raised.value.hi) == (bad[0], 0.5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,6 +191,106 @@ def test_x_state_matrix_places_every_entry(entries):
     assert np.array_equal(XStateEntries(*entries).matrix(), want)
     stack = XStateEntries(*(np.full(3, v) for v in entries)).matrix()
     assert stack.shape == (3, 4, 4) and all(np.array_equal(rho, want) for rho in stack)
+
+
+# -- the xi-interval rule --------------------------------------------------------
+# Every xi interval the package checks is decided by ``require_xi``: xi is
+# admitted on [lo - XI_SLACK, hi + XI_SLACK], and the first xi, in order,
+# outside it raises OutOfRangeError(xi, lo, hi). On its domain each state's
+# eigenvalues are non-negative (tests/test_certificate.py), so the domain is
+# the state check.
+
+def _ulps_beside(x, k):
+    """The float k ulps above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _xi_near(end):
+    """xi a few XI_SLACK, or a few ulps of either slack edge, from ``end``."""
+    return st.one_of(
+        st.integers(-6, 6).map(lambda k: end + k * XI_SLACK / 2.0),
+        st.tuples(st.sampled_from([end - XI_SLACK, end + XI_SLACK]), st.integers(-4, 4))
+        .map(lambda edge_k: _ulps_beside(*edge_k)),
+        st.floats(end - 4.0 * XI_SLACK, end + 4.0 * XI_SLACK))
+
+
+_RULE_XIS = st.one_of(*[_xi_near(end) for end in (0.0, XI_LOWER, 0.5, 1.0)],
+                      st.sampled_from([math.nan, math.inf, -math.inf]))
+
+# name -> (lo, hi, the call at one xi): each checks xi by the rule on [lo, hi]
+_RULE_CALLS = {
+    "require_xi": (XI_LOWER, 1.0, lambda x: require_xi(x, XI_LOWER, 1.0)),
+    "local_entries": (0.0, 0.5, lambda x: local_entries(0.3, x)),
+    "nonlocal_entries": (0.0, 1.0, lambda x: nonlocal_entries(0.3, x)),
+    "evaluate pptLocal": (0.0, 0.5, lambda x: evaluate({"pptLocal"}, x, 0.3)),
+    "evaluate bellM": (0.0, 1.0, lambda x: evaluate({"bellM"}, x, 0.3)),
+    "evaluate all": (0.0, 0.5, lambda x: evaluate(QUANTITIES, x, 0.3)),
+    "nonlocal_inseparability_range":
+        (0.0, 1.0, lambda x: nonlocal_inseparability_range(analysis_parameter(x))),
+    "local_separability_range":
+        (0.0, 0.5, lambda x: local_separability_range(analysis_parameter(x))),
+    "bell_violation_range": (0.0, 1.0, lambda x: bell_violation_range(analysis_parameter(x))),
+    "literal_isometry": (0.0, 0.5, lambda x: literal_isometry(analysis_parameter(x))),
+    "make_cloner_parameter": (XI_LOWER, 0.5, make_cloner_parameter),
+}
+
+
+def _rule_message(xi, lo, hi):
+    """The OutOfRangeError text the rule gives for ``xi``, or None where it admits xi."""
+    if lo - XI_SLACK <= xi <= hi + XI_SLACK:
+        return None
+    return f"xi={xi} outside [{lo}, {hi}]" if math.isfinite(xi) else f"xi={xi} is not finite"
+
+
+def _raised_message(call):
+    """The text of the OutOfRangeError ``call()`` raises, or None."""
+    try:
+        call()
+    except OutOfRangeError as e:
+        return str(e)
+    except RangeUndefinedError:  # inside the domain, but no range there
+        pass
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(_RULE_XIS)
+@example(1 + 5e-10)
+@example(-5e-10)
+@example(0.5 + 5e-10)
+def test_every_xi_check_is_the_one_rule(xi):
+    """Each check raises exactly where xi is outside its slack interval, with
+    the same text; at 1 + 5e-10, -5e-10 and 0.5 + 5e-10, the entries and the
+    closed-form ranges raise alike."""
+    for name, (lo, hi, call) in _RULE_CALLS.items():
+        want = _rule_message(xi, lo, hi)
+        assert _raised_message(lambda: call(xi)) == want, (name, xi)
+
+
+# name -> (lo, hi, the call on an array of xi) for the checks that take arrays
+_ARRAY_RULE_CALLS = {
+    "require_xi": (0.0, 0.5, lambda x: require_xi(x, 0.0, 0.5)),
+    "local_entries": (0.0, 0.5, lambda x: local_entries(np.array([[0.3], [0.8]]), x)),
+    "nonlocal_entries": (0.0, 1.0, lambda x: nonlocal_entries(np.array([[0.3], [0.8]]), x)),
+    "evaluate pptLocal": (0.0, 0.5, lambda x: evaluate({"pptLocal"}, x, 0.3)),
+    "evaluate all": (0.0, 0.5, lambda x: evaluate(QUANTITIES, np.reshape(x, (1, -1)), 0.3)),
+    "evaluate bellM": (0.0, 1.0, lambda x: evaluate({"bellM"}, x, np.array([[0.3], [0.8]]))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RULE_XIS, min_size=1, max_size=6))
+@example([0.5, 1 + 5e-10, -5e-10])
+@example([0.2, 0.5 + 5e-10, math.nan])
+def test_a_stack_raises_at_its_first_bad_xi(xis):
+    """On an array of xi, stacked with alpha^2 or not, each check raises at
+    the first xi, in order, outside its slack interval."""
+    for name, (lo, hi, call) in _ARRAY_RULE_CALLS.items():
+        bad = [m for m in (_rule_message(x, lo, hi) for x in xis) if m is not None]
+        assert _raised_message(lambda: call(np.array(xis))) == (bad[0] if bad else None), \
+            (name, xis)
 
 
 def _raises_out_of_range(build, inp, p):

@@ -285,8 +285,11 @@ EXIT_CODE_CASES = [
     *[(["sweep", "--xi-grid", grid, "--alpha-sq", "0.5", "--quantity", "bellM"], 2)
       for grid in ("0.2:0.3", "0.2:0.3:0", "0.2:inf:2")],
     (["sweep", "--xi-grid", "0.2:0.3:1", "--alpha-sq", "0.5", "--quantity", "bellM"], 0),
-    # a negative xi is spelled --xi=-1e-12: argparse takes a bare -1e-12 for an option
+    # a negative xi is spelled --xi=-1e-12: argparse takes a bare -1e-12 for an option.
+    # The same-site domain [0, 1/2] admits xi up to 1e-12 beyond each end
     (["sweep", "--analysis-only", "--xi=-1e-12", "--xi", "0.5", "--xi", "0.5000000001",
+      "--alpha-grid", "0:1:11", "--quantity", "pptLocal"], 2),
+    (["sweep", "--analysis-only", "--xi=-1e-12", "--xi", "0.5", "--xi", "0.5000000000005",
       "--alpha-grid", "0:1:11", "--quantity", "pptLocal"], 0),
     (["sweep", "--analysis-only", "--xi=-1e-12", "--xi", "1e-300", "--xi", "0.5", "--xi", "1.0",
       "--alpha-grid", "0:1:11", *[t for q in ("pptNonlocal", "bellM", "fidelity", "wernerX")

@@ -491,6 +491,11 @@ def test_literal_isometry_rejects_xi_outside_unit_half(xi):
                                     MachineKind.ABSTRACT_BH), "2x2 density operator"),
     (lambda p: clone_fidelity([1.0, 0.0, 0.0], p, MachineKind.LITERAL_2D), "2-vector"),
     (lambda p: clone_fidelity([1.0, 1.0], p, MachineKind.LITERAL_2D), "not normalized"),
+    # a nan or inf amplitude makes the norm nan or inf, which no comparison admits
+    (lambda p: clone_fidelity([math.nan, 0.0], p, MachineKind.LITERAL_2D), "not normalized"),
+    (lambda p: clone_fidelity([math.inf, 0.0], p, MachineKind.LITERAL_2D), "not normalized"),
+    (lambda p: clone_fidelity([1.0, complex(0.0, math.nan)], p, MachineKind.ABSTRACT_BH),
+     "not normalized"),
 ])
 def test_malformed_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=message):
